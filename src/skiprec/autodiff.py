@@ -5,11 +5,15 @@ appends a closure that routes the output gradient back to its inputs;
 ``Tape.backward`` replays those closures in reverse execution order, which
 is a valid topological order by construction.
 
-The op set is exactly what the model needs: affine/matmul, strided 2-D
-convolution, depthwise 1-D convolution, attention, softmax and log-softmax,
-layer norm, swish, GLU, gather/concat by index, cross-entropy, and
-log-sum-exp variants for the alignment lattice. Nothing more general is
-provided on purpose.
+The op set is what the model needs: affine, strided 2-D convolution,
+depthwise 1-D convolution, attention, softmax and log-softmax, layer norm,
+swish, GLU, gather/concat by index, cross-entropy, and log-sum-exp variants
+for the alignment lattice; ``matmul`` and ``sub`` have no caller in the
+model. Nothing more general is provided on purpose.
+
+Ops keep the dtype of their operands: scalar constants are Python floats,
+so float32 inputs stay float32. Attention runs as head-batched matmuls and
+the logistic function as ``0.5 * (1 + tanh(x / 2))``, both branch-free.
 
 Log-space code uses the finite stand-in ``NEG_FILL`` instead of ``-inf`` so
 that the "all values finite" invariant can be checked after every op.
@@ -17,6 +21,7 @@ that the "all values finite" invariant can be checked after every op.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -119,11 +124,15 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function as 0.5 * (1 + tanh(x / 2)).
+
+    tanh saturates instead of overflowing, so no branch on the sign of x and
+    no masked scatter is needed; every step after the halving runs in place.
+    """
+    out = np.multiply(x, 0.5, out=np.empty_like(x))
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -630,11 +639,15 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     if causal and lq != lk:
         raise DimensionError(f"causal attention needs square scores, got {lq}x{lk}")
     dh = d // n_heads
-    inv = 1.0 / np.sqrt(dh)
-    qh = q.data.reshape(lq, n_heads, dh)
-    kh = k.data.reshape(lk, n_heads, dh)
-    vh = v.data.reshape(lk, n_heads, dh)
-    scores = np.einsum("qhd,khd->hqk", qh, kh) * inv
+    # A Python float keeps float32 scores float32; an np.float64 would promote.
+    inv = 1.0 / math.sqrt(dh)
+    # (H, L, dh) views of the column-split heads; every product below is a
+    # head-batched matmul, which reaches BLAS where einsum does not.
+    qh = q.data.reshape(lq, n_heads, dh).transpose(1, 0, 2)
+    kh = k.data.reshape(lk, n_heads, dh).transpose(1, 0, 2)
+    vh = v.data.reshape(lk, n_heads, dh).transpose(1, 0, 2)
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores *= inv
     if causal:
         hidden = ~np.tril(np.ones((lq, lk), dtype=bool))
         scores[:, hidden] = NEG_FILL
@@ -645,25 +658,28 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         if not key_mask.any():
             raise ContractError("attention requires at least one unmasked key")
         scores[:, :, ~key_mask] = NEG_FILL
-    m = scores.max(axis=2, keepdims=True)
-    e = np.exp(scores - m)
-    weights = e / e.sum(axis=2, keepdims=True)
-    ctx = np.einsum("hqk,khd->qhd", weights, vh).reshape(lq, d)
+    scores -= scores.max(axis=2, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= weights.sum(axis=2, keepdims=True)
+    ctx = (weights @ vh).transpose(1, 0, 2).reshape(lq, d)
     out = _make(ctx, "attention_core")
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        gr = g.reshape(lq, n_heads, dh)
-        gw = np.einsum("qhd,khd->hqk", gr, vh)
-        gv = np.einsum("hqk,qhd->khd", weights, gr).reshape(lk, d)
-        gs = weights * (gw - (gw * weights).sum(axis=2, keepdims=True))
-        gq = (np.einsum("hqk,khd->qhd", gs, kh) * inv).reshape(lq, d)
-        gk = (np.einsum("hqk,qhd->khd", gs, qh) * inv).reshape(lk, d)
-        _accum(q, gq)
-        _accum(k, gk)
-        _accum(v, gv)
+        gr = g.reshape(lq, n_heads, dh).transpose(1, 0, 2)
+        gv = weights.transpose(0, 2, 1) @ gr
+        gs = gr @ vh.transpose(0, 2, 1)
+        gs -= (gs * weights).sum(axis=2, keepdims=True)
+        gs *= weights
+        gq = gs @ kh
+        gq *= inv
+        gk = gs.transpose(0, 2, 1) @ qh
+        gk *= inv
+        _accum(q, gq.transpose(1, 0, 2).reshape(lq, d))
+        _accum(k, gk.transpose(1, 0, 2).reshape(lk, d))
+        _accum(v, gv.transpose(1, 0, 2).reshape(lk, d))
 
     _record(bwd)
     return out, weights

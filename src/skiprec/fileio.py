@@ -15,6 +15,8 @@ Transcripts are text lines: utterance id, a tab, space-separated token ids.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -48,7 +50,11 @@ class _Reader:
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named float64 tensors in dict insertion order."""
+    """Write named float64 tensors in dict insertion order.
+
+    The bytes go to a temporary sibling that is then renamed over ``path``,
+    so a write that fails part-way leaves any previous file untouched.
+    """
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", FORMAT_VERSION, len(tensors))]
     for name, arr in tensors.items():
         # asarray, not ascontiguousarray: the latter promotes rank-0 to rank-1
@@ -59,8 +65,16 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
         parts.append(arr.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -247,7 +247,14 @@ def checkpoint_tensors(params: ModelParams, step: int | None = None,
 
 def load_params_from_tensors(params: ModelParams, tensors: dict[str, np.ndarray],
                              restore_moments: bool = False) -> int:
-    """Fill parameters from named tensors, returning the saved step (0 if absent)."""
+    """Fill parameters from named tensors, returning the saved step (0 if absent).
+
+    With ``restore_moments``, a parameter saved with both Adam moments resumes
+    at the saved step; one saved without them (e.g. from ``best.ckpt``)
+    restarts its moments and its bias-correction count at zero, so its first
+    update is a fresh Adam step. A parameter with only one moment, or with a
+    moment of the wrong shape, is rejected.
+    """
     step = int(tensors.get("trainer.step", np.asarray(0.0)))
     for name, p in named_parameters(params):
         if name not in tensors:
@@ -259,7 +266,18 @@ def load_params_from_tensors(params: ModelParams, tensors: dict[str, np.ndarray]
                 f"model expects {p.value.data.shape}")
         p.value.data = arr.astype(np.float64).copy()
         if restore_moments:
-            p.moment1 = tensors.get(name + ".m1", np.zeros_like(arr)).astype(np.float64).copy()
-            p.moment2 = tensors.get(name + ".m2", np.zeros_like(arr)).astype(np.float64).copy()
-            p.step_count = step
+            m1, m2 = tensors.get(name + ".m1"), tensors.get(name + ".m2")
+            if (m1 is None) != (m2 is None):
+                raise ConfigError(f"checkpoint has only one Adam moment for {name!r}")
+            if m1 is None:
+                p.moment1, p.moment2 = np.zeros_like(p.value.data), np.zeros_like(p.value.data)
+                p.step_count = 0
+            else:
+                if m1.shape != arr.shape or m2.shape != arr.shape:
+                    raise ConfigError(
+                        f"checkpoint moments of {name!r} have shapes {m1.shape} and "
+                        f"{m2.shape}, model expects {arr.shape}")
+                p.moment1 = m1.astype(np.float64).copy()
+                p.moment2 = m2.astype(np.float64).copy()
+                p.step_count = step
     return step

@@ -350,6 +350,86 @@ class TestAttention:
               rng.normal(size=(5, 4)), tol=1e-4)
 
 
+def masked_sigmoid_reference(x):
+    """The sign-split logistic the tanh form replaced."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def einsum_attention_reference(q, k, v, n_heads, causal=False, key_mask=None):
+    """Einsum attention the batched-matmul form replaced.
+
+    Returns the context, the weights and a function from the context's
+    upstream gradient to the (q, k, v) gradients.
+    """
+    lq, d = q.shape
+    lk = k.shape[0]
+    dh = d // n_heads
+    inv = 1.0 / np.sqrt(dh)
+    qh = q.reshape(lq, n_heads, dh)
+    kh = k.reshape(lk, n_heads, dh)
+    vh = v.reshape(lk, n_heads, dh)
+    scores = np.einsum("qhd,khd->hqk", qh, kh) * inv
+    if causal:
+        scores[:, ~np.tril(np.ones((lq, lk), dtype=bool))] = ad.NEG_FILL
+    if key_mask is not None:
+        scores[:, :, ~key_mask] = ad.NEG_FILL
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    weights = e / e.sum(axis=2, keepdims=True)
+    ctx = np.einsum("hqk,khd->qhd", weights, vh).reshape(lq, d)
+
+    def grads(g):
+        gr = g.reshape(lq, n_heads, dh)
+        gw = np.einsum("qhd,khd->hqk", gr, vh)
+        gv = np.einsum("hqk,qhd->khd", weights, gr).reshape(lk, d)
+        gs = weights * (gw - (gw * weights).sum(axis=2, keepdims=True))
+        gq = (np.einsum("hqk,khd->qhd", gs, kh) * inv).reshape(lq, d)
+        gk = (np.einsum("hqk,qhd->khd", gs, qh) * inv).reshape(lk, d)
+        return gq, gk, gv
+
+    return ctx, weights, grads
+
+
+class TestAgainstReference:
+    GRID = np.concatenate([np.linspace(-1e3, 1e3, 2001), np.linspace(-40.0, 40.0, 8001),
+                           [0.0, -0.0, 1e-300, -1e-300, 709.0, -745.0]])
+
+    def test_sigmoid_matches_masked_form(self):
+        with np.errstate(under="ignore"):
+            want = masked_sigmoid_reference(self.GRID)
+        assert np.max(np.abs(ad._sigmoid(self.GRID) - want)) <= 1e-15
+
+    def test_sigmoid_raises_no_floating_point_error(self):
+        with np.errstate(all="raise"):
+            s = ad._sigmoid(self.GRID)
+        assert np.all((s >= 0.0) & (s <= 1.0))
+
+    @pytest.mark.parametrize("case", ["plain", "causal", "key_mask"])
+    def test_attention_matches_einsum_form(self, case):
+        rng = np.random.default_rng(30)
+        lq, lk = (9, 9) if case == "causal" else (7, 11)
+        q, k, v, g = (rng.normal(size=(n, 12)) for n in (lq, lk, lk, lq))
+        causal = case == "causal"
+        mask = rng.random(lk) < 0.6 if case == "key_mask" else None
+        if mask is not None:
+            mask[0] = True
+            assert not mask.all()
+        want_ctx, want_w, want_grads = einsum_attention_reference(
+            q, k, v, 3, causal=causal, key_mask=mask)
+        qt, kt, vt = ad.tensor(q), ad.tensor(k), ad.tensor(v)
+        with ad.tape() as tp:
+            ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal, key_mask=mask)
+            tp.backward(ad.sum_all(ad.mul_const(ctx, g)))
+        assert w.shape == (3, lq, lk)
+        got = [ctx.data, w, qt.grad, kt.grad, vt.grad]
+        for have, want in zip(got, [want_ctx, want_w, *want_grads(g)]):
+            assert np.max(np.abs(have - want)) <= 1e-12
+
+
 class TestFiniteGuard:
     def test_overflow_is_caught(self):
         big = ad.tensor(np.array([1e308]))

@@ -54,6 +54,32 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             fileio.load_checkpoint(path)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "last.ckpt"
+        fileio.save_checkpoint(path, {"w": np.ones((4, 4))})
+        before = path.read_bytes()
+
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(fileio, "open", lambda *a, **kw: DiskFull(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError):
+            fileio.save_checkpoint(path, {"w": np.zeros((4, 4))})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]
+
 
 class TestFeatures:
     def test_round_trip(self, tmp_path):

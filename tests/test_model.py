@@ -290,6 +290,53 @@ class TestCheckpointRoundTrip:
         trace = model_mod.forward_utterance(feats, params, TOY, LossConfig())
         assert trace.output_len > 0
 
+    def test_float32_forward_stays_float32(self):
+        rng = np.random.default_rng(19)
+        cfg = ModelConfig()
+        params = model_mod.cast_params(model_mod.init_model(20, cfg), np.float32)
+        feats = FeatureSequence(
+            "u0", rng.normal(size=(60, cfg.feature_dim)).astype(np.float32))
+        trace = model_mod.forward_utterance(feats, params, cfg, LossConfig())
+        assert trace.h1.frames.data.dtype == np.float32
+        assert trace.h2.frames.data.dtype == np.float32
+        assert trace.final_grid.log_probs.data.dtype == np.float32
+
+    def test_resume_without_moments_is_a_fresh_adam_step(self):
+        params = model_mod.init_model(21, TOY)
+        for _, p in model_mod.named_parameters(params):
+            p.step_count = 750
+        tensors = model_mod.checkpoint_tensors(params, step=750)
+        other = model_mod.init_model(0, TOY)
+        assert model_mod.load_params_from_tensors(other, tensors, restore_moments=True) == 750
+        for _, p in model_mod.named_parameters(other):
+            assert p.step_count == 0
+            assert not p.moment1.any() and not p.moment2.any()
+        p = other.final_head.b
+        before = p.value.data.copy()
+        grad = np.linspace(-1.0, 1.0, before.size).reshape(before.shape) + 0.05
+        ad.adam_step(p, grad, lr=1e-3)
+        # a fresh bias-corrected step moves each coordinate by ~lr
+        np.testing.assert_allclose(before - p.value.data, 1e-3 * np.sign(grad), rtol=1e-5)
+
+    def test_resume_with_moments_keeps_step_count(self):
+        tensors = model_mod.checkpoint_tensors(model_mod.init_model(22, TOY), step=40,
+                                               with_moments=True)
+        other = model_mod.init_model(0, TOY)
+        model_mod.load_params_from_tensors(other, tensors, restore_moments=True)
+        assert all(p.step_count == 40 for _, p in model_mod.named_parameters(other))
+
+    @pytest.mark.parametrize("damage", ["one_moment", "moment_shape"])
+    def test_malformed_moments_rejected(self, damage):
+        tensors = model_mod.checkpoint_tensors(model_mod.init_model(23, TOY), step=5,
+                                               with_moments=True)
+        if damage == "one_moment":
+            del tensors["final_head.w.m2"]
+        else:
+            tensors["final_head.w.m1"] = np.zeros((2,) + tensors["final_head.w"].shape)
+        with pytest.raises(ConfigError):
+            model_mod.load_params_from_tensors(model_mod.init_model(0, TOY), tensors,
+                                               restore_moments=True)
+
 
 class TestEndToEndGradient:
     def test_total_loss_gradient_on_selected_tensors(self):
