@@ -8,8 +8,7 @@ is a valid topological order by construction.
 The op set is what the model needs: affine, strided 2-D convolution,
 depthwise 1-D convolution, attention, softmax and log-softmax, layer norm,
 swish, GLU, gather/concat by index, cross-entropy, and log-sum-exp variants
-for the alignment lattice; ``matmul`` and ``sub`` have no caller in the
-model. Nothing more general is provided on purpose.
+for the alignment lattice. Nothing more general is provided on purpose.
 
 Ops keep the dtype of their operands: scalar constants are Python floats,
 so float32 inputs stay float32. Attention runs as head-batched matmuls and
@@ -154,24 +153,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             return
         _accum(a, _reduce_to(g, a.data.shape))
         _accum(b, _reduce_to(g, b.data.shape))
-
-    _record(bwd)
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise DimensionError(f"sub {a.data.shape} - {b.data.shape}")
-    out = _make(data, "sub")
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        _accum(a, _reduce_to(g, a.data.shape))
-        _accum(b, _reduce_to(-g, b.data.shape))
 
     _record(bwd)
     return out
@@ -343,23 +324,6 @@ def masked_keep(x: Tensor, keep) -> Tensor:
 # ---------------------------------------------------------------------------
 # dense algebra
 # ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(L, K) @ (K, M) -> (L, M)."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul {a.data.shape} @ {b.data.shape}")
-    out = _make(a.data @ b.data, "matmul")
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    _record(bwd)
-    return out
-
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with b broadcast over rows: (L, K) @ (K, M) + (M,)."""
@@ -622,13 +586,16 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                   causal: bool = False, key_mask=None) -> tuple[Tensor, np.ndarray]:
+                   causal: bool = False, key_mask=None,
+                   segments=None) -> tuple[Tensor, np.ndarray]:
     """Scaled dot-product attention over column-split heads.
 
     q: (Lq, D), k/v: (Lk, D); returns the (Lq, D) context and the raw
     attention weights (H, Lq, Lk) for inspection. Masked keys get exactly
     zero weight. ``causal`` requires Lq == Lk and hides keys right of the
-    query position.
+    query position. ``segments`` lists the lengths of consecutive packed
+    sequences, summing to Lq == Lk; a query then sees only the keys of its
+    own sequence, so the scores are block-diagonal.
     """
     lq, d = q.data.shape
     lk, dk = k.data.shape
@@ -638,6 +605,10 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         raise DimensionError(f"model width {d} not divisible by {n_heads} heads")
     if causal and lq != lk:
         raise DimensionError(f"causal attention needs square scores, got {lq}x{lk}")
+    if segments is not None:
+        segments = np.asarray(segments, dtype=np.int64)
+        if lq != lk or segments.ndim != 1 or np.any(segments < 0) or segments.sum() != lq:
+            raise DimensionError(f"segments {segments.tolist()} must split {lq}x{lk} scores")
     dh = d // n_heads
     # A Python float keeps float32 scores float32; an np.float64 would promote.
     inv = 1.0 / math.sqrt(dh)
@@ -651,6 +622,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     if causal:
         hidden = ~np.tril(np.ones((lq, lk), dtype=bool))
         scores[:, hidden] = NEG_FILL
+    if segments is not None:
+        seq = np.repeat(np.arange(segments.size), segments)
+        scores[:, seq[:, None] != seq[None, :]] = NEG_FILL
     if key_mask is not None:
         key_mask = np.asarray(key_mask, dtype=bool)
         if key_mask.shape != (lk,):

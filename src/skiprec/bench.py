@@ -46,28 +46,28 @@ class BenchRow:
     agreement: float
 
 
-def _timed_per_call(fn, repeats: int) -> float:
-    """Median wall time of ``fn`` over ``repeats`` windows.
+def _timed_interleaved(fns, repeats: int) -> list[float]:
+    """Median wall time per call of each of ``fns`` over ``repeats`` rounds.
 
-    Short calls are batched geometrically until one window spans enough time
-    for the clock to resolve it, then every window runs the same batch count.
+    Each round times one window of every function in turn, so drift in the
+    machine's speed falls on all of them alike. Short calls are batched
+    geometrically until every function's window spans enough time for the
+    clock to resolve it; all windows then run that one batch count.
     """
+    def window(fn, batch):
+        t0 = time.perf_counter()
+        for _ in range(batch):
+            fn()
+        return time.perf_counter() - t0
+
     batch = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(batch):
-            fn()
-        span = time.perf_counter() - t0
-        if span >= MIN_TIMING_WINDOW or batch >= MAX_BATCH:
-            break
+    while min(window(fn, batch) for fn in fns) < MIN_TIMING_WINDOW and batch < MAX_BATCH:
         batch *= 2
-    samples = []
+    samples = [[] for _ in fns]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(batch):
-            fn()
-        samples.append((time.perf_counter() - t0) / batch)
-    return float(np.median(samples))
+        for fn, times in zip(fns, samples):
+            times.append(window(fn, batch) / batch)
+    return [float(np.median(times)) for times in samples]
 
 
 def bench_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig, corpus,
@@ -106,8 +106,7 @@ def bench_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig, corpus,
                                         force_all_crucial=True)
 
     per_utt = 1000.0 / len(corpus)   # seconds-per-corpus -> ms-per-utterance
-    t_skip = _timed_per_call(enc_skip, repeats) * per_utt
-    t_noskip = _timed_per_call(enc_noskip, repeats) * per_utt
+    t_skip, t_noskip = (t * per_utt for t in _timed_interleaved([enc_skip, enc_noskip], repeats))
 
     full_ms = float("nan")
     if time_full_path:
@@ -116,7 +115,7 @@ def bench_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig, corpus,
                 trace = model_mod.forward_utterance(feats, params, model_cfg, loss_cfg)
                 hyps = ctc.prefix_beam_search(trace.final_grid, beam)
                 dec_mod.rescore(trace.h2, hyps, params.decoder, model_cfg.heads)
-        full_ms = _timed_per_call(full_skip, repeats) * per_utt
+        full_ms = _timed_interleaved([full_skip], repeats)[0] * per_utt
 
     analytic_ratio = float(np.mean(cost_ratios))
     analytic_speedup = 1.0 / analytic_ratio

@@ -4,6 +4,11 @@ The loss runs the forward lattice recursion in log space directly on tape
 ops, so its gradient comes from the same autodiff path as everything else.
 Blank is always class 0. Unreachable lattice cells hold NEG_FILL rather
 than -inf to keep every array finite.
+
+The prefix beam search (Hannun et al. 2014) is exact up to the beam width:
+it prunes nothing else. Each frame is one vectorized step over a
+(beam, vocabulary) array, and only the surviving prefixes are sorted in
+Python.
 """
 
 from __future__ import annotations
@@ -128,39 +133,65 @@ def prefix_beam_search(grid: PosteriorGrid, beam: int) -> list[tuple[tuple[int, 
     Per-prefix blank/non-blank masses are tracked separately; ties in total
     probability break toward the lexicographically smaller prefix so results
     are deterministic. Returns up to ``beam`` entries, best first.
+
+    Each frame scores all (prefix, token) extensions of the beam as one
+    (beam, V - 1) array. A prefix's non-blank mass takes at most two terms,
+    its own stay and its parent's extension, and ``np.logaddexp`` is
+    symmetric, so the masses do not depend on the order prefixes are visited.
     """
     if beam < 1:
         raise ParameterError(f"beam width must be positive, got {beam}")
-    lp = grid.log_probs.data
+    lp = np.asarray(grid.log_probs.data, dtype=np.float64)
     n_frames, vocab = lp.shape
-    # prefix -> [log mass ending in blank, log mass ending in its last symbol]
-    beams: dict[tuple[int, ...], list[float]] = {(): [0.0, NEG_FILL]}
+    prefixes: list[tuple[int, ...]] = [()]
+    last = np.zeros(1, dtype=np.int64)  # each prefix's last symbol, blank for ()
+    p_blank = np.zeros(1)               # log mass ending in blank
+    p_symbol = np.full(1, NEG_FILL)     # log mass ending in the last symbol
+    total = np.zeros(1)
     for t in range(n_frames):
         row = lp[t]
-        nxt: dict[tuple[int, ...], list[float]] = {}
+        n = len(prefixes)
+        # Every mass starts at NEG_FILL, and logaddexp(NEG_FILL, x) is
+        # exactly max(NEG_FILL, x) for any x, so a first term is a maximum.
+        # The empty prefix's symbol mass stays NEG_FILL: log probs are <= 0.
+        stay_blank = np.maximum(total + row[BLANK_ID], NEG_FILL)
+        stay_symbol = np.maximum(p_symbol + row[last], NEG_FILL)
+        ext = total[:, None] + row[1:]
+        grown = np.flatnonzero(last)
+        # extending a repeat requires the blank-ended mass
+        ext[grown, last[grown] - 1] = p_blank[grown] + row[last[grown]]
+        np.maximum(ext, NEG_FILL, out=ext)
+        index = {prefix: i for i, prefix in enumerate(prefixes)}
+        # An extension that spells a prefix already in the beam merges into
+        # it and leaves the candidates as -inf.
+        for j in grown.tolist():
+            parent = index.get(prefixes[j][:-1])
+            if parent is not None:
+                c = last[j] - 1
+                stay_symbol[j] = np.logaddexp(stay_symbol[j], ext[parent, c])
+                ext[parent, c] = -np.inf
+        # Candidates: the n stay slots, then the extensions row by row. Every
+        # live score is at least NEG_FILL; all that tie the beam-th are kept.
+        scores = np.concatenate([np.logaddexp(stay_blank, stay_symbol), ext.ravel()])
+        cut = np.partition(scores, scores.size - beam)[scores.size - beam] \
+            if scores.size > beam else NEG_FILL
+        keep = np.flatnonzero(scores >= max(cut, NEG_FILL)).tolist()
 
-        def slot(prefix):
-            e = nxt.get(prefix)
-            if e is None:
-                e = [NEG_FILL, NEG_FILL]
-                nxt[prefix] = e
-            return e
+        def candidate(k: int) -> tuple[int, ...]:
+            if k < n:
+                return prefixes[k]
+            parent, c = divmod(k - n, vocab - 1)
+            return prefixes[parent] + (c + 1,)
 
-        for prefix, (p_blank, p_symbol) in beams.items():
-            total = np.logaddexp(p_blank, p_symbol)
-            stay = slot(prefix)
-            stay[0] = np.logaddexp(stay[0], total + row[BLANK_ID])
-            if prefix:
-                stay[1] = np.logaddexp(stay[1], p_symbol + row[prefix[-1]])
-            for c in range(1, vocab):
-                grown = slot(prefix + (c,))
-                if prefix and c == prefix[-1]:
-                    # extending a repeat requires the blank-ended mass
-                    grown[1] = np.logaddexp(grown[1], p_blank + row[c])
-                else:
-                    grown[1] = np.logaddexp(grown[1], total + row[c])
-        ranked = sorted(nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
-        beams = dict(ranked[:beam])
-    scored = [(prefix, float(np.logaddexp(pb, ps))) for prefix, (pb, ps) in beams.items()]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
+        ranked = sorted(zip((-scores[keep]).tolist(), map(candidate, keep), keep))[:beam]
+        prefixes = [prefix for _, prefix, _ in ranked]
+        rows = np.array([k for _, _, k in ranked])
+        stay = rows < n
+        total = scores[rows]
+        last = np.array([prefix[-1] if prefix else BLANK_ID for prefix in prefixes])
+        # An extension's blank mass is NEG_FILL and its non-blank mass its total.
+        p_blank = np.full(rows.size, NEG_FILL)
+        p_blank[stay] = stay_blank[rows[stay]]
+        p_symbol = total.copy()
+        p_symbol[stay] = stay_symbol[rows[stay]]
+    return [(prefix, float(score)) for prefix, score in zip(prefixes, total)]

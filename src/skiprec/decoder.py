@@ -4,6 +4,11 @@ The decoder vocabulary extends the CTC vocabulary with two reserved ids:
 start-of-sequence (V) and end-of-sequence (V + 1); blank stays 0 and is
 never a decoder target. Blocks are pre-norm: causal self-attention, cross
 attention over encoder frames, then a swish feed-forward, each residual.
+
+The decoder runs a list of input sequences as one packed (sum of lengths, D)
+batch. Self-attention is causal inside each sequence and blind across them,
+so the teacher-forced loss (one sequence) and rescoring (every beam
+hypothesis in a single pass) share one code path.
 """
 
 from __future__ import annotations
@@ -84,27 +89,36 @@ def _cross_attention(x: Tensor, enc: Tensor, p: AttentionParams, heads: int) -> 
     return ad.affine(ctx, p.wo.value, p.bo.value)
 
 
-def _self_attention(x: Tensor, p: AttentionParams, heads: int) -> Tensor:
+def _self_attention(x: Tensor, p: AttentionParams, heads: int, lengths: list[int]) -> Tensor:
     h = _norm(x, p.norm)
     q = ad.affine(h, p.wq.value, p.bq.value)
     k = ad.affine(h, p.wk.value, p.bk.value)
     v = ad.affine(h, p.wv.value, p.bv.value)
-    ctx, _ = ad.attention_core(q, k, v, heads, causal=True)
+    ctx, _ = ad.attention_core(q, k, v, heads, causal=True, segments=lengths)
     return ad.affine(ctx, p.wo.value, p.bo.value)
 
 
-def decoder_logits(enc: EncodedSequence, tokens_in: list[int], params: DecoderParams,
+def decoder_logits(enc: EncodedSequence, inputs: list[list[int]], params: DecoderParams,
                    heads: int) -> Tensor:
-    """Logits over the extended vocabulary for each input position."""
+    """Logits over the extended vocabulary for each position of each input sequence.
+
+    The sequences run as one packed batch: their rows are stacked in order,
+    every row attends to all encoder frames, and self-attention stays causal
+    inside each sequence, so no sequence sees another.
+    """
     if enc.length == 0:
         raise EmptySequenceError("decoder needs at least one encoder frame")
-    if not tokens_in:
-        raise EmptySequenceError("decoder needs at least one input token")
+    if not inputs or not all(inputs):
+        raise EmptySequenceError("decoder needs at least one input token per sequence")
+    lengths = [len(seq) for seq in inputs]
     d = params.embed.value.data.shape[1]
-    x = ad.gather_rows(params.embed.value, np.asarray(tokens_in, dtype=np.int64))
-    x = ad.add_const(x, positional_table(len(tokens_in), d).astype(x.data.dtype))
+    x = ad.gather_rows(params.embed.value, [t for seq in inputs for t in seq])
+    # Rows of a longer table are bit-identical to those of a shorter one.
+    table = positional_table(max(lengths), d)
+    positions = np.concatenate([table[:n] for n in lengths])
+    x = ad.add_const(x, positions.astype(x.data.dtype))
     for block in params.blocks:
-        x = ad.add(x, _self_attention(x, block.self_attn, heads))
+        x = ad.add(x, _self_attention(x, block.self_attn, heads, lengths))
         x = ad.add(x, _cross_attention(x, enc.frames, block.cross_attn, heads))
         x = ad.add(x, _ffn_branch(x, block.ffn))
     x = _norm(x, params.final_norm)
@@ -118,8 +132,22 @@ def aed_loss(enc: EncodedSequence, tokens, params: DecoderParams, heads: int) ->
         raise EmptySequenceError("aed_loss requires a non-empty token sequence")
     inputs = [params.sos_id] + tokens
     targets = tokens + [params.eos_id]
-    logits = decoder_logits(enc, inputs, params, heads)
+    logits = decoder_logits(enc, [inputs], params, heads)
     return ad.cross_entropy_mean(logits, targets)
+
+
+def _log_likelihoods(enc: EncodedSequence, sequences, params: DecoderParams,
+                     heads: int) -> list[float]:
+    """Decoder log likelihood of each token sequence, from one packed pass."""
+    sequences = [check_tokens(tokens, params.vocab_size) for tokens in sequences]
+    inputs = [[params.sos_id] + tokens for tokens in sequences]
+    targets = [t for tokens in sequences for t in tokens + [params.eos_id]]
+    logits = decoder_logits(enc, inputs, params, heads).data
+    m = logits.max(axis=1, keepdims=True)
+    lse = (np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m)[:, 0]
+    picked = logits[np.arange(len(targets)), targets] - lse
+    ends = np.cumsum([len(seq) for seq in inputs])[:-1]
+    return [float(part.sum()) for part in np.split(picked, ends)]
 
 
 def sequence_log_likelihood(enc: EncodedSequence, tokens, params: DecoderParams,
@@ -128,31 +156,20 @@ def sequence_log_likelihood(enc: EncodedSequence, tokens, params: DecoderParams,
 
     Accepts the empty sequence (scores end-of-sequence alone).
     """
-    tokens = check_tokens(tokens, params.vocab_size)
-    inputs = [params.sos_id] + tokens
-    targets = np.asarray(tokens + [params.eos_id], dtype=np.int64)
-    logits = decoder_logits(enc, inputs, params, heads).data
-    m = logits.max(axis=1, keepdims=True)
-    lse = (np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m)[:, 0]
-    picked = logits[np.arange(len(targets)), targets]
-    return float((picked - lse).sum())
+    return _log_likelihoods(enc, [tokens], params, heads)[0]
 
 
 def rescore(enc: EncodedSequence, hypotheses: list[tuple[tuple[int, ...], float]],
             params: DecoderParams, heads: int, ctc_weight: float = 0.5) -> tuple[int, list[float]]:
     """Rank alignment-free hypotheses by decoder likelihood plus weighted CTC score.
 
-    Returns (index of the best hypothesis, combined score per hypothesis);
-    ties break toward the lower index.
+    All hypotheses are scored in one packed decoder pass. Returns (index of
+    the best hypothesis, combined score per hypothesis); ties break toward
+    the lower index.
     """
     if not hypotheses:
         raise EmptySequenceError("rescore requires at least one hypothesis")
-    scores = []
-    for tokens, ctc_score in hypotheses:
-        ll = sequence_log_likelihood(enc, list(tokens), params, heads)
-        scores.append(ll + ctc_weight * ctc_score)
-    best = 0
-    for i, sc in enumerate(scores):
-        if sc > scores[best]:
-            best = i
+    lls = _log_likelihoods(enc, [tokens for tokens, _ in hypotheses], params, heads)
+    scores = [ll + ctc_weight * ctc_score for ll, (_, ctc_score) in zip(lls, hypotheses)]
+    best = max(range(len(scores)), key=scores.__getitem__)
     return best, scores

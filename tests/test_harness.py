@@ -251,6 +251,23 @@ class TestBench:
         assert row.analytic_speedup == 1.0
         assert 0.5 <= row.measured_speedup <= 2.0
 
+    def test_timing_windows_alternate_with_one_batch(self, monkeypatch):
+        # On a fake clock "a" takes 1 ms and "b" 50 ms. "a" needs 32 calls to
+        # fill a 20 ms window, and "b" runs the same 32 in each of its windows.
+        clock = [0.0]
+        calls = []
+
+        def call(name, seconds):
+            calls.append(name)
+            clock[0] += seconds
+
+        monkeypatch.setattr(bench_mod.time, "perf_counter", lambda: clock[0])
+        times = bench_mod._timed_interleaved(
+            [lambda: call("a", 0.001), lambda: call("b", 0.05)], repeats=3)
+        assert times == pytest.approx([0.001, 0.05])
+        calibration = sum(2 * n for n in (1, 2, 4, 8, 16, 32))
+        assert calls[calibration:] == (["a"] * 32 + ["b"] * 32) * 3
+
     def test_row_serialization_shapes(self, tiny_model):
         params, corpus, _ = tiny_model
         row = bench_mod.bench_corpus(params, TINY_CFG.model, TINY_CFG.loss, corpus,
