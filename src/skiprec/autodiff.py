@@ -15,7 +15,10 @@ so float32 inputs stay float32. Attention runs as head-batched matmuls and
 the logistic function as ``0.5 * (1 + tanh(x / 2))``, both branch-free.
 
 Log-space code uses the finite stand-in ``NEG_FILL`` instead of ``-inf`` so
-that the "all values finite" invariant can be checked after every op.
+that the "all values finite" invariant can be checked after every op. The
+check is always on, in float32 as in float64: a non-finite op output raises
+``NumericError`` naming the op. The active tape is the module's only mutable
+state; everything else an op does depends on its arguments alone.
 """
 
 from __future__ import annotations
@@ -30,16 +33,6 @@ from .errors import ContractError, DimensionError, NumericError, ParameterError
 
 # Effectively -inf for log-space math while staying finite in float32/float64.
 NEG_FILL = -1.0e30
-
-_CHECK_FINITE = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle per-op finiteness validation; returns the previous setting."""
-    global _CHECK_FINITE
-    prev = _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
-    return prev
 
 
 class Tensor:
@@ -103,7 +96,7 @@ def _record(fn: Callable[[], None]) -> None:
 
 
 def _make(data: np.ndarray, op: str) -> Tensor:
-    if _CHECK_FINITE and data.dtype.kind == "f" and not np.all(np.isfinite(data)):
+    if data.dtype.kind == "f" and not np.all(np.isfinite(data)):
         raise NumericError(f"non-finite values produced by {op}")
     return Tensor(data)
 
@@ -586,12 +579,11 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                   causal: bool = False, key_mask=None,
-                   segments=None) -> tuple[Tensor, np.ndarray]:
+                   causal: bool = False, segments=None) -> tuple[Tensor, np.ndarray]:
     """Scaled dot-product attention over column-split heads.
 
     q: (Lq, D), k/v: (Lk, D); returns the (Lq, D) context and the raw
-    attention weights (H, Lq, Lk) for inspection. Masked keys get exactly
+    attention weights (H, Lq, Lk) for inspection. Hidden keys get exactly
     zero weight. ``causal`` requires Lq == Lk and hides keys right of the
     query position. ``segments`` lists the lengths of consecutive packed
     sequences, summing to Lq == Lk; a query then sees only the keys of its
@@ -625,13 +617,6 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     if segments is not None:
         seq = np.repeat(np.arange(segments.size), segments)
         scores[:, seq[:, None] != seq[None, :]] = NEG_FILL
-    if key_mask is not None:
-        key_mask = np.asarray(key_mask, dtype=bool)
-        if key_mask.shape != (lk,):
-            raise DimensionError(f"key mask {key_mask.shape} vs {lk} keys")
-        if not key_mask.any():
-            raise ContractError("attention requires at least one unmasked key")
-        scores[:, :, ~key_mask] = NEG_FILL
     scores -= scores.max(axis=2, keepdims=True)
     weights = np.exp(scores, out=scores)
     weights /= weights.sum(axis=2, keepdims=True)

@@ -13,15 +13,20 @@ measured medians so a reviewer can see how far reality sits from the model.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 
 from . import ctc
 from . import decoder as dec_mod
+from . import fileio
 from . import model as model_mod
 from .config import LossConfig, ModelConfig, RunConfig
 from .errors import ParameterError
+from .train import load_corpus, train_run
 
 MIN_TIMING_WINDOW = 0.02   # seconds a timed window must span to trust the clock
 MAX_BATCH = 4096
@@ -172,37 +177,26 @@ def sweep(base_cfg: RunConfig, features_path, transcripts_path,
     """Train one model per (E1, E2) depth pair, then bench every split mode on it.
 
     The mode only affects routing, not weights, so each trained checkpoint is
-    reused across modes; rows come back grouped by depth pair then mode.
+    reused across modes; rows come back grouped by depth pair then mode. Each
+    pair trains in ``out_dir/m{M}n{N}``, or under a temporary directory that is
+    removed on return when ``out_dir`` is None.
     """
-    from pathlib import Path
-    import tempfile
-
-    from .train import load_corpus, train_run
-
     corpus = load_corpus(features_path, transcripts_path, base_cfg.model.vocab_size)
     rows: list[BenchRow] = []
-    for m, n in block_pairs:
-        cfg = replace(base_cfg, model=replace(base_cfg.model, e1_blocks=m, e2_blocks=n))
-        if out_dir is not None:
-            run_dir = Path(out_dir) / f"m{m}n{n}"
-            train_run(cfg, features_path, transcripts_path, run_dir, quiet=quiet)
-            ckpt = run_dir / "last.ckpt"
+    with nullcontext(out_dir) if out_dir is not None else TemporaryDirectory() as root:
+        for m, n in block_pairs:
+            cfg = replace(base_cfg, model=replace(base_cfg.model, e1_blocks=m, e2_blocks=n))
+            result = train_run(cfg, features_path, transcripts_path, Path(root) / f"m{m}n{n}",
+                               quiet=quiet)
             params = model_mod.init_model(cfg.training.seed, cfg.model)
-            from . import fileio
-            model_mod.load_params_from_tensors(params, fileio.load_checkpoint(ckpt))
-        else:
-            with tempfile.TemporaryDirectory() as tmp:
-                result = train_run(cfg, features_path, transcripts_path, tmp, quiet=quiet)
-                params = model_mod.init_model(cfg.training.seed, cfg.model)
-                from . import fileio
-                model_mod.load_params_from_tensors(
-                    params, fileio.load_checkpoint(result.last_checkpoint))
-        for mode in modes:
-            loss_cfg = replace(cfg.loss, split_mode=mode)
-            rows.append(bench_corpus(params, cfg.model, loss_cfg, corpus,
-                                     repeats=repeats, time_full_path=False))
-            if not quiet:
-                r = rows[-1]
-                print(f"M={m} N={n} mode={mode}: out_len={r.mean_output_len:.1f} "
-                      f"crucial={r.mean_crucial_frac:.3f} speedup={r.measured_speedup:.2f}")
+            model_mod.load_params_from_tensors(
+                params, fileio.load_checkpoint(result.last_checkpoint))
+            for mode in modes:
+                loss_cfg = replace(cfg.loss, split_mode=mode)
+                rows.append(bench_corpus(params, cfg.model, loss_cfg, corpus,
+                                         repeats=repeats, time_full_path=False))
+                if not quiet:
+                    r = rows[-1]
+                    print(f"M={m} N={n} mode={mode}: out_len={r.mean_output_len:.1f} "
+                          f"crucial={r.mean_crucial_frac:.3f} speedup={r.measured_speedup:.2f}")
     return rows

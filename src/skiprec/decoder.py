@@ -19,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .encoder import (AttentionParams, EncodedSequence, FeedForwardParams,
-                      NormParams, _ffn_branch, _init_ffn, _init_norm, _norm,
+from .encoder import (AttentionParams, Dropout, EncodedSequence, FeedForwardParams,
+                      NormParams, _dropout, _ffn_branch, _init_ffn, _init_norm, _norm,
                       init_attention, positional_table)
 from .errors import EmptySequenceError, ParameterError
 from .ctc import check_tokens
@@ -99,12 +99,13 @@ def _self_attention(x: Tensor, p: AttentionParams, heads: int, lengths: list[int
 
 
 def decoder_logits(enc: EncodedSequence, inputs: list[list[int]], params: DecoderParams,
-                   heads: int) -> Tensor:
+                   heads: int, drop: Dropout | None = None) -> Tensor:
     """Logits over the extended vocabulary for each position of each input sequence.
 
     The sequences run as one packed batch: their rows are stacked in order,
     every row attends to all encoder frames, and self-attention stays causal
-    inside each sequence, so no sequence sees another.
+    inside each sequence, so no sequence sees another. ``drop`` (training)
+    applies to each feed-forward output.
     """
     if enc.length == 0:
         raise EmptySequenceError("decoder needs at least one encoder frame")
@@ -120,19 +121,20 @@ def decoder_logits(enc: EncodedSequence, inputs: list[list[int]], params: Decode
     for block in params.blocks:
         x = ad.add(x, _self_attention(x, block.self_attn, heads, lengths))
         x = ad.add(x, _cross_attention(x, enc.frames, block.cross_attn, heads))
-        x = ad.add(x, _ffn_branch(x, block.ffn))
+        x = ad.add(x, _dropout(_ffn_branch(x, block.ffn), drop))
     x = _norm(x, params.final_norm)
     return ad.affine(x, params.out_w.value, params.out_b.value)
 
 
-def aed_loss(enc: EncodedSequence, tokens, params: DecoderParams, heads: int) -> Tensor:
+def aed_loss(enc: EncodedSequence, tokens, params: DecoderParams, heads: int,
+             drop: Dropout | None = None) -> Tensor:
     """Teacher-forced cross-entropy over tokens plus end-of-sequence, mean per position."""
     tokens = check_tokens(tokens, params.vocab_size)
     if not tokens:
         raise EmptySequenceError("aed_loss requires a non-empty token sequence")
     inputs = [params.sos_id] + tokens
     targets = tokens + [params.eos_id]
-    logits = decoder_logits(enc, [inputs], params, heads)
+    logits = decoder_logits(enc, [inputs], params, heads, drop)
     return ad.cross_entropy_mean(logits, targets)
 
 

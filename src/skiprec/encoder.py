@@ -12,10 +12,16 @@ block with zeroed branch outputs is exactly the identity):
 The conv module is pointwise-to-2D / GLU / depthwise / norm / swish /
 pointwise. Absolute sinusoidal positions are added once, before the first
 block; split-off subsequences are treated as contiguous afterwards.
+
+Dropout is an argument, not a process setting: a block drops its branch
+outputs only when the caller passes a ``make_dropout`` function, so
+inference and eval, which pass none, are deterministic functions of weights
+and frames.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,36 +30,24 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import EmptySequenceError, ParameterError
 
-# Attention score-matrix multiply-accumulates, tallied per encoder forward.
-_ATTN_MACS = 0
-
-# (rate, numpy Generator) when dropout is switched on for training.
-_DROPOUT: tuple[float, np.random.Generator] | None = None
+Dropout = Callable[[Tensor], Tensor]
 
 
-def reset_attention_macs() -> None:
-    global _ATTN_MACS
-    _ATTN_MACS = 0
+def make_dropout(rate: float, rng: np.random.Generator | None) -> Dropout | None:
+    """Inverted dropout at ``rate`` with masks drawn from ``rng``.
+
+    None, meaning no dropout, without a generator or at rate 0.
+    """
+    if rng is None or rate == 0.0:
+        return None
+
+    def drop(x: Tensor) -> Tensor:
+        return ad.mul_const(x, (rng.random(x.data.shape) >= rate) / (1.0 - rate))
+    return drop
 
 
-def attention_macs() -> int:
-    return _ATTN_MACS
-
-
-def set_dropout(rate: float, seed: int | None = None) -> None:
-    """Enable (rate > 0) or disable dropout on branch outputs."""
-    global _DROPOUT
-    if rate < 0 or rate >= 1:
-        raise ParameterError(f"dropout rate must lie in [0, 1), got {rate}")
-    _DROPOUT = (rate, np.random.default_rng(seed)) if rate > 0 else None
-
-
-def _dropout(x: Tensor) -> Tensor:
-    if _DROPOUT is None:
-        return x
-    rate, rng = _DROPOUT
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return ad.mul_const(x, mask)
+def _dropout(x: Tensor, drop: Dropout | None) -> Tensor:
+    return x if drop is None else drop(x)
 
 
 @dataclass
@@ -190,21 +184,18 @@ def _norm(x: Tensor, n: NormParams) -> Tensor:
 def _ffn_branch(x: Tensor, p: FeedForwardParams) -> Tensor:
     h = _norm(x, p.norm)
     h = ad.swish(ad.affine(h, p.w1.value, p.b1.value))
-    return _dropout(ad.affine(h, p.w2.value, p.b2.value))
+    return ad.affine(h, p.w2.value, p.b2.value)
 
 
-def self_attention_branch(x: Tensor, p: AttentionParams, heads: int,
-                          key_mask=None) -> tuple[Tensor, np.ndarray]:
+def self_attention_branch(x: Tensor, p: AttentionParams, heads: int
+                          ) -> tuple[Tensor, np.ndarray]:
     """Pre-norm multi-head self-attention; returns (branch output, weights)."""
-    global _ATTN_MACS
     h = _norm(x, p.norm)
     q = ad.affine(h, p.wq.value, p.bq.value)
     k = ad.affine(h, p.wk.value, p.bk.value)
     v = ad.affine(h, p.wv.value, p.bv.value)
-    ctx, weights = ad.attention_core(q, k, v, heads, key_mask=key_mask)
-    n = x.data.shape[0]
-    _ATTN_MACS += heads * n * n * (x.data.shape[1] // heads)
-    return _dropout(ad.affine(ctx, p.wo.value, p.bo.value)), weights
+    ctx, weights = ad.attention_core(q, k, v, heads)
+    return ad.affine(ctx, p.wo.value, p.bo.value), weights
 
 
 def _conv_branch(x: Tensor, p: ConvModuleParams) -> Tensor:
@@ -212,27 +203,28 @@ def _conv_branch(x: Tensor, p: ConvModuleParams) -> Tensor:
     h = ad.glu_halves(ad.affine(h, p.w_in.value, p.b_in.value))
     h = ad.depthwise_conv1d(h, p.dw_w.value, p.dw_b.value)
     h = ad.swish(_norm(h, p.mid_norm))
-    return _dropout(ad.affine(h, p.w_out.value, p.b_out.value))
+    return ad.affine(h, p.w_out.value, p.b_out.value)
 
 
 def conformer_block(seq: EncodedSequence, p: ConformerBlockParams, heads: int,
-                    key_mask=None) -> EncodedSequence:
+                    drop: Dropout | None = None) -> EncodedSequence:
+    """One block; ``drop`` (training) applies to each branch output."""
     if seq.length == 0:
         raise EmptySequenceError("conformer block requires at least one frame")
     x = seq.frames
-    x = ad.add(x, ad.scale(_ffn_branch(x, p.ffn1), 0.5))
-    branch, _ = self_attention_branch(x, p.attn, heads, key_mask=key_mask)
-    x = ad.add(x, branch)
-    x = ad.add(x, _conv_branch(x, p.conv))
-    x = ad.add(x, ad.scale(_ffn_branch(x, p.ffn2), 0.5))
+    x = ad.add(x, ad.scale(_dropout(_ffn_branch(x, p.ffn1), drop), 0.5))
+    branch, _ = self_attention_branch(x, p.attn, heads)
+    x = ad.add(x, _dropout(branch, drop))
+    x = ad.add(x, _dropout(_conv_branch(x, p.conv), drop))
+    x = ad.add(x, ad.scale(_dropout(_ffn_branch(x, p.ffn2), drop), 0.5))
     x = ad.add(x, _norm(x, p.out_norm))
     return EncodedSequence(frames=x, orig_index=seq.orig_index)
 
 
 def run_blocks(seq: EncodedSequence, blocks: list[ConformerBlockParams], heads: int,
-               key_mask=None) -> EncodedSequence:
+               drop: Dropout | None = None) -> EncodedSequence:
     for p in blocks:
-        seq = conformer_block(seq, p, heads, key_mask=key_mask)
+        seq = conformer_block(seq, p, heads, drop)
     return seq
 
 

@@ -52,6 +52,8 @@ def evaluate_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig,
 
     ``decode`` is "greedy" (final CTC head argmax) or "rescoring" (prefix beam
     on the final grid, then joint CTC + decoder scores pick the winner).
+    ``compute_losses`` adds the mean of each ``component_losses`` term,
+    scored on the decode trace unless training's forward would differ.
     """
     if decode not in ("greedy", "rescoring"):
         raise ConfigError(f"unknown decode strategy {decode!r}")
@@ -98,12 +100,15 @@ def evaluate_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig,
             "fallback": trace.fallback,
         })
         if compute_losses:
-            # Loss view mirrors training: the target-aware forward guarantees
-            # the final grid is long enough for a feasible alignment.
-            trace_l = model_mod.forward_utterance(
-                feats, params, model_cfg, loss_cfg, target=tokens)
-            comp = model_mod.component_losses(trace_l, tokens, params, model_cfg, loss_cfg)
-            for k, v in comp.items():
+            # The decode trace is the one training would score, unless it
+            # skipped no frames by force, or its split is too short for the
+            # target: training's forward falls back then.
+            if force_all_crucial or (not trace.fallback
+                                     and model_mod.too_short_for(tokens, trace.output_len)):
+                trace = model_mod.forward_utterance(
+                    feats, params, model_cfg, loss_cfg, target=tokens)
+            terms = model_mod.component_losses(trace, tokens, params, model_cfg, loss_cfg)
+            for k, v in terms.items():
                 loss_sums[k] = loss_sums.get(k, 0.0) + v
             loss_n += 1
 

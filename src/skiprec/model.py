@@ -7,7 +7,12 @@ original time order for the final head and the decoder losses.
 
 Fallbacks: an empty crucial group, or (given a target) a merged sequence
 too short to spell it, bypasses the splitter and treats every frame as
-crucial for that utterance.
+crucial for that utterance (``too_short_for`` is the target rule).
+
+The forward and the loss are functions of their arguments: weights,
+features, configs and, in training, the dropout generator. One loss path
+has two views: ``total_loss``, the training objective on the tape, and
+``component_losses``, its terms as floats for logging.
 """
 
 from __future__ import annotations
@@ -133,20 +138,33 @@ def recover(crucial: EncodedSequence, trivial: EncodedSequence) -> EncodedSequen
     return EncodedSequence(frames=frames, orig_index=sorted_idx)
 
 
+def too_short_for(target, kept_frames: int) -> bool:
+    """Whether a split keeping ``kept_frames`` frames cannot spell ``target``.
+
+    This is the target-aware fallback: given a target, ``forward_utterance``
+    bypasses such a split. It is the only way a target changes the forward.
+    """
+    return target is not None and kept_frames < ctc_mod.min_frames(target)
+
+
 def forward_utterance(feats: FeatureSequence, params: ModelParams, cfg: ModelConfig,
                       loss_cfg: LossConfig, target=None,
-                      force_all_crucial: bool = False) -> ForwardTrace:
+                      force_all_crucial: bool = False,
+                      dropout_rng: np.random.Generator | None = None) -> ForwardTrace:
     """Run the full encoder path for one utterance.
 
     ``target`` enables the length-feasibility fallback used in training;
     ``force_all_crucial`` bypasses the splitter outright (no-skip baseline).
+    With ``dropout_rng`` (training), encoder branch outputs are dropped at
+    rate ``cfg.dropout``; without it the forward is deterministic.
     """
     sub = fe_mod.subsample(feats, params.frontend)
     x = EncodedSequence(
         frames=enc_mod.attach_positions(sub.frames),
         orig_index=np.arange(sub.length, dtype=np.int64),
     )
-    h1 = enc_mod.run_blocks(x, params.e1, cfg.heads)
+    drop = enc_mod.make_dropout(cfg.dropout, dropout_rng)
+    h1 = enc_mod.run_blocks(x, params.e1, cfg.heads, drop)
     inter_grid = ctc_mod.posterior_grid(h1, params.inter_head)
     flags = ctc_mod.blank_flags(inter_grid, loss_cfg.blank_threshold)
 
@@ -154,15 +172,12 @@ def forward_utterance(feats: FeatureSequence, params: ModelParams, cfg: ModelCon
     fallback = False
     if force_all_crucial:
         groups = _all_crucial_groups(h1.length)
-    elif not groups.crucial:
-        groups = _all_crucial_groups(h1.length)
-        fallback = True
-    elif target is not None and len(groups.crucial) + len(groups.trivial) < ctc_mod.min_frames(target):
+    elif not groups.crucial or too_short_for(target, len(groups.crucial) + len(groups.trivial)):
         groups = _all_crucial_groups(h1.length)
         fallback = True
 
     h1_crucial, h1_trivial = sp_mod.split_frames(h1, groups)
-    h2_crucial = enc_mod.run_blocks(h1_crucial, params.e2, cfg.heads)
+    h2_crucial = enc_mod.run_blocks(h1_crucial, params.e2, cfg.heads, drop)
     h2 = recover(h2_crucial, h1_trivial)
     final_grid = ctc_mod.posterior_grid(h2, params.final_head)
     return ForwardTrace(
@@ -179,56 +194,53 @@ def forward_utterance(feats: FeatureSequence, params: ModelParams, cfg: ModelCon
     )
 
 
-def combine_losses(ctc_inter: Tensor | None, ctc_final: Tensor | None,
-                   dec_inter: Tensor | None, dec_final: Tensor | None,
-                   loss_cfg: LossConfig) -> Tensor:
-    """Weighted sum: ctc_weight * (alignment pair) + rest * (decoder pair),
-    each pair mixed by inter_weight / final_weight."""
-
-    def pair(a, b):
-        return ad.add(ad.scale(a, loss_cfg.inter_weight), ad.scale(b, loss_cfg.final_weight))
-
+def _loss_and_terms(trace: ForwardTrace, tokens, params: ModelParams, cfg: ModelConfig,
+                    loss_cfg: LossConfig, drop: enc_mod.Dropout | None
+                    ) -> tuple[Tensor, dict[str, float]]:
     alpha = loss_cfg.ctc_weight
-    if alpha == 1.0:
-        return ad.scale(pair(ctc_inter, ctc_final), alpha)
-    if alpha == 0.0:
-        return ad.scale(pair(dec_inter, dec_final), 1.0 - alpha)
-    return ad.add(ad.scale(pair(ctc_inter, ctc_final), alpha),
-                  ad.scale(pair(dec_inter, dec_final), 1.0 - alpha))
+    pairs = []
+    if alpha > 0.0:
+        pairs.append(("ctc", alpha, ctc_mod.ctc_loss(trace.inter_grid, tokens),
+                      ctc_mod.ctc_loss(trace.final_grid, tokens)))
+    if alpha < 1.0:
+        pairs.append(("dec", 1.0 - alpha,
+                      dec_mod.aed_loss(trace.h1, tokens, params.decoder, cfg.heads, drop),
+                      dec_mod.aed_loss(trace.h2, tokens, params.decoder, cfg.heads, drop)))
+    loss = None
+    terms: dict[str, float] = {}
+    for name, share, inter, final in pairs:
+        pair = ad.add(ad.scale(inter, loss_cfg.inter_weight),
+                      ad.scale(final, loss_cfg.final_weight))
+        weighted = ad.scale(pair, share)
+        loss = weighted if loss is None else ad.add(loss, weighted)
+        terms[f"{name}_inter"] = float(inter.data)
+        terms[f"{name}_final"] = float(final.data)
+    terms["total"] = float(loss.data)
+    return loss, terms
 
 
 def total_loss(trace: ForwardTrace, tokens, params: ModelParams, cfg: ModelConfig,
-               loss_cfg: LossConfig) -> Tensor:
+               loss_cfg: LossConfig, dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Joint objective over both heads and both decoder passes.
 
-    With ctc_weight = 1 the decoder is never evaluated and receives no
-    gradient; with ctc_weight = 0 the alignment heads are skipped likewise.
+    ctc_weight * (alignment pair) + (1 - ctc_weight) * (decoder pair), each
+    pair mixed by inter_weight / final_weight. A pair with zero weight is
+    never evaluated and receives no gradient. With ``dropout_rng``
+    (training), the decoder's feed-forward outputs are dropped at rate
+    ``cfg.dropout``.
     """
-    alpha = loss_cfg.ctc_weight
-    ctc_inter = ctc_final = dec_inter = dec_final = None
-    if alpha > 0.0:
-        ctc_inter = ctc_mod.ctc_loss(trace.inter_grid, tokens)
-        ctc_final = ctc_mod.ctc_loss(trace.final_grid, tokens)
-    if alpha < 1.0:
-        dec_inter = dec_mod.aed_loss(trace.h1, tokens, params.decoder, cfg.heads)
-        dec_final = dec_mod.aed_loss(trace.h2, tokens, params.decoder, cfg.heads)
-    return combine_losses(ctc_inter, ctc_final, dec_inter, dec_final, loss_cfg)
+    drop = enc_mod.make_dropout(cfg.dropout, dropout_rng)
+    return _loss_and_terms(trace, tokens, params, cfg, loss_cfg, drop)[0]
 
 
 def component_losses(trace: ForwardTrace, tokens, params: ModelParams, cfg: ModelConfig,
                      loss_cfg: LossConfig) -> dict[str, float]:
-    """Loss terms as floats for logging; computed off-tape."""
-    out = {
-        "ctc_inter": float(ctc_mod.ctc_loss(trace.inter_grid, tokens).data),
-        "ctc_final": float(ctc_mod.ctc_loss(trace.final_grid, tokens).data),
-        "dec_inter": float(dec_mod.aed_loss(trace.h1, tokens, params.decoder, cfg.heads).data),
-        "dec_final": float(dec_mod.aed_loss(trace.h2, tokens, params.decoder, cfg.heads).data),
-    }
-    w = loss_cfg
-    out["total"] = (w.ctc_weight * (w.inter_weight * out["ctc_inter"] + w.final_weight * out["ctc_final"])
-                    + (1.0 - w.ctc_weight) * (w.inter_weight * out["dec_inter"]
-                                              + w.final_weight * out["dec_final"]))
-    return out
+    """The terms of ``total_loss``, without dropout, as floats for logging.
+
+    Maps each evaluated loss ("ctc_inter", "ctc_final", "dec_inter",
+    "dec_final") and "total", the objective's value, to a float.
+    """
+    return _loss_and_terms(trace, tokens, params, cfg, loss_cfg, None)[1]
 
 
 def checkpoint_tensors(params: ModelParams, step: int | None = None,

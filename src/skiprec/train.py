@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fileio
 from . import model as model_mod
-from .config import RunConfig
+from .config import RunConfig, validate_run_config
 from .errors import ConfigError
 from .evaluate import evaluate_corpus
 from .frontend import FeatureSequence
@@ -58,12 +58,15 @@ class TrainResult:
 def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
               resume_path=None, dev_features=None, dev_transcripts=None,
               quiet: bool = True) -> TrainResult:
+    """Train, evaluating and checkpointing every ``eval_every`` epochs and at the end.
+
+    The run owns its random streams: batch order from ``seed + 1`` and
+    dropout from ``seed``, re-seeded with ``seed + 1000 + epoch`` after each
+    eval. Evals run without dropout.
+    """
+    validate_run_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    last_path = out_dir / "last.ckpt"
-    best_path = out_dir / "best.ckpt"
-    metrics_path = out_dir / "metrics.jsonl"
-
     corpus = load_corpus(features_path, transcripts_path, cfg.model.vocab_size)
     if dev_features is not None:
         eval_corpus = load_corpus(dev_features, dev_transcripts, cfg.model.vocab_size)
@@ -75,99 +78,101 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
     if resume_path is not None:
         step = model_mod.load_params_from_tensors(
             params, fileio.load_checkpoint(resume_path), restore_moments=True)
+
+    seed = cfg.training.seed
+    order_rng = np.random.default_rng(seed + 1)
+    dropout_rng = np.random.default_rng(seed)
+    since_eval = after_warmup = (0, 0)
+    best_error = final_error = float("inf")
+    epochs = cfg.training.epochs
+    metrics_path = out_dir / "metrics.jsonl"
+    with open(metrics_path, "a" if resume_path is not None else "w", encoding="utf-8") as log:
+        # Zero epochs still evaluate and checkpoint once, as epoch 0.
+        for epoch in range(min(epochs, 1), epochs + 1):
+            if epoch:
+                step, fell_back = _train_epoch(cfg, params, corpus,
+                                               order_rng.permutation(len(corpus)), step,
+                                               dropout_rng)
+                since_eval = (since_eval[0] + len(fell_back),
+                              since_eval[1] + sum(f for _, f in fell_back))
+                late = [f for s, f in fell_back if s >= cfg.optimizer.warmup_steps]
+                after_warmup = (after_warmup[0] + len(late), after_warmup[1] + sum(late))
+            if epoch % cfg.training.eval_every == 0 or epoch == epochs:
+                final_error = _eval_and_checkpoint(cfg, params, eval_corpus, step, epoch,
+                                                   since_eval, after_warmup, best_error,
+                                                   out_dir, log, quiet)
+                best_error = min(best_error, final_error)
+                since_eval = (0, 0)
+                dropout_rng = np.random.default_rng(seed + 1000 + epoch)
+    return TrainResult(out_dir / "last.ckpt", out_dir / "best.ckpt", metrics_path, step,
+                       best_error, final_error)
+
+
+def _train_epoch(cfg: RunConfig, params, corpus, order, step: int,
+                 dropout_rng: np.random.Generator) -> tuple[int, list[tuple[int, bool]]]:
+    """One pass over ``corpus`` in ``order``, one Adam step per batch.
+
+    Returns the new step count and, per utterance, the step it trained in
+    and whether its forward fell back to the no-skip path.
+    """
     named = model_mod.named_parameters(params)
-
-    if cfg.model.dropout > 0.0:
-        from . import encoder as enc_mod
-        enc_mod.set_dropout(cfg.model.dropout, cfg.training.seed)
-
-    rng = np.random.default_rng(cfg.training.seed + 1)
     opt = cfg.optimizer
-    log_mode = "a" if resume_path is not None else "w"
-    log = open(metrics_path, log_mode, encoding="utf-8")
-    best_error = float("inf")
-    final_error = float("inf")
-    fallback_count = 0
-    utterance_count = 0
-    warmup_done_fallbacks = 0
-    warmup_done_utts = 0
+    fell_back = []
+    for start in range(0, len(order), cfg.training.batch_size):
+        batch = order[start:start + cfg.training.batch_size]
+        for _, p in named:
+            p.zero_grad()
+        for j in batch:
+            feats, tokens = corpus[int(j)]
+            with ad.tape() as tp:
+                trace = model_mod.forward_utterance(
+                    feats, params, cfg.model, cfg.loss, target=tokens, dropout_rng=dropout_rng)
+                loss = model_mod.total_loss(trace, tokens, params, cfg.model, cfg.loss,
+                                            dropout_rng)
+                tp.backward(loss)
+            fell_back.append((step, trace.fallback))
+        step += 1
+        lr = learning_rate(step, opt.peak_lr, opt.warmup_steps)
+        inv = 1.0 / len(batch)
+        for _, p in named:
+            grad = p.grad if p.grad is not None else np.zeros_like(p.value.data)
+            ad.adam_step(p, grad * inv, lr, opt.beta1, opt.beta2, opt.eps)
+    return step, fell_back
 
-    def run_eval(epoch: int) -> None:
-        nonlocal best_error, final_error, fallback_count, utterance_count
-        nonlocal warmup_done_fallbacks, warmup_done_utts
-        if cfg.model.dropout > 0.0:
-            from . import encoder as enc_mod
-            enc_mod.set_dropout(0.0)
-        report = evaluate_corpus(params, cfg.model, cfg.loss, eval_corpus,
-                                 decode="greedy", compute_losses=True)
-        if cfg.model.dropout > 0.0:
-            from . import encoder as enc_mod
-            enc_mod.set_dropout(cfg.model.dropout, cfg.training.seed + 1000 + epoch)
-        train_fallback = fallback_count / max(utterance_count, 1)
-        record = {
-            "step": step,
-            "epoch": epoch,
-            "lr": learning_rate(max(step, 1), opt.peak_lr, opt.warmup_steps),
-            "error_rate": report.error_rate,
-            "reduction_mean": report.reduction_mean,
-            "crucial_frac_mean": report.crucial_frac_mean,
-            "fallback_fraction": train_fallback,
-            **{f"loss_{k}": v for k, v in report.loss_means.items()},
-        }
-        # >10% of post-warmup utterances on the bypass path is worth flagging.
-        if step > opt.warmup_steps and warmup_done_utts > 0:
-            frac = warmup_done_fallbacks / warmup_done_utts
-            if frac > 0.1:
-                record["warning"] = f"fallback on {frac:.2%} of utterances after warmup"
-        log.write(json.dumps(record, sort_keys=True) + "\n")
-        log.flush()
-        if not quiet:
-            print(json.dumps(record, sort_keys=True))
-        fileio.save_checkpoint(last_path, model_mod.checkpoint_tensors(
-            params, step=step, with_moments=True))
-        final_error = report.error_rate
-        if report.error_rate < best_error:
-            best_error = report.error_rate
-            fileio.save_checkpoint(best_path, model_mod.checkpoint_tensors(params, step=step))
-        fallback_count = 0
-        utterance_count = 0
 
-    if cfg.training.epochs == 0:
-        run_eval(0)
-        log.close()
-        return TrainResult(last_path, best_path, metrics_path, step, best_error, final_error)
+def _eval_and_checkpoint(cfg: RunConfig, params, eval_corpus, step: int, epoch: int,
+                         since_eval: tuple[int, int], after_warmup: tuple[int, int],
+                         best_error: float, out_dir: Path, log, quiet: bool) -> float:
+    """Log one metrics record, write ``last.ckpt`` and, on a new best, ``best.ckpt``.
 
-    for epoch in range(1, cfg.training.epochs + 1):
-        order = rng.permutation(len(corpus))
-        for start in range(0, len(order), cfg.training.batch_size):
-            batch = order[start:start + cfg.training.batch_size]
-            for _, p in named:
-                p.zero_grad()
-            for j in batch:
-                feats, tokens = corpus[int(j)]
-                with ad.tape() as tp:
-                    trace = model_mod.forward_utterance(
-                        feats, params, cfg.model, cfg.loss, target=tokens)
-                    loss = model_mod.total_loss(trace, tokens, params, cfg.model, cfg.loss)
-                    tp.backward(loss)
-                utterance_count += 1
-                if trace.fallback:
-                    fallback_count += 1
-                if step >= opt.warmup_steps:
-                    warmup_done_utts += 1
-                    if trace.fallback:
-                        warmup_done_fallbacks += 1
-            step += 1
-            lr = learning_rate(step, opt.peak_lr, opt.warmup_steps)
-            inv = 1.0 / len(batch)
-            for _, p in named:
-                grad = p.grad if p.grad is not None else np.zeros_like(p.value.data)
-                ad.adam_step(p, grad * inv, lr, opt.beta1, opt.beta2, opt.eps)
-        if epoch % cfg.training.eval_every == 0 or epoch == cfg.training.epochs:
-            run_eval(epoch)
-
-    log.close()
-    if cfg.model.dropout > 0.0:
-        from . import encoder as enc_mod
-        enc_mod.set_dropout(0.0)
-    return TrainResult(last_path, best_path, metrics_path, step, best_error, final_error)
+    The fallback counts are (utterances, fallbacks) since the previous eval
+    and after warmup. Returns the eval error rate.
+    """
+    opt = cfg.optimizer
+    report = evaluate_corpus(params, cfg.model, cfg.loss, eval_corpus,
+                             decode="greedy", compute_losses=True)
+    record = {
+        "step": step,
+        "epoch": epoch,
+        "lr": learning_rate(max(step, 1), opt.peak_lr, opt.warmup_steps),
+        "error_rate": report.error_rate,
+        "reduction_mean": report.reduction_mean,
+        "crucial_frac_mean": report.crucial_frac_mean,
+        "fallback_fraction": since_eval[1] / max(since_eval[0], 1),
+        **{f"loss_{k}": v for k, v in report.loss_means.items()},
+    }
+    # >10% of post-warmup utterances on the bypass path is worth flagging.
+    if step > opt.warmup_steps and after_warmup[0] > 0:
+        frac = after_warmup[1] / after_warmup[0]
+        if frac > 0.1:
+            record["warning"] = f"fallback on {frac:.2%} of utterances after warmup"
+    log.write(json.dumps(record, sort_keys=True) + "\n")
+    log.flush()
+    if not quiet:
+        print(json.dumps(record, sort_keys=True))
+    fileio.save_checkpoint(out_dir / "last.ckpt", model_mod.checkpoint_tensors(
+        params, step=step, with_moments=True))
+    if report.error_rate < best_error:
+        fileio.save_checkpoint(out_dir / "best.ckpt",
+                               model_mod.checkpoint_tensors(params, step=step))
+    return report.error_rate

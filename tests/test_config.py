@@ -32,6 +32,7 @@ class TestValidation:
         ("model", "vocab_size", 1),
         ("model", "feature_dim", 6),
         ("model", "dropout", 1.0),
+        ("model", "dropout", -0.1),
         ("loss", "inter_weight", -0.5),
         ("loss", "final_weight", -0.5),
         ("loss", "ctc_weight", 1.5),

@@ -90,40 +90,37 @@ class TestAttentionBranch:
         assert weights.shape == (2, 6, 6)
         np.testing.assert_allclose(weights.sum(axis=2), 1.0, atol=1e-12)
 
-    def test_key_mask_zeroes_columns(self):
-        rng = np.random.default_rng(9)
-        p = enc.init_attention(rng, 8)
-        x = ad.Tensor(rng.normal(size=(5, 8)))
-        mask = np.array([True, False, True, True, False])
-        _, weights = enc.self_attention_branch(x, p, heads=2, key_mask=mask)
-        assert np.all(weights[:, :, ~mask] == 0.0)
-        np.testing.assert_allclose(weights.sum(axis=2), 1.0, atol=1e-12)
+
+def attention_macs(monkeypatch):
+    """Score-matrix multiply-accumulates of every ``attention_core`` call."""
+    macs = []
+    core = ad.attention_core
+
+    def counting_core(q, k, v, heads, *args, **kwargs):
+        macs.append(q.data.shape[0] * k.data.shape[0] * q.data.shape[1])
+        return core(q, k, v, heads, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "attention_core", counting_core)
+    return macs
 
 
 class TestMacCounter:
     @pytest.mark.parametrize("length,d,heads", [(5, 8, 2), (9, 8, 4), (3, 16, 2)])
-    def test_single_block_tally(self, length, d, heads):
+    def test_single_block_tally(self, length, d, heads, monkeypatch):
         rng = np.random.default_rng(10)
         block = enc.init_block(rng, d, heads, 3, 2)
         seq = make_seq(rng, length, d)
-        enc.reset_attention_macs()
+        macs = attention_macs(monkeypatch)
         enc.conformer_block(seq, block, heads=heads)
-        assert enc.attention_macs() == heads * length * length * (d // heads)
+        assert macs == [heads * length * length * (d // heads)]
 
-    def test_stack_tally_accumulates(self):
+    def test_stack_tally_accumulates(self, monkeypatch):
         rng = np.random.default_rng(11)
         blocks = [enc.init_block(rng, 8, 2, 3, 2) for _ in range(3)]
         seq = make_seq(rng, 4, 8)
-        enc.reset_attention_macs()
+        macs = attention_macs(monkeypatch)
         enc.run_blocks(seq, blocks, heads=2)
-        assert enc.attention_macs() == 3 * 2 * 4 * 4 * 4
-
-    def test_reset_clears_tally(self):
-        rng = np.random.default_rng(12)
-        block = enc.init_block(rng, 8, 2, 3, 2)
-        enc.conformer_block(make_seq(rng, 4, 8), block, heads=2)
-        enc.reset_attention_macs()
-        assert enc.attention_macs() == 0
+        assert sum(macs) == 3 * 2 * 4 * 4 * 4
 
 
 class TestPositionalTable:
@@ -152,26 +149,18 @@ class TestPositionalTable:
 
 
 class TestDropout:
-    def teardown_method(self):
-        enc.set_dropout(0.0)
-
-    def test_invalid_rates_rejected(self):
-        with pytest.raises(ParameterError):
-            enc.set_dropout(-0.1)
-        with pytest.raises(ParameterError):
-            enc.set_dropout(1.0)
-
     def test_dropout_perturbs_and_disabling_restores(self):
         rng = np.random.default_rng(14)
         block = enc.init_block(rng, 8, 2, 3, 2)
         seq = make_seq(rng, 6, 8)
         clean = enc.conformer_block(seq, block, heads=2).frames.data.copy()
-        enc.set_dropout(0.5, seed=1)
-        noisy = enc.conformer_block(seq, block, heads=2).frames.data
+        drop = enc.make_dropout(0.5, np.random.default_rng(1))
+        noisy = enc.conformer_block(seq, block, 2, drop).frames.data
         assert not np.array_equal(noisy, clean)
-        enc.set_dropout(0.0)
         again = enc.conformer_block(seq, block, heads=2).frames.data
         np.testing.assert_array_equal(again, clean)
+        assert enc.make_dropout(0.0, np.random.default_rng(1)) is None
+        assert enc.make_dropout(0.5, None) is None
 
 
 class TestBlockGradients:

@@ -1,7 +1,9 @@
 """Tests for the training loop, evaluation, benchmarking, and the CLI."""
 
+import dataclasses
 import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from skiprec import cli
 from skiprec import config as cfgmod
 from skiprec import evaluate as ev
 from skiprec import fileio, model as model_mod, synth, train as train_mod
-from skiprec.errors import ConfigError, ParameterError
+from skiprec.errors import ConfigError, NumericError, ParameterError
 
 TINY_SPEC = synth.SynthSpec(vocab_size=6, utterances=3,
                             tokens_min=1, tokens_max=2,
@@ -176,6 +178,43 @@ class TestTrainRun:
         assert (tmp_path / "a" / "last.ckpt").read_bytes() == \
                (tmp_path / "b" / "last.ckpt").read_bytes()
 
+    def test_failed_run_leaves_the_forward_unchanged(self, tiny_corpus, tmp_path,
+                                                     monkeypatch):
+        fp, tp = tiny_corpus
+        cfg = dataclasses.replace(
+            TINY_CFG, model=dataclasses.replace(TINY_CFG.model, dropout=0.3))
+        params = model_mod.init_model(0, cfg.model)
+        feats, _ = train_mod.load_corpus(fp, tp)[0]
+        before = model_mod.forward_utterance(feats, params, cfg.model, cfg.loss)
+
+        def full_disk(*_args, **_kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(fileio, "save_checkpoint", full_disk)
+        with pytest.raises(OSError):
+            train_mod.train_run(cfg, fp, tp, tmp_path / "run")
+        after = model_mod.forward_utterance(feats, params, cfg.model, cfg.loss)
+        assert np.array_equal(after.final_grid.log_probs.data,
+                              before.final_grid.log_probs.data)
+
+    def test_dropout_runs_are_identical_and_evals_run_without_dropout(self, tmp_path):
+        spec = dataclasses.replace(TINY_SPEC, vocab_size=8)
+        fp, tp = synth.write_corpus(spec, tmp_path / "corpus")
+        cfg = dataclasses.replace(TINY_CFG, model=dataclasses.replace(
+            TINY_CFG.model, vocab_size=8, dropout=0.3))
+        a = train_mod.train_run(cfg, fp, tp, tmp_path / "a")
+        b = train_mod.train_run(cfg, fp, tp, tmp_path / "b")
+        assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
+        assert a.last_checkpoint.read_bytes() == b.last_checkpoint.read_bytes()
+        plain = train_mod.train_run(dataclasses.replace(
+            cfg, model=dataclasses.replace(cfg.model, dropout=0.0)), fp, tp, tmp_path / "plain")
+        assert plain.last_checkpoint.read_bytes() != a.last_checkpoint.read_bytes()
+        params = model_mod.init_model(cfg.training.seed, cfg.model)
+        model_mod.load_params_from_tensors(params, fileio.load_checkpoint(a.last_checkpoint))
+        corpus = train_mod.load_corpus(fp, tp, cfg.model.vocab_size)
+        report = ev.evaluate_corpus(params, cfg.model, cfg.loss, corpus)
+        assert a.final_error_rate == report.error_rate
+
 
 class TestEvaluate:
     def test_greedy_report_fields(self, tiny_model):
@@ -223,6 +262,22 @@ class TestEvaluate:
         assert bare.loss_means == {}
         assert set(full.loss_means) == {"ctc_inter", "ctc_final",
                                         "dec_inter", "dec_final", "total"}
+
+    def test_losses_reuse_the_decode_forward(self, tiny_model, monkeypatch):
+        params, corpus, _ = tiny_model
+        calls = []
+        forward = model_mod.forward_utterance
+
+        def counting_forward(*args, **kwargs):
+            trace = forward(*args, **kwargs)
+            calls.append(trace)
+            return trace
+
+        monkeypatch.setattr(model_mod, "forward_utterance", counting_forward)
+        ev.evaluate_corpus(params, TINY_CFG.model, TINY_CFG.loss, corpus, compute_losses=True)
+        assert len(calls) == len(corpus)
+        for trace, (_, tokens) in zip(calls, corpus):
+            assert not model_mod.too_short_for(tokens, trace.output_len)
 
 
 class TestBench:
@@ -292,6 +347,29 @@ class TestBench:
         for row in rows:
             assert row.mean_subsampled > 0
             assert row.utterances == 3
+        assert (tmp_path / "sweep" / "m1n1" / "last.ckpt").exists()
+
+    def test_sweep_without_out_dir_trains_in_a_temporary_directory(self, tiny_corpus,
+                                                                    tmp_path, monkeypatch):
+        fp, tp = tiny_corpus
+        cfg = cfgmod.RunConfig(
+            model=TINY_CFG.model, optimizer=TINY_CFG.optimizer,
+            training=cfgmod.TrainConfig(epochs=1, batch_size=2, eval_every=1, seed=0))
+        run_dirs = []
+        train_run = bench_mod.train_run
+
+        def recording_train_run(cfg, features, transcripts, out_dir, **kwargs):
+            run_dirs.append(Path(out_dir))
+            return train_run(cfg, features, transcripts, out_dir, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "train_run", recording_train_run)
+        monkeypatch.chdir(tmp_path)
+        rows = bench_mod.sweep(cfg, fp, tp, [(1, 1), (1, 2)], [2], repeats=3)
+        assert [(r.mode, r.e1_blocks, r.e2_blocks) for r in rows] == [(2, 1, 1), (2, 1, 2)]
+        assert [d.name for d in run_dirs] == ["m1n1", "m1n2"]
+        assert run_dirs[0].parent == run_dirs[1].parent
+        assert not run_dirs[0].parent.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
@@ -366,16 +444,17 @@ class TestCli:
 
     def test_bench_float32_path(self, env, capsys):
         base, corpus, cfg_path, run_dir = env
-        try:
-            rc = cli.main(["bench", "--config", str(cfg_path),
-                           "--checkpoint", str(run_dir / "last.ckpt"),
-                           "--features", str(corpus / "features.bin"),
-                           "--transcripts", str(corpus / "transcripts.tsv"),
-                           "--repeats", "3", "--encoder-only", "--dtype", "f32"])
-            assert rc == 0
-            capsys.readouterr()
-        finally:
-            ad.set_finite_checks(True)
+        rc = cli.main(["bench", "--config", str(cfg_path),
+                       "--checkpoint", str(run_dir / "last.ckpt"),
+                       "--features", str(corpus / "features.bin"),
+                       "--transcripts", str(corpus / "transcripts.tsv"),
+                       "--repeats", "3", "--encoder-only", "--dtype", "f32"])
+        assert rc == 0
+        capsys.readouterr()
+        # finite checks stay on after a float32 bench
+        big = ad.tensor(np.array([1e308]))
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            ad.add(big, big)
 
     def test_split_mode_override_rejects_bad_value(self, env):
         base, corpus, cfg_path, run_dir = env

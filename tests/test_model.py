@@ -1,6 +1,7 @@
 """Tests for the assembled skip-and-recover model."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from skiprec import model as model_mod
 from skiprec.config import LossConfig, ModelConfig
 from skiprec.encoder import EncodedSequence
 from skiprec.errors import ConfigError, ContractError
+from skiprec.evaluate import evaluate_corpus
 from skiprec.frontend import FeatureSequence
 
 TOY = ModelConfig(d_model=8, heads=2, e1_blocks=1, e2_blocks=1,
@@ -29,6 +31,25 @@ def median_threshold(params, feats, cfg):
     blank = np.exp(trace.inter_grid.log_probs.data[:, 0])
     beta = float(np.median(blank))
     return min(max(beta, 1e-9), 1 - 1e-9)
+
+
+def infeasible_target_case():
+    """A split that keeps frames, and a target one token too long for them."""
+    params = model_mod.init_model(4, TOY)
+    for seed in range(40):
+        feats = toy_feats(np.random.default_rng(seed), 39)
+        loss_cfg = LossConfig(blank_threshold=median_threshold(params, feats, TOY), split_mode=2)
+        probe = model_mod.forward_utterance(feats, params, TOY, loss_cfg)
+        kept = probe.output_len
+        total = probe.subsampled_len
+        if probe.fallback or kept >= total:
+            continue
+        # Distinct-neighbor target one token longer than the kept frames
+        # fits the full sequence but not the shortened one.
+        target = [(i % 2) + 1 for i in range(kept + 1)]
+        assert kept < len(target) <= total
+        return params, feats, loss_cfg, target
+    pytest.fail("no seed produced a shortened, non-fallback trace")
 
 
 class TestRecover:
@@ -129,28 +150,18 @@ class TestForwardStructure:
         assert trace.output_len == trace.subsampled_len
 
     def test_infeasible_target_falls_back(self):
-        rng = np.random.default_rng(8)
-        params = model_mod.init_model(4, TOY)
-        for seed in range(40):
-            feats = toy_feats(np.random.default_rng(seed), 39)
-            beta = median_threshold(params, feats, TOY)
-            probe = model_mod.forward_utterance(
-                feats, params, TOY, LossConfig(blank_threshold=beta, split_mode=2))
-            kept = probe.output_len
-            total = probe.subsampled_len
-            if probe.fallback or kept >= total:
-                continue
-            # Distinct-neighbor target one token longer than the kept frames
-            # fits the full sequence but not the shortened one.
-            target = [(i % 2) + 1 for i in range(kept + 1)]
-            assert kept < len(target) <= total
-            trace = model_mod.forward_utterance(
-                feats, params, TOY, LossConfig(blank_threshold=beta, split_mode=2),
-                target=target)
-            assert trace.fallback
-            assert trace.output_len == trace.subsampled_len
-            return
-        pytest.fail("no seed produced a shortened, non-fallback trace")
+        params, feats, loss_cfg, target = infeasible_target_case()
+        trace = model_mod.forward_utterance(feats, params, TOY, loss_cfg, target=target)
+        assert trace.fallback
+        assert trace.output_len == trace.subsampled_len
+
+    def test_eval_losses_use_the_target_aware_forward(self):
+        params, feats, loss_cfg, target = infeasible_target_case()
+        report = evaluate_corpus(params, TOY, loss_cfg, [(feats, target)], compute_losses=True)
+        assert not report.utterances[0]["fallback"]
+        trace = model_mod.forward_utterance(feats, params, TOY, loss_cfg, target=target)
+        assert report.loss_means == model_mod.component_losses(trace, target, params, TOY,
+                                                               loss_cfg)
 
     def test_force_all_crucial_bypasses_splitter(self):
         rng = np.random.default_rng(9)
@@ -192,37 +203,63 @@ class TestIdentitySecondStage:
 
 
 class TestAttentionCost:
-    def test_tally_matches_block_lengths_exactly(self):
+    def test_tally_matches_block_lengths_exactly(self, monkeypatch):
         rng = np.random.default_rng(12)
         cfg = dataclasses.replace(TOY, e1_blocks=2, e2_blocks=3)
         params = model_mod.init_model(8, cfg)
         feats = toy_feats(rng, 51)
         beta = median_threshold(params, feats, cfg)
-        enc_mod.reset_attention_macs()
+        query_lengths = []
+        core = ad.attention_core
+
+        def recording_core(q, *args, **kwargs):
+            query_lengths.append(q.data.shape[0])
+            return core(q, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "attention_core", recording_core)
         trace = model_mod.forward_utterance(
             feats, params, cfg, LossConfig(blank_threshold=beta, split_mode=2))
         t = trace.subsampled_len
         c = trace.crucial_len
-        assert enc_mod.attention_macs() == (2 * t * t + 3 * c * c) * cfg.d_model
+        assert c < t
+        assert query_lengths == [t] * 2 + [c] * 3
+
+
+def stubbed_total_loss(monkeypatch, loss_cfg, **values):
+    """``total_loss`` and ``component_losses`` over fixed loss terms.
+
+    Evaluating a term not given fails.
+    """
+    trace = SimpleNamespace(inter_grid="ctc_inter", final_grid="ctc_final",
+                            h1="dec_inter", h2="dec_final")
+    monkeypatch.setattr(model_mod.ctc_mod, "ctc_loss",
+                        lambda grid, _: ad.Tensor(np.asarray(values[grid])))
+    monkeypatch.setattr(model_mod.dec_mod, "aed_loss",
+                        lambda h, *_: ad.Tensor(np.asarray(values[h])))
+    params = SimpleNamespace(decoder=None)
+    return (model_mod.total_loss(trace, [1], params, TOY, loss_cfg),
+            model_mod.component_losses(trace, [1], params, TOY, loss_cfg))
 
 
 class TestLossCombination:
-    def test_worked_weighting_example(self):
-        parts = [ad.Tensor(np.asarray(float(v))) for v in (1, 2, 3, 4)]
-        out = model_mod.combine_losses(*parts, LossConfig())
+    def test_worked_weighting_example(self, monkeypatch):
+        out, terms = stubbed_total_loss(monkeypatch, LossConfig(), ctc_inter=1.0,
+                                        ctc_final=2.0, dec_inter=3.0, dec_final=4.0)
         assert out.data == pytest.approx(2.9, rel=1e-12)
+        assert terms == {"ctc_inter": 1.0, "ctc_final": 2.0, "dec_inter": 3.0,
+                         "dec_final": 4.0, "total": float(out.data)}
 
-    def test_pure_alignment_share_ignores_decoder_terms(self):
-        a = ad.Tensor(np.asarray(2.0))
-        b = ad.Tensor(np.asarray(4.0))
-        out = model_mod.combine_losses(a, b, None, None, LossConfig(ctc_weight=1.0))
+    def test_pure_alignment_share_ignores_decoder_terms(self, monkeypatch):
+        out, terms = stubbed_total_loss(monkeypatch, LossConfig(ctc_weight=1.0),
+                                        ctc_inter=2.0, ctc_final=4.0)
         assert out.data == pytest.approx(3.0)
+        assert set(terms) == {"ctc_inter", "ctc_final", "total"}
 
-    def test_pure_decoder_share_ignores_alignment_terms(self):
-        a = ad.Tensor(np.asarray(2.0))
-        b = ad.Tensor(np.asarray(4.0))
-        out = model_mod.combine_losses(None, None, a, b, LossConfig(ctc_weight=0.0))
+    def test_pure_decoder_share_ignores_alignment_terms(self, monkeypatch):
+        out, terms = stubbed_total_loss(monkeypatch, LossConfig(ctc_weight=0.0),
+                                        dec_inter=2.0, dec_final=4.0)
         assert out.data == pytest.approx(3.0)
+        assert set(terms) == {"dec_inter", "dec_final", "total"}
 
     def test_pure_alignment_training_leaves_decoder_untouched(self):
         rng = np.random.default_rng(13)
@@ -243,14 +280,21 @@ class TestLossCombination:
         rng = np.random.default_rng(14)
         params = model_mod.init_model(10, TOY)
         feats = toy_feats(rng, 27)
-        loss_cfg = LossConfig()
-        trace = model_mod.forward_utterance(feats, params, TOY, loss_cfg, target=[1, 2])
-        parts = model_mod.component_losses(trace, [1, 2], params, TOY, loss_cfg)
-        total = model_mod.total_loss(trace, [1, 2], params, TOY, loss_cfg)
-        assert parts["total"] == pytest.approx(float(total.data), rel=1e-12)
-        want = (0.3 * (0.5 * parts["ctc_inter"] + 0.5 * parts["ctc_final"])
-                + 0.7 * (0.5 * parts["dec_inter"] + 0.5 * parts["dec_final"]))
-        assert parts["total"] == pytest.approx(want, rel=1e-12)
+        for ctc_weight in (0.3, 0.0, 1.0):
+            loss_cfg = LossConfig(ctc_weight=ctc_weight)
+            trace = model_mod.forward_utterance(feats, params, TOY, loss_cfg, target=[1, 2])
+            loss = model_mod.total_loss(trace, [1, 2], params, TOY, loss_cfg)
+            terms = model_mod.component_losses(trace, [1, 2], params, TOY, loss_cfg)
+            assert terms["total"] == float(loss.data)
+            want = 0.0
+            for pair, share in (("ctc", ctc_weight), ("dec", 1.0 - ctc_weight)):
+                names = {f"{pair}_inter", f"{pair}_final"}
+                if share == 0.0:
+                    assert not names & set(terms)
+                else:
+                    want += share * (0.5 * terms[f"{pair}_inter"]
+                                     + 0.5 * terms[f"{pair}_final"])
+            assert terms["total"] == pytest.approx(want, rel=1e-12)
 
 
 class TestCheckpointRoundTrip:
