@@ -420,15 +420,15 @@ def log_softmax_rows(x: Tensor) -> Tensor:
         raise DimensionError(f"log_softmax_rows needs non-empty rows, got {x.data.shape}")
     m = x.data.max(axis=1, keepdims=True)
     z = x.data - m
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True)) + m
+    lse = np.log(np.exp(z, out=z).sum(axis=1, keepdims=True)) + m
     out = _make(x.data - lse, "log_softmax_rows")
-    sm = np.exp(out.data)
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        _accum(x, g - sm * g.sum(axis=1, keepdims=True))
+        # The softmax is needed only here, so a forward-only call never builds it.
+        _accum(x, g - np.exp(out.data) * g.sum(axis=1, keepdims=True))
 
     _record(bwd)
     return out
@@ -649,15 +649,18 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 # ---------------------------------------------------------------------------
 
 class Parameter:
-    """A trainable tensor with Adam state: value, two moments, step count."""
+    """A trainable tensor with Adam state: value, two moments, step count.
+
+    The moments are allocated on the first Adam step and are ``None`` until
+    then, so a model that only runs forward holds its weights alone.
+    """
 
     __slots__ = ("value", "moment1", "moment2", "step_count")
 
     def __init__(self, value: np.ndarray) -> None:
-        value = np.asarray(value, dtype=np.float64)
-        self.value = Tensor(value)
-        self.moment1 = np.zeros_like(value)
-        self.moment2 = np.zeros_like(value)
+        self.value = Tensor(np.asarray(value, dtype=np.float64))
+        self.moment1: np.ndarray | None = None
+        self.moment2: np.ndarray | None = None
         self.step_count = 0
 
     @property
@@ -670,19 +673,39 @@ class Parameter:
 
 def adam_step(p: Parameter, grad: np.ndarray, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> Parameter:
-    """One bias-corrected Adam update, in place. Leaves p untouched on bad grads."""
+    """One bias-corrected Adam update, in place. Leaves p untouched on bad grads.
+
+    The first step allocates the moments as zeros. Every update runs in place
+    in the operation order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``
+    and ``x = x - lr*m_hat / (sqrt(v_hat) + eps)``, so the result is the same
+    to the bit as that textbook form.
+    """
     grad = np.asarray(grad)
-    if grad.shape != p.value.data.shape:
-        raise DimensionError(f"adam_step grad {grad.shape} vs value {p.value.data.shape}")
+    shape = p.value.data.shape
+    if grad.shape != shape:
+        raise DimensionError(f"adam_step grad {grad.shape} vs value {shape}")
     if not np.all(np.isfinite(grad)):
         raise NumericError("adam_step received a non-finite gradient")
+    if p.moment1 is None:
+        p.moment1, p.moment2 = np.zeros(shape), np.zeros(shape)
     p.step_count += 1
     t = p.step_count
-    p.moment1[...] = beta1 * p.moment1 + (1.0 - beta1) * grad
-    p.moment2[...] = beta2 * p.moment2 + (1.0 - beta2) * grad * grad
-    m_hat = p.moment1 / (1.0 - beta1 ** t)
-    v_hat = p.moment2 / (1.0 - beta2 ** t)
-    p.value.data[...] = p.value.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+    # Explicit out= buffers keep a 0-d parameter's temporaries arrays, so the
+    # in-place ops apply; ``scaled`` has the dtype of ``(1 - beta) * grad``.
+    scaled = np.multiply(grad, 1.0 - beta1, out=np.empty(shape, np.result_type(grad, 1.0)))
+    p.moment1 *= beta1
+    p.moment1 += scaled
+    np.multiply(grad, 1.0 - beta2, out=scaled)
+    scaled *= grad
+    p.moment2 *= beta2
+    p.moment2 += scaled
+    step = np.divide(p.moment1, 1.0 - beta1 ** t, out=np.empty_like(p.moment1))
+    denom = np.divide(p.moment2, 1.0 - beta2 ** t, out=np.empty_like(p.moment2))
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step *= lr
+    step /= denom
+    p.value.data -= step
     return p
 
 

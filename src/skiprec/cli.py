@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--features", type=Path, required=True)
     t.add_argument("--transcripts", type=Path, required=True)
     t.add_argument("--resume", type=Path, default=None,
-                   help="checkpoint to continue from; metrics log is appended")
+                   help="last.ckpt to continue from: the epoch count, batch order and "
+                        "dropout seeds go on where it stopped; metrics log is appended")
     t.add_argument("--dev-features", type=Path, default=None)
     t.add_argument("--dev-transcripts", type=Path, default=None)
     t.add_argument("--quiet", action="store_true")

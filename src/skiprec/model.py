@@ -80,11 +80,9 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Parameter]]:
 
 
 def cast_params(params: ModelParams, dtype) -> ModelParams:
-    """Cast parameter values in place (moments included); used for timing runs."""
+    """Cast parameter values in place; used for float32 inference timing runs."""
     for _, p in named_parameters(params):
         p.value.data = p.value.data.astype(dtype)
-        p.moment1 = p.moment1.astype(dtype)
-        p.moment2 = p.moment2.astype(dtype)
     return params
 
 
@@ -244,16 +242,25 @@ def component_losses(trace: ForwardTrace, tokens, params: ModelParams, cfg: Mode
 
 
 def checkpoint_tensors(params: ModelParams, step: int | None = None,
-                       with_moments: bool = False) -> dict[str, np.ndarray]:
-    """Named tensors for serialization; optimizer state rides along when asked."""
+                       with_moments: bool = False,
+                       epoch: int | None = None) -> dict[str, np.ndarray]:
+    """Named tensors for serialization; optimizer state rides along when asked.
+
+    A parameter that has not taken an Adam step yet is saved with float64
+    zero moments, the state its first step starts from.
+    """
     out: dict[str, np.ndarray] = {}
     for name, p in named_parameters(params):
         out[name] = p.value.data
         if with_moments:
-            out[name + ".m1"] = p.moment1
-            out[name + ".m2"] = p.moment2
+            shape = p.value.data.shape
+            # np.zeros is calloc-backed, so unwritten moments cost no pages.
+            out[name + ".m1"] = np.zeros(shape) if p.moment1 is None else p.moment1
+            out[name + ".m2"] = np.zeros(shape) if p.moment2 is None else p.moment2
     if step is not None:
         out["trainer.step"] = np.asarray(float(step))
+    if epoch is not None:
+        out["trainer.epoch"] = np.asarray(float(epoch))
     return out
 
 
@@ -262,10 +269,10 @@ def load_params_from_tensors(params: ModelParams, tensors: dict[str, np.ndarray]
     """Fill parameters from named tensors, returning the saved step (0 if absent).
 
     With ``restore_moments``, a parameter saved with both Adam moments resumes
-    at the saved step; one saved without them (e.g. from ``best.ckpt``)
-    restarts its moments and its bias-correction count at zero, so its first
-    update is a fresh Adam step. A parameter with only one moment, or with a
-    moment of the wrong shape, is rejected.
+    at the saved step; one saved without them (e.g. from ``best.ckpt``) is
+    left without moments and with its bias-correction count at zero, so its
+    first update is a fresh Adam step. A parameter with only one moment, or
+    with a moment of the wrong shape, is rejected.
     """
     step = int(tensors.get("trainer.step", np.asarray(0.0)))
     for name, p in named_parameters(params):
@@ -276,20 +283,20 @@ def load_params_from_tensors(params: ModelParams, tensors: dict[str, np.ndarray]
             raise ConfigError(
                 f"checkpoint tensor {name!r} has shape {arr.shape}, "
                 f"model expects {p.value.data.shape}")
-        p.value.data = arr.astype(np.float64).copy()
+        p.value.data = arr.astype(np.float64)
         if restore_moments:
             m1, m2 = tensors.get(name + ".m1"), tensors.get(name + ".m2")
             if (m1 is None) != (m2 is None):
                 raise ConfigError(f"checkpoint has only one Adam moment for {name!r}")
             if m1 is None:
-                p.moment1, p.moment2 = np.zeros_like(p.value.data), np.zeros_like(p.value.data)
+                p.moment1 = p.moment2 = None
                 p.step_count = 0
             else:
                 if m1.shape != arr.shape or m2.shape != arr.shape:
                     raise ConfigError(
                         f"checkpoint moments of {name!r} have shapes {m1.shape} and "
                         f"{m2.shape}, model expects {arr.shape}")
-                p.moment1 = m1.astype(np.float64).copy()
-                p.moment2 = m2.astype(np.float64).copy()
+                p.moment1 = m1.astype(np.float64)
+                p.moment2 = m2.astype(np.float64)
                 p.step_count = step
     return step

@@ -62,7 +62,12 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
 
     The run owns its random streams: batch order from ``seed + 1`` and
     dropout from ``seed``, re-seeded with ``seed + 1000 + epoch`` after each
-    eval. Evals run without dropout.
+    eval. Evals run without dropout. A resume from a ``last.ckpt`` that
+    records its epoch continues the schedule: epoch numbers go on from the
+    saved one, the batch order skips the permutations already drawn and
+    dropout starts from the saved epoch's seed, so it trains as the
+    uninterrupted run would have. ``epochs`` counts the epochs this call
+    trains.
     """
     validate_run_config(cfg)
     out_dir = Path(out_dir)
@@ -74,22 +79,25 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
         eval_corpus = corpus
 
     params = model_mod.init_model(cfg.training.seed, cfg.model)
-    step = 0
+    step = start = 0
     if resume_path is not None:
-        step = model_mod.load_params_from_tensors(
-            params, fileio.load_checkpoint(resume_path), restore_moments=True)
+        tensors = fileio.load_checkpoint(resume_path)
+        step = model_mod.load_params_from_tensors(params, tensors, restore_moments=True)
+        start = int(tensors.get("trainer.epoch", np.asarray(0.0)))
 
     seed = cfg.training.seed
     order_rng = np.random.default_rng(seed + 1)
-    dropout_rng = np.random.default_rng(seed)
+    for _ in range(start):
+        order_rng.permutation(len(corpus))
+    dropout_rng = np.random.default_rng(seed + 1000 + start if start else seed)
     since_eval = after_warmup = (0, 0)
     best_error = final_error = float("inf")
-    epochs = cfg.training.epochs
+    end = start + cfg.training.epochs
     metrics_path = out_dir / "metrics.jsonl"
     with open(metrics_path, "a" if resume_path is not None else "w", encoding="utf-8") as log:
-        # Zero epochs still evaluate and checkpoint once, as epoch 0.
-        for epoch in range(min(epochs, 1), epochs + 1):
-            if epoch:
+        # Zero epochs still evaluate and checkpoint once, as the saved epoch.
+        for epoch in range(min(start + 1, end), end + 1):
+            if epoch > start:
                 step, fell_back = _train_epoch(cfg, params, corpus,
                                                order_rng.permutation(len(corpus)), step,
                                                dropout_rng)
@@ -97,7 +105,7 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
                               since_eval[1] + sum(f for _, f in fell_back))
                 late = [f for s, f in fell_back if s >= cfg.optimizer.warmup_steps]
                 after_warmup = (after_warmup[0] + len(late), after_warmup[1] + sum(late))
-            if epoch % cfg.training.eval_every == 0 or epoch == epochs:
+            if epoch % cfg.training.eval_every == 0 or epoch == end:
                 final_error = _eval_and_checkpoint(cfg, params, eval_corpus, step, epoch,
                                                    since_eval, after_warmup, best_error,
                                                    out_dir, log, quiet)
@@ -171,7 +179,7 @@ def _eval_and_checkpoint(cfg: RunConfig, params, eval_corpus, step: int, epoch: 
     if not quiet:
         print(json.dumps(record, sort_keys=True))
     fileio.save_checkpoint(out_dir / "last.ckpt", model_mod.checkpoint_tensors(
-        params, step=step, with_moments=True))
+        params, step=step, with_moments=True, epoch=epoch))
     if report.error_rate < best_error:
         fileio.save_checkpoint(out_dir / "best.ckpt",
                                model_mod.checkpoint_tensors(params, step=step))

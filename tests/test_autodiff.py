@@ -118,6 +118,16 @@ class TestAdam:
         with pytest.raises(DimensionError):
             ad.adam_step(ad.Parameter(np.ones(3)), np.ones(4), lr=0.1)
 
+    def test_moments_are_allocated_on_the_first_step(self):
+        p = ad.Parameter(np.ones((2, 3)))
+        assert p.moment1 is None and p.moment2 is None
+        with pytest.raises(NumericError):
+            ad.adam_step(p, np.full((2, 3), np.inf), lr=0.1)
+        assert p.moment1 is None and p.moment2 is None
+        ad.adam_step(p, np.full((2, 3), 0.5), lr=0.1)
+        for m in (p.moment1, p.moment2):
+            assert m.shape == (2, 3) and m.dtype == np.float64 and np.all(m > 0.0)
+
 
 class TestGradCheck:
     def test_polynomial(self):
@@ -339,6 +349,25 @@ def einsum_attention_reference(q, k, v, n_heads, causal=False):
     return ctx, weights, grads
 
 
+def adam_reference(value, m1, m2, t, grad, lr, beta1, beta2, eps):
+    """The allocating Adam update the in-place form replaced; returns new arrays."""
+    m1 = beta1 * m1 + (1.0 - beta1) * grad
+    m2 = beta2 * m2 + (1.0 - beta2) * grad * grad
+    m_hat = m1 / (1.0 - beta1 ** t)
+    v_hat = m2 / (1.0 - beta2 ** t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m1, m2
+
+
+def log_softmax_reference(x):
+    """The log-softmax that built its softmax eagerly; returns it and its backward."""
+    m = x.max(axis=1, keepdims=True)
+    z = x - m
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True)) + m
+    out = x - lse
+    sm = np.exp(out)
+    return out, lambda g: g - sm * g.sum(axis=1, keepdims=True)
+
+
 class TestAgainstReference:
     GRID = np.concatenate([np.linspace(-1e3, 1e3, 2001), np.linspace(-40.0, 40.0, 8001),
                            [0.0, -0.0, 1e-300, -1e-300, 709.0, -745.0]])
@@ -352,6 +381,42 @@ class TestAgainstReference:
         with np.errstate(all="raise"):
             s = ad._sigmoid(self.GRID)
         assert np.all((s >= 0.0) & (s <= 1.0))
+
+    @pytest.mark.parametrize("start", ["fresh", "restored"])
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 4)])
+    def test_adam_matches_allocating_form(self, start, shape):
+        rng = np.random.default_rng(31)
+        value = rng.normal(size=shape)
+        p = ad.Parameter(value.copy())
+        m1 = m2 = np.zeros(shape)
+        t = 0
+        if start == "restored":
+            m1, m2, t = rng.normal(size=shape) * 1e-2, rng.uniform(0, 1e-3, size=shape), 750
+            p.moment1, p.moment2, p.step_count = m1.copy(), m2.copy(), t
+        for i in range(5):
+            grad = rng.normal(size=shape) * 10.0 ** (i - 2)
+            lr, b1, b2, eps = 1e-3 * (i + 1), 0.9, 0.98, 1e-9
+            t += 1
+            value, m1, m2 = adam_reference(value, m1, m2, t, grad, lr, b1, b2, eps)
+            ad.adam_step(p, grad, lr, b1, b2, eps)
+            assert p.step_count == t
+            assert np.array_equal(p.value.data, value)
+            assert np.array_equal(p.moment1, m1) and np.array_equal(p.moment2, m2)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_log_softmax_matches_eager_form(self, dtype):
+        rng = np.random.default_rng(32)
+        x = (rng.normal(size=(13, 50)) * 8.0).astype(dtype)
+        x[3] = 1e3
+        g = rng.normal(size=x.shape).astype(dtype)
+        want, want_grad = log_softmax_reference(x)
+        xt = ad.tensor(x, dtype=dtype)
+        with ad.tape() as tp:
+            out = ad.log_softmax_rows(xt)
+            tp.backward(ad.sum_all(ad.mul_const(out, g)))
+        assert out.data.dtype == dtype and xt.grad.dtype == dtype
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(xt.grad, want_grad(g))
 
     @pytest.mark.parametrize("case", ["plain", "causal"])
     def test_attention_matches_einsum_form(self, case):

@@ -140,6 +140,19 @@ class TestTrainRun:
         assert len(records) == 1
         assert records[0]["step"] == 0 and records[0]["epoch"] == 0
 
+    def test_zero_epochs_saves_zero_moments(self, tiny_corpus, tmp_path):
+        fp, tp = tiny_corpus
+        cfg = cfgmod.RunConfig(model=TINY_CFG.model,
+                               training=cfgmod.TrainConfig(epochs=0, seed=0))
+        result = train_mod.train_run(cfg, fp, tp, tmp_path / "run0")
+        tensors = fileio.load_checkpoint(result.last_checkpoint)
+        params = model_mod.init_model(0, cfg.model)
+        for name, p in model_mod.named_parameters(params):
+            for key in (".m1", ".m2"):
+                m = tensors[name + key]
+                assert m.dtype == np.float64 and m.shape == p.value.data.shape
+                assert not m.any()
+
     def test_metrics_log_structure(self, tiny_model):
         _, _, result = tiny_model
         records = [json.loads(line) for line in
@@ -169,6 +182,29 @@ class TestTrainRun:
         steps = [r["step"] for r in records]
         assert steps == sorted(steps)
         assert steps[-1] == 6 and len(records) == 3
+
+    def test_resume_equals_an_uninterrupted_run(self, tiny_corpus, tmp_path):
+        fp, tp = tiny_corpus
+
+        def cfg(epochs):
+            return dataclasses.replace(
+                TINY_CFG, model=dataclasses.replace(TINY_CFG.model, dropout=0.3),
+                training=dataclasses.replace(TINY_CFG.training, epochs=epochs, eval_every=1))
+
+        whole = train_mod.train_run(cfg(3), fp, tp, tmp_path / "whole")
+        first = train_mod.train_run(cfg(2), fp, tp, tmp_path / "split")
+        more = train_mod.train_run(cfg(1), fp, tp, tmp_path / "split",
+                                   resume_path=first.last_checkpoint)
+        assert more.steps == whole.steps == 6
+        want = fileio.load_checkpoint(whole.last_checkpoint)
+        got = fileio.load_checkpoint(more.last_checkpoint)
+        assert sorted(got) == sorted(want)
+        for name, arr in want.items():
+            assert np.array_equal(got[name], arr), name
+        assert int(got["trainer.epoch"]) == 3
+        records = more.metrics_path.read_text().splitlines()
+        assert [json.loads(r)["epoch"] for r in records] == [1, 2, 3]
+        assert records == whole.metrics_path.read_text().splitlines()
 
     def test_identical_runs_write_identical_logs(self, tiny_corpus, tmp_path):
         fp, tp = tiny_corpus

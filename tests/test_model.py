@@ -1,6 +1,7 @@
 """Tests for the assembled skip-and-recover model."""
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -297,6 +298,39 @@ class TestLossCombination:
             assert terms["total"] == pytest.approx(want, rel=1e-12)
 
 
+class TestLazyAdamState:
+    def test_init_model_allocates_no_moments(self):
+        params = model_mod.init_model(25, TOY)
+        for _, p in model_mod.named_parameters(params):
+            assert p.moment1 is None and p.moment2 is None and p.step_count == 0
+
+    def test_init_model_allocates_little_beyond_the_weights(self):
+        # Two eager float64 moments would make this ratio about 3.
+        tracemalloc.start()
+        try:
+            params = model_mod.init_model(0, ModelConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weights = sum(p.value.data.nbytes for _, p in model_mod.named_parameters(params))
+        assert peak <= 1.5 * weights
+
+    def test_checkpoint_saves_zero_moments_before_the_first_step(self):
+        params = model_mod.init_model(26, TOY)
+        ad.adam_step(params.final_head.b, np.ones(TOY.vocab_size), lr=1e-3)
+        tensors = model_mod.checkpoint_tensors(params, step=1, with_moments=True)
+        for name, p in model_mod.named_parameters(params):
+            for key in (".m1", ".m2"):
+                m = tensors[name + key]
+                assert m.shape == p.value.data.shape and m.dtype == np.float64
+                assert m.any() == (name == "final_head.b")
+
+    def test_cast_leaves_moments_unallocated(self):
+        params = model_mod.cast_params(model_mod.init_model(27, TOY), np.float32)
+        for _, p in model_mod.named_parameters(params):
+            assert p.value.data.dtype == np.float32 and p.moment1 is None
+
+
 class TestCheckpointRoundTrip:
     def test_forward_is_bit_identical_after_reload(self):
         rng = np.random.default_rng(15)
@@ -354,13 +388,30 @@ class TestCheckpointRoundTrip:
         assert model_mod.load_params_from_tensors(other, tensors, restore_moments=True) == 750
         for _, p in model_mod.named_parameters(other):
             assert p.step_count == 0
-            assert not p.moment1.any() and not p.moment2.any()
+            assert p.moment1 is None and p.moment2 is None
         p = other.final_head.b
         before = p.value.data.copy()
+        fresh = ad.Parameter(before.copy())
         grad = np.linspace(-1.0, 1.0, before.size).reshape(before.shape) + 0.05
         ad.adam_step(p, grad, lr=1e-3)
+        ad.adam_step(fresh, grad, lr=1e-3)
+        assert np.array_equal(p.value.data, fresh.value.data)
         # a fresh bias-corrected step moves each coordinate by ~lr
         np.testing.assert_allclose(before - p.value.data, 1e-3 * np.sign(grad), rtol=1e-5)
+
+    @pytest.mark.parametrize("with_moments", [True, False])
+    def test_restore_returns_the_saved_step(self, with_moments):
+        tensors = model_mod.checkpoint_tensors(model_mod.init_model(24, TOY), step=33,
+                                               with_moments=with_moments)
+        other = model_mod.init_model(0, TOY)
+        assert model_mod.load_params_from_tensors(other, tensors, restore_moments=True) == 33
+        for name, p in model_mod.named_parameters(other):
+            assert p.step_count == (33 if with_moments else 0)
+            if with_moments:
+                assert np.array_equal(p.moment1, tensors[name + ".m1"])
+                assert p.moment1 is not tensors[name + ".m1"]
+            else:
+                assert p.moment1 is None and p.moment2 is None
 
     def test_resume_with_moments_keeps_step_count(self):
         tensors = model_mod.checkpoint_tensors(model_mod.init_model(22, TOY), step=40,
