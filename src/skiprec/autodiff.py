@@ -5,10 +5,13 @@ appends a closure that routes the output gradient back to its inputs;
 ``Tape.backward`` replays those closures in reverse execution order, which
 is a valid topological order by construction.
 
-The op set is what the model needs: affine, strided 2-D convolution,
-depthwise 1-D convolution, attention, softmax and log-softmax, layer norm,
-swish, GLU, gather/concat by index, cross-entropy, and log-sum-exp variants
-for the alignment lattice. Nothing more general is provided on purpose.
+The op set is what the model needs: add, scale and constant add/multiply,
+reshape and permute, gather/concat by row index, affine, strided 2-D
+convolution, depthwise 1-D convolution, attention, log-softmax, layer norm,
+swish, GLU, cross-entropy, and the CTC lattice's negative log-likelihood
+as one op. ``tensor``, ``mul``, ``sum_all`` and ``grad_check`` serve the
+tests; the model calls every other op. Nothing more general is provided on
+purpose.
 
 Ops keep the dtype of their operands: scalar constants are Python floats,
 so float32 inputs stay float32. Attention runs as head-batched matmuls and
@@ -180,10 +183,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return out
 
 
-def neg(x: Tensor) -> Tensor:
-    return scale(x, -1.0)
-
-
 def add_const(x: Tensor, c) -> Tensor:
     """Add a constant array or scalar; no gradient flows to the constant."""
     out = _make(x.data + c, "add_const")
@@ -264,24 +263,6 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return out
 
 
-def gather_cells(x: Tensor, rows, cols) -> Tensor:
-    """out[i] = x[rows[i], cols[i]] for a 2-D operand."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = Tensor(x.data[rows, cols])
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, cols), g)
-        _accum(x, gx)
-
-    _record(bwd)
-    return out
-
-
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != b.data.ndim:
         raise DimensionError(f"concat_rows rank mismatch {a.data.shape} vs {b.data.shape}")
@@ -294,21 +275,6 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
             return
         _accum(a, g[:na])
         _accum(b, g[na:])
-
-    _record(bwd)
-    return out
-
-
-def masked_keep(x: Tensor, keep) -> Tensor:
-    """Keep entries where ``keep`` holds; fill the rest with NEG_FILL."""
-    keep = np.asarray(keep, dtype=bool)
-    filled = x.data.copy()
-    filled[~keep] = NEG_FILL
-    out = _make(filled, "masked_keep")
-
-    def bwd():
-        if out.grad is not None:
-            _accum(x, out.grad * keep)
 
     _record(bwd)
     return out
@@ -396,25 +362,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by max subtraction."""
-    if x.data.ndim != 2 or x.data.shape[1] == 0:
-        raise DimensionError(f"softmax_rows needs non-empty rows, got {x.data.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    sm = e / e.sum(axis=1, keepdims=True)
-    out = _make(sm, "softmax_rows")
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        _accum(x, sm * (g - (g * sm).sum(axis=1, keepdims=True)))
-
-    _record(bwd)
-    return out
-
-
 def log_softmax_rows(x: Tensor) -> Tensor:
     if x.data.ndim != 2 or x.data.shape[1] == 0:
         raise DimensionError(f"log_softmax_rows needs non-empty rows, got {x.data.shape}")
@@ -429,52 +376,6 @@ def log_softmax_rows(x: Tensor) -> Tensor:
             return
         # The softmax is needed only here, so a forward-only call never builds it.
         _accum(x, g - np.exp(out.data) * g.sum(axis=1, keepdims=True))
-
-    _record(bwd)
-    return out
-
-
-def logsumexp_all(x: Tensor) -> Tensor:
-    """log(sum(exp(x))) over every element, reduced to a scalar."""
-    m = float(x.data.max())
-    out = _make(np.asarray(m + np.log(np.exp(x.data - m).sum())), "logsumexp_all")
-
-    def bwd():
-        if out.grad is not None:
-            _accum(x, out.grad * np.exp(x.data - out.data))
-
-    _record(bwd)
-    return out
-
-
-def shifted_logsumexp3(x: Tensor, allow_skip) -> Tensor:
-    """Lattice step: out[s] = LSE(x[s], x[s-1], x[s-2] if allow_skip[s]).
-
-    Out-of-range and disallowed branches contribute NEG_FILL, i.e. nothing.
-    """
-    allow_skip = np.asarray(allow_skip, dtype=bool)
-    n = x.data.shape[0]
-    if x.data.ndim != 1 or allow_skip.shape != (n,):
-        raise DimensionError(f"shifted_logsumexp3 {x.data.shape} with mask {allow_skip.shape}")
-    fill = np.full(2, NEG_FILL, dtype=x.data.dtype)
-    b0 = x.data
-    b1 = np.concatenate([fill[:1], x.data[:-1]]) if n else b0
-    b2 = np.concatenate([fill, x.data[:-2]]) if n >= 2 else np.full(n, NEG_FILL, dtype=x.data.dtype)
-    b2[~allow_skip] = NEG_FILL
-    m = np.maximum(np.maximum(b0, b1), b2)
-    out = _make(m + np.log(np.exp(b0 - m) + np.exp(b1 - m) + np.exp(b2 - m)), "shifted_logsumexp3")
-
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        gx = g * np.exp(b0 - out.data)
-        if n >= 1:
-            gx[:-1] += (g * np.exp(b1 - out.data))[1:]
-        if n >= 2:
-            contrib = g * np.exp(b2 - out.data) * allow_skip
-            gx[:-2] += contrib[2:]
-        _accum(x, gx)
 
     _record(bwd)
     return out
@@ -502,6 +403,73 @@ def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
         sm = np.exp(logits.data - lse[:, None])
         sm[np.arange(n), targets] -= 1.0
         _accum(logits, sm * (g / n))
+
+    _record(bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# alignment lattice
+# ---------------------------------------------------------------------------
+
+def lattice_nll(log_probs: Tensor, states, allow_skip) -> Tensor:
+    """Negative log of the summed probability of every path through a CTC lattice.
+
+    ``log_probs`` is a (T, V) grid. Lattice state s emits class ``states[s]``
+    and is entered from s, s - 1 and, where ``allow_skip[s]`` holds, s - 2.
+    Paths start in state 0 or 1 and end in one of the last two states. The
+    forward recursion runs in log space, unreachable branches held at
+    NEG_FILL; the backward replays it in reverse, so the whole loss is one
+    tape entry. Each array operation, down to the order in which the emission
+    gradient accumulates, is the one the former per-frame tape ops made, so
+    the loss and its gradient are the same to the bit.
+    """
+    lp = log_probs.data
+    states = np.asarray(states, dtype=np.int64)
+    allow_skip = np.asarray(allow_skip, dtype=bool)
+    s = states.size
+    if lp.ndim != 2 or lp.shape[0] < 1 or states.shape != (s,) or s < 1 \
+            or allow_skip.shape != (s,):
+        raise DimensionError(f"lattice_nll grid {lp.shape}, states {states.shape}, "
+                             f"skips {allow_skip.shape}")
+    if states.min() < 0 or states.max() >= lp.shape[1]:
+        raise DimensionError(f"lattice state class out of range for {lp.shape[1]} classes")
+    emit = lp[:, states]
+    if not np.all(np.isfinite(emit)):
+        raise NumericError("non-finite log probability on the lattice_nll path")
+    fill = np.full(2, NEG_FILL, dtype=lp.dtype)
+    alpha = emit[0].copy()
+    alpha[2:] = NEG_FILL
+    steps = []  # frames 1..T-1: the stay, step and skip branches and their log-sum-exp
+    for t in range(1, lp.shape[0]):
+        b1 = np.concatenate([fill[:1], alpha[:-1]])
+        b2 = np.concatenate([fill, alpha[:-2]])[:s]
+        b2[~allow_skip] = NEG_FILL
+        m = np.maximum(np.maximum(alpha, b1), b2)
+        lse = m + np.log(np.exp(alpha - m) + np.exp(b1 - m) + np.exp(b2 - m))
+        steps.append((alpha, b1, b2, lse))
+        alpha = lse + emit[t]
+    final = np.arange(max(s - 2, 0), s)
+    last = alpha[final]
+    m = float(last.max())
+    total = np.asarray(m + np.log(np.exp(last - m).sum()))
+    out = _make(-total, "lattice_nll")
+
+    def bwd():
+        if out.grad is None:
+            return
+        g = np.zeros_like(alpha)
+        np.add.at(g, final, -out.grad * np.exp(last - total))
+        grad = np.zeros_like(lp)
+        for t in range(len(steps), 0, -1):
+            b0, b1, b2, lse = steps[t - 1]
+            np.add.at(grad[t], states, g)
+            prev = g * np.exp(b0 - lse)
+            prev[:-1] += (g * np.exp(b1 - lse))[1:]
+            prev[:-2] += (g * np.exp(b2 - lse) * allow_skip)[2:]
+            g = prev
+        np.add.at(grad[0], states[:2], g[:2])
+        _accum(log_probs, grad)
 
     _record(bwd)
     return out

@@ -1,9 +1,10 @@
 """CTC head, alignment loss, decoding, and blank-dominance flags.
 
-The loss runs the forward lattice recursion in log space directly on tape
-ops, so its gradient comes from the same autodiff path as everything else.
-Blank is always class 0. Unreachable lattice cells hold NEG_FILL rather
-than -inf to keep every array finite.
+The loss builds the blank-interleaved lattice states and hands the grid to
+``autodiff.lattice_nll``, one tape op that runs the forward recursion in
+log space and replays it in reverse for the gradient. Blank is always
+class 0. Unreachable lattice cells hold NEG_FILL rather than -inf to keep
+every array finite.
 
 The prefix beam search (Hannun et al. 2014) is exact up to the beam width:
 it prunes nothing else. Each frame is one vectorized step over a
@@ -88,24 +89,13 @@ def ctc_loss(grid: PosteriorGrid, tokens) -> Tensor:
         raise InfeasibleAlignmentError(
             f"{len(tokens)} tokens need at least {min_frames(tokens)} frames, have {n_frames}")
 
-    # Blank-interleaved state sequence and its skip-transition mask.
-    ext = np.empty(2 * len(tokens) + 1, dtype=np.int64)
-    ext[0::2] = BLANK_ID
+    # Blank-interleaved state sequence. A token state may be entered from
+    # two states back unless that state holds the same token.
+    ext = np.full(2 * len(tokens) + 1, BLANK_ID, dtype=np.int64)
     ext[1::2] = tokens
-    s = ext.shape[0]
-    allow_skip = np.zeros(s, dtype=bool)
-    if s >= 3:
-        allow_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
-
-    rows0 = np.zeros(s, dtype=np.int64)
-    start_mask = np.arange(s) < 2
-    alpha = ad.masked_keep(ad.gather_cells(grid.log_probs, rows0, ext), start_mask)
-    for t in range(1, n_frames):
-        rows = np.full(s, t, dtype=np.int64)
-        emit = ad.gather_cells(grid.log_probs, rows, ext)
-        alpha = ad.add(ad.shifted_logsumexp3(alpha, allow_skip), emit)
-    final_states = [s - 1] if s == 1 else [s - 2, s - 1]
-    return ad.neg(ad.logsumexp_all(ad.gather_rows(alpha, final_states)))
+    allow_skip = np.zeros(ext.size, dtype=bool)
+    allow_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
+    return ad.lattice_nll(grid.log_probs, ext, allow_skip)
 
 
 def greedy_decode(grid: PosteriorGrid) -> list[int]:

@@ -16,6 +16,7 @@ Transcripts are text lines: utterance id, a tab, space-separated token ids.
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import struct
 
@@ -47,6 +48,13 @@ class _Reader:
 
     def u64(self, what: str) -> int:
         return struct.unpack("<Q", self.take(8, what))[0]
+
+    def text(self, n: int, what: str) -> str:
+        start = self.off
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{what} at byte {start} is not valid UTF-8")
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
@@ -90,7 +98,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = rd.u32("name length")
-        name = rd.take(name_len, "tensor name").decode("utf-8")
+        name_at = rd.off
+        name = rd.text(name_len, "tensor name")
+        if name in tensors:
+            raise FormatError(f"duplicate tensor name {name!r} at byte {name_at}")
         rank = rd.u32("rank")
         dims = tuple(rd.u64("dimension") for _ in range(rank))
         n = 1
@@ -132,7 +143,7 @@ def read_features(path, dtype=np.float64) -> list[tuple[str, np.ndarray]]:
     out: list[tuple[str, np.ndarray]] = []
     for _ in range(count):
         id_len = rd.u32("id length")
-        utt_id = rd.take(id_len, "utterance id").decode("utf-8")
+        utt_id = rd.text(id_len, "utterance id")
         t_in = rd.u32("frame count")
         feat_dim = rd.u32("feature dim")
         raw = rd.take(4 * t_in * feat_dim, f"frames of {utt_id}")
@@ -150,20 +161,27 @@ def write_transcripts(path, items: list[tuple[str, list[int]]]) -> None:
 
 
 def read_transcripts(path) -> dict[str, list[int]]:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = raw.count(b"\n", 0, err.start) + 1
+        raise FormatError(f"transcript line {lineno} is not valid UTF-8 (byte {err.start})")
     out: dict[str, list[int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise FormatError(f"transcript line {lineno} has no tab separator")
-            utt_id, rest = line.split("\t", 1)
-            try:
-                tokens = [int(tok) for tok in rest.split()] if rest.strip() else []
-            except ValueError:
-                raise FormatError(f"transcript line {lineno} has a non-integer token")
-            if utt_id in out:
-                raise FormatError(f"duplicate utterance id {utt_id!r} at line {lineno}")
-            out[utt_id] = tokens
+    # newline=None reads "\r\n" and "\r" line ends as a text-mode file does
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if "\t" not in line:
+            raise FormatError(f"transcript line {lineno} has no tab separator")
+        utt_id, rest = line.split("\t", 1)
+        try:
+            tokens = [int(tok) for tok in rest.split()] if rest.strip() else []
+        except ValueError:
+            raise FormatError(f"transcript line {lineno} has a non-integer token")
+        if utt_id in out:
+            raise FormatError(f"duplicate utterance id {utt_id!r} at line {lineno}")
+        out[utt_id] = tokens
     return out

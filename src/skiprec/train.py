@@ -66,8 +66,10 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
     records its epoch continues the schedule: epoch numbers go on from the
     saved one, the batch order skips the permutations already drawn and
     dropout starts from the saved epoch's seed, so it trains as the
-    uninterrupted run would have. ``epochs`` counts the epochs this call
-    trains.
+    uninterrupted run would have. The saved best error rate and after-warmup
+    fallback counts carry on too, so ``best.ckpt``, ``best_error_rate`` and
+    the fallback warning cover the whole run. ``epochs`` counts the epochs
+    this call trains.
     """
     validate_run_config(cfg)
     out_dir = Path(out_dir)
@@ -80,18 +82,23 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
 
     params = model_mod.init_model(cfg.training.seed, cfg.model)
     step = start = 0
+    best_error = float("inf")
+    after_warmup = (0, 0)
     if resume_path is not None:
         tensors = fileio.load_checkpoint(resume_path)
         step = model_mod.load_params_from_tensors(params, tensors, restore_moments=True)
         start = int(tensors.get("trainer.epoch", np.asarray(0.0)))
+        best_error = float(tensors.get("trainer.best_error", np.asarray(np.inf)))
+        after_warmup = tuple(int(tensors.get(f"trainer.after_warmup_{k}", np.asarray(0.0)))
+                             for k in ("utterances", "fallbacks"))
 
     seed = cfg.training.seed
     order_rng = np.random.default_rng(seed + 1)
     for _ in range(start):
         order_rng.permutation(len(corpus))
     dropout_rng = np.random.default_rng(seed + 1000 + start if start else seed)
-    since_eval = after_warmup = (0, 0)
-    best_error = final_error = float("inf")
+    since_eval = (0, 0)
+    final_error = float("inf")
     end = start + cfg.training.epochs
     metrics_path = out_dir / "metrics.jsonl"
     with open(metrics_path, "a" if resume_path is not None else "w", encoding="utf-8") as log:
@@ -151,10 +158,13 @@ def _train_epoch(cfg: RunConfig, params, corpus, order, step: int,
 def _eval_and_checkpoint(cfg: RunConfig, params, eval_corpus, step: int, epoch: int,
                          since_eval: tuple[int, int], after_warmup: tuple[int, int],
                          best_error: float, out_dir: Path, log, quiet: bool) -> float:
-    """Log one metrics record, write ``last.ckpt`` and, on a new best, ``best.ckpt``.
+    """Log one metrics record, write ``best.ckpt`` on a new best, then ``last.ckpt``.
 
     The fallback counts are (utterances, fallbacks) since the previous eval
-    and after warmup. Returns the eval error rate.
+    and after warmup. ``last.ckpt`` records the best error rate so far and
+    the after-warmup counts for a resume; it is written second, so it never
+    names a best that ``best.ckpt`` does not hold. Returns the eval error
+    rate.
     """
     opt = cfg.optimizer
     report = evaluate_corpus(params, cfg.model, cfg.loss, eval_corpus,
@@ -178,9 +188,12 @@ def _eval_and_checkpoint(cfg: RunConfig, params, eval_corpus, step: int, epoch: 
     log.flush()
     if not quiet:
         print(json.dumps(record, sort_keys=True))
-    fileio.save_checkpoint(out_dir / "last.ckpt", model_mod.checkpoint_tensors(
-        params, step=step, with_moments=True, epoch=epoch))
     if report.error_rate < best_error:
         fileio.save_checkpoint(out_dir / "best.ckpt",
                                model_mod.checkpoint_tensors(params, step=step))
+    last = model_mod.checkpoint_tensors(params, step=step, with_moments=True, epoch=epoch)
+    last["trainer.best_error"] = np.asarray(min(best_error, report.error_rate))
+    last["trainer.after_warmup_utterances"] = np.asarray(float(after_warmup[0]))
+    last["trainer.after_warmup_fallbacks"] = np.asarray(float(after_warmup[1]))
+    fileio.save_checkpoint(out_dir / "last.ckpt", last)
     return report.error_rate

@@ -13,33 +13,36 @@ def check(f, *arrays, h=1e-5, tol=1e-5):
 
 
 class TestSoftmax:
+    """The row softmax the model reads, exp(log_softmax_rows)."""
+
+    @staticmethod
+    def softmax(x):
+        return np.exp(ad.log_softmax_rows(ad.tensor(x)).data)
+
     def test_symmetry(self):
-        out = ad.softmax_rows(ad.tensor([[0.0, 0.0]]))
-        assert np.allclose(out.data, [[0.5, 0.5]])
+        assert np.allclose(self.softmax([[0.0, 0.0]]), [[0.5, 0.5]])
 
     def test_large_equal_logits(self):
-        out = ad.softmax_rows(ad.tensor([[1000.0, 1000.0]]))
-        assert np.allclose(out.data, [[0.5, 0.5]])
+        assert np.allclose(self.softmax([[1000.0, 1000.0]]), [[0.5, 0.5]])
 
     def test_closed_form(self):
-        out = ad.softmax_rows(ad.tensor([[np.log(1.0), np.log(3.0)]]))
-        assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-12)
+        assert np.allclose(self.softmax([[np.log(1.0), np.log(3.0)]]), [[0.25, 0.75]],
+                           atol=1e-12)
 
     @pytest.mark.parametrize("magnitude", [1.0, 100.0, 1e4])
     def test_rows_sum_to_one(self, magnitude):
         rng = np.random.default_rng(int(magnitude))
-        x = rng.uniform(-magnitude, magnitude, size=(20, 9))
-        out = ad.softmax_rows(ad.tensor(x))
-        assert np.all(np.abs(out.data.sum(axis=1) - 1.0) <= 1e-9)
-        assert np.all(out.data >= 0.0)
+        out = self.softmax(rng.uniform(-magnitude, magnitude, size=(20, 9)))
+        assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-9)
+        assert np.all(out >= 0.0)
 
     def test_empty_row_rejected(self):
         with pytest.raises(DimensionError):
-            ad.softmax_rows(ad.tensor(np.ones((2, 0))))
+            ad.log_softmax_rows(ad.tensor(np.ones((2, 0))))
 
     def test_grad(self):
         rng = np.random.default_rng(1)
-        check(lambda x: ad.sum_all(ad.mul(ad.softmax_rows(x), x)),
+        check(lambda x: ad.sum_all(ad.mul(ad.log_softmax_rows(x), x)),
               rng.normal(size=(4, 5)))
 
 
@@ -157,7 +160,7 @@ class TestElementwiseGrads:
         rng = np.random.default_rng(4)
         check(lambda a, b: ad.sum_all(ad.add(a, b)),
               rng.normal(size=(3, 4)), rng.normal(size=4))
-        check(lambda a, b: ad.sum_all(ad.add(a, ad.neg(b))),
+        check(lambda a, b: ad.sum_all(ad.add(a, ad.scale(b, -1.0))),
               rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
         check(lambda a, b: ad.sum_all(ad.mul(a, b)),
               rng.normal(size=(3, 1)), rng.normal(size=(3, 4)))
@@ -165,7 +168,7 @@ class TestElementwiseGrads:
     def test_scale_neg_const(self):
         rng = np.random.default_rng(5)
         check(lambda x: ad.sum_all(ad.scale(x, 2.5)), rng.normal(size=(2, 3)))
-        check(lambda x: ad.sum_all(ad.neg(x)), rng.normal(size=4))
+        check(lambda x: ad.sum_all(ad.scale(x, -1.0)), rng.normal(size=4))
         check(lambda x: ad.sum_all(ad.add_const(x, 3.0)), rng.normal(size=4))
         check(lambda x: ad.sum_all(ad.mul_const(x, -1.5)), rng.normal(size=4))
 
@@ -201,8 +204,6 @@ class TestElementwiseGrads:
             return ad.sum_all(ad.mul(g, g))
 
         check(f, rng.normal(size=(4, 3)))
-        check(lambda x: ad.sum_all(ad.gather_cells(x, [0, 1, 1], [2, 0, 2])),
-              rng.normal(size=(2, 3)))
         with pytest.raises(DimensionError):
             ad.gather_rows(ad.tensor(np.ones((2, 2))), [0, 5])
 
@@ -213,37 +214,20 @@ class TestElementwiseGrads:
             tp.backward(out)
         assert np.array_equal(x.grad, [[0, 0], [3, 3], [0, 0]])
 
-    def test_concat_masked(self):
+    def test_concat_rows(self):
         rng = np.random.default_rng(11)
         check(lambda a, b: ad.sum_all(ad.concat_rows(a, b)),
               rng.normal(size=(2, 3)), rng.normal(size=(4, 3)))
-        keep = np.array([True, False, True])
-        out = ad.masked_keep(ad.tensor([1.0, 2.0, 3.0]), keep)
-        assert out.data[1] == ad.NEG_FILL
-        # masked entries vanish under exp, so the loss ignores them exactly
-        check(lambda x: ad.logsumexp_all(ad.masked_keep(x, keep)),
-              rng.normal(size=3), tol=1e-4)
 
-    def test_logsumexp_all(self):
-        rng = np.random.default_rng(12)
-        check(lambda x: ad.logsumexp_all(x), rng.normal(size=(3, 4)))
-        x = np.array([0.0, np.log(3.0)])
-        assert np.isclose(float(ad.logsumexp_all(ad.tensor(x)).data), np.log(4.0))
-
-    def test_shifted_logsumexp3(self):
+    def test_lattice_nll(self):
         rng = np.random.default_rng(13)
-        allow = np.array([False, False, True, False, True])
-
-        def f(x):
-            return ad.sum_all(ad.shifted_logsumexp3(x, allow))
-
-        check(f, rng.normal(size=5))
-        # position 0 has no predecessors: out[0] == x[0]
-        x = rng.normal(size=5)
-        out = ad.shifted_logsumexp3(ad.tensor(x), allow)
-        assert np.isclose(out.data[0], x[0])
-        assert np.isclose(out.data[1], np.logaddexp(x[1], x[0]))
-        assert np.isclose(out.data[2], np.logaddexp(np.logaddexp(x[2], x[1]), x[0]))
+        states = [0, 1, 0, 2, 0, 2, 0]
+        allow = [False, False, False, True, False, False, False]
+        check(lambda x: ad.lattice_nll(x, states, allow), rng.normal(size=(6, 3)), tol=1e-4)
+        # One frame and one token: the only path emits the token once.
+        x = rng.normal(size=(1, 3))
+        out = ad.lattice_nll(ad.tensor(x), [0, 1, 0], [False, False, False])
+        assert float(out.data) == -x[0, 1]
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(14)

@@ -10,7 +10,7 @@ from skiprec import autodiff as ad
 from skiprec import ctc
 from skiprec.encoder import EncodedSequence
 from skiprec.errors import (ContractError, DimensionError,
-                            InfeasibleAlignmentError, ParameterError)
+                            InfeasibleAlignmentError, NumericError, ParameterError)
 
 
 def log_softmax(logits):
@@ -330,3 +330,168 @@ class TestPrefixBeamAgainstReference:
     def test_zero_frames_give_the_empty_prefix(self):
         grid = ctc.PosteriorGrid(log_probs=ad.Tensor(np.zeros((0, 3))))
         assert ctc.prefix_beam_search(grid, 4) == [((), 0.0)]
+
+
+# The composed loss that ``autodiff.lattice_nll`` replaced: per-frame tape
+# ops for the start mask, the emission gather and the lattice step.
+
+def _ref_gather_cells(x, rows, cols):
+    out = ad.Tensor(x.data[rows, cols])
+
+    def bwd():
+        if out.grad is not None:
+            gx = np.zeros_like(x.data)
+            np.add.at(gx, (rows, cols), out.grad)
+            ad._accum(x, gx)
+
+    ad._record(bwd)
+    return out
+
+
+def _ref_masked_keep(x, keep):
+    filled = x.data.copy()
+    filled[~keep] = ad.NEG_FILL
+    out = ad._make(filled, "masked_keep")
+
+    def bwd():
+        if out.grad is not None:
+            ad._accum(x, out.grad * keep)
+
+    ad._record(bwd)
+    return out
+
+
+def _ref_shifted_logsumexp3(x, allow_skip):
+    n = x.data.shape[0]
+    fill = np.full(2, ad.NEG_FILL, dtype=x.data.dtype)
+    b0 = x.data
+    b1 = np.concatenate([fill[:1], x.data[:-1]])
+    b2 = np.concatenate([fill, x.data[:-2]]) if n >= 2 else np.full(n, ad.NEG_FILL, x.data.dtype)
+    b2[~allow_skip] = ad.NEG_FILL
+    m = np.maximum(np.maximum(b0, b1), b2)
+    out = ad._make(m + np.log(np.exp(b0 - m) + np.exp(b1 - m) + np.exp(b2 - m)), "step")
+
+    def bwd():
+        g = out.grad
+        if g is not None:
+            gx = g * np.exp(b0 - out.data)
+            gx[:-1] += (g * np.exp(b1 - out.data))[1:]
+            if n >= 2:
+                gx[:-2] += (g * np.exp(b2 - out.data) * allow_skip)[2:]
+            ad._accum(x, gx)
+
+    ad._record(bwd)
+    return out
+
+
+def _ref_logsumexp_all(x):
+    m = float(x.data.max())
+    out = ad._make(np.asarray(m + np.log(np.exp(x.data - m).sum())), "logsumexp_all")
+
+    def bwd():
+        if out.grad is not None:
+            ad._accum(x, out.grad * np.exp(x.data - out.data))
+
+    ad._record(bwd)
+    return out
+
+
+def composed_ctc_loss_reference(grid, tokens):
+    """The CTC loss as 3T + 2 tape ops, as it was before the fused op."""
+    lp = grid.log_probs
+    ext = np.empty(2 * len(tokens) + 1, dtype=np.int64)
+    ext[0::2] = ctc.BLANK_ID
+    ext[1::2] = tokens
+    s = ext.shape[0]
+    allow_skip = np.zeros(s, dtype=bool)
+    if s >= 3:
+        allow_skip[2:] = (ext[2:] != ctc.BLANK_ID) & (ext[2:] != ext[:-2])
+    alpha = _ref_masked_keep(_ref_gather_cells(lp, np.zeros(s, dtype=np.int64), ext),
+                             np.arange(s) < 2)
+    for t in range(1, lp.data.shape[0]):
+        emit = _ref_gather_cells(lp, np.full(s, t, dtype=np.int64), ext)
+        alpha = ad.add(_ref_shifted_logsumexp3(alpha, allow_skip), emit)
+    final_states = [s - 1] if s == 1 else [s - 2, s - 1]
+    return ad.scale(_ref_logsumexp_all(ad.gather_rows(alpha, final_states)), -1.0)
+
+
+def loss_and_grads(loss_fn, logits, tokens, extra=None):
+    """Loss value and the log-prob and logits gradients of one tape pass.
+
+    With ``extra``, a second term reads the log probs after the loss, so the
+    loss's backward adds into a gradient that is already there.
+    """
+    x = ad.tensor(logits, dtype=logits.dtype)
+    with ad.tape() as tp:
+        grid = ctc.PosteriorGrid(log_probs=ad.log_softmax_rows(x))
+        loss = loss_fn(grid, tokens)
+        root = ad.scale(loss, 0.7)
+        if extra is not None:
+            root = ad.add(root, ad.sum_all(ad.mul_const(grid.log_probs, extra)))
+        tp.backward(root)
+    return loss.data, grid.log_probs.grad, x.grad
+
+
+def random_lattice_case(rng, dtype):
+    vocab = int(rng.choice([2, 3, 5, 20, 200]))
+    n_tokens = int(rng.integers(0, 7))
+    tokens = [int(t) for t in rng.integers(1, vocab, size=n_tokens)]
+    if n_tokens > 1 and rng.random() < 0.3:
+        tokens[1:] = [tokens[0]] * (n_tokens - 1)  # repeats force blanks
+    need = max(ctc.min_frames(tokens), 1)
+    n_frames = need + int(rng.choice([0, 0, 1, int(rng.integers(0, 30))]))
+    logits = rng.normal(size=(n_frames, vocab)) * float(rng.choice([1.0, 4.0]))
+    heavy = rng.random(n_frames) < float(rng.choice([0.0, 0.5, 0.9]))
+    logits[heavy, ctc.BLANK_ID] += 8.0
+    extra = rng.normal(size=logits.shape).astype(dtype) if rng.random() < 0.3 else None
+    return logits.astype(dtype), tokens, extra
+
+
+class TestLatticeOpAgainstComposedReference:
+    """The fused lattice op is bit-identical to the composed per-frame ops."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_identical_on_random_grids(self, dtype):
+        rng = np.random.default_rng(60 + (dtype == np.float32))
+        for _ in range(1100):
+            logits, tokens, extra = random_lattice_case(rng, dtype)
+            got = loss_and_grads(ctc.ctc_loss, logits, tokens, extra)
+            want = loss_and_grads(composed_ctc_loss_reference, logits, tokens, extra)
+            assert got[0] == want[0] and got[0].dtype == want[0].dtype
+            for have, ref in zip(got[1:], want[1:]):
+                assert have.dtype == ref.dtype and np.array_equal(have, ref)
+
+    @pytest.mark.parametrize("n_frames,tokens", [
+        (1, []), (1, [1]), (3, [1, 1]), (5, [2, 2, 2]), (5, [1, 2, 2, 3]), (4, []),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_identical_at_the_edges(self, n_frames, tokens, dtype):
+        rng = np.random.default_rng(n_frames)
+        for logits in (rng.normal(size=(n_frames, 4)), np.zeros((n_frames, 4))):
+            logits = logits.astype(dtype)
+            logits[:, ctc.BLANK_ID] += 20.0
+            got = loss_and_grads(ctc.ctc_loss, logits, tokens)
+            want = loss_and_grads(composed_ctc_loss_reference, logits, tokens)
+            assert got[0] == want[0]
+            assert all(np.array_equal(h, r) for h, r in zip(got[1:], want[1:]))
+
+    def test_is_one_tape_entry(self):
+        grid = uniform_grid(9, 5)
+        with ad.tape() as tp:
+            ctc.ctc_loss(grid, [1, 2, 2])
+        assert len(tp) == 1
+
+    def test_rejects_malformed_lattices(self):
+        lp = ad.tensor(np.log(np.full((3, 4), 0.25)))
+        for states, skips in [([], []), ([0, 4, 0], [0, 0, 0]), ([0, 1], [0, 0, 0]),
+                              ([[0, 1, 0]], [[0, 0, 0]])]:
+            with pytest.raises(DimensionError):
+                ad.lattice_nll(lp, states, skips)
+
+    def test_non_finite_log_probs_on_the_path_raise(self):
+        lp = np.log(np.full((3, 4), 0.25))
+        lp[:, 3] = -np.inf  # class 3 is off the path, so the op never reads it
+        ad.lattice_nll(ad.tensor(lp), [0, 2, 0], [False, False, False])
+        lp[1, 2] = np.nan
+        with pytest.raises(NumericError):
+            ad.lattice_nll(ad.tensor(lp), [0, 2, 0], [False, False, False])

@@ -54,6 +54,24 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             fileio.load_checkpoint(path)
 
+    def test_invalid_utf8_name_reports_offset(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        fileio.save_checkpoint(path, {"w": np.ones(2), "ab": np.ones(2)})
+        blob = path.read_bytes()
+        at = blob.index(b"ab")
+        path.write_bytes(blob.replace(b"ab", b"\xff\xfe"))
+        with pytest.raises(FormatError, match=f"tensor name at byte {at} is not valid UTF-8"):
+            fileio.load_checkpoint(path)
+
+    def test_repeated_name_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        fileio.save_checkpoint(path, {"aa": np.ones(2), "ab": np.zeros(2)})
+        blob = path.read_bytes()
+        at = blob.index(b"ab")
+        path.write_bytes(blob.replace(b"ab", b"aa"))
+        with pytest.raises(FormatError, match=f"duplicate tensor name 'aa' at byte {at}"):
+            fileio.load_checkpoint(path)
+
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "last.ckpt"
         fileio.save_checkpoint(path, {"w": np.ones((4, 4))})
@@ -132,6 +150,16 @@ class TestFeatures:
         assert "byte" in str(e.value)
 
 
+    def test_invalid_utf8_id_reports_offset(self, tmp_path):
+        path = tmp_path / "features.bin"
+        fileio.write_features(path, [("u0", np.ones((4, 3))), ("u1", np.ones((4, 3)))])
+        blob = path.read_bytes()
+        at = blob.index(b"u1")
+        path.write_bytes(blob.replace(b"u1", b"u\x81"))
+        with pytest.raises(FormatError, match=f"utterance id at byte {at} is not valid UTF-8"):
+            fileio.read_features(path)
+
+
 class TestTranscripts:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "transcripts.tsv"
@@ -161,3 +189,14 @@ class TestTranscripts:
         path.write_text("u0 1 2\n", encoding="utf-8")
         with pytest.raises(FormatError):
             fileio.read_transcripts(path)
+
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "transcripts.tsv"
+        path.write_bytes(b"u0\t1 2\nu\xff1\t3\n")
+        with pytest.raises(FormatError, match="line 2 is not valid UTF-8"):
+            fileio.read_transcripts(path)
+
+    def test_crlf_line_ends_read_as_text(self, tmp_path):
+        path = tmp_path / "transcripts.tsv"
+        path.write_bytes(b"u0\t1 2\r\nu1\t\r\nu2\t3\r")
+        assert fileio.read_transcripts(path) == {"u0": [1, 2], "u1": [], "u2": [3]}

@@ -186,25 +186,34 @@ class TestTrainRun:
     def test_resume_equals_an_uninterrupted_run(self, tiny_corpus, tmp_path):
         fp, tp = tiny_corpus
 
-        def cfg(epochs):
+        def cfg(epochs, peak_lr, seed):
             return dataclasses.replace(
                 TINY_CFG, model=dataclasses.replace(TINY_CFG.model, dropout=0.3),
-                training=dataclasses.replace(TINY_CFG.training, epochs=epochs, eval_every=1))
+                optimizer=dataclasses.replace(TINY_CFG.optimizer, peak_lr=peak_lr),
+                training=dataclasses.replace(TINY_CFG.training, epochs=epochs, eval_every=1,
+                                             seed=seed))
 
-        whole = train_mod.train_run(cfg(3), fp, tp, tmp_path / "whole")
-        first = train_mod.train_run(cfg(2), fp, tp, tmp_path / "split")
-        more = train_mod.train_run(cfg(1), fp, tp, tmp_path / "split",
-                                   resume_path=first.last_checkpoint)
-        assert more.steps == whole.steps == 6
-        want = fileio.load_checkpoint(whole.last_checkpoint)
-        got = fileio.load_checkpoint(more.last_checkpoint)
-        assert sorted(got) == sorted(want)
-        for name, arr in want.items():
-            assert np.array_equal(got[name], arr), name
-        assert int(got["trainer.epoch"]) == 3
-        records = more.metrics_path.read_text().splitlines()
-        assert [json.loads(r)["epoch"] for r in records] == [1, 2, 3]
-        assert records == whole.metrics_path.read_text().splitlines()
+        # The second run's eval errors go 1.0, 1.0, 0.75, 0.75, 1.0, 1.0: its
+        # best model comes before the split and only worse ones follow it.
+        for epochs, split, peak_lr, seed in [(3, 2, 1e-3, 0), (6, 4, 3e-2, 1)]:
+            run = tmp_path / f"{epochs}-{split}"
+            whole = train_mod.train_run(cfg(epochs, peak_lr, seed), fp, tp, run / "whole")
+            first = train_mod.train_run(cfg(split, peak_lr, seed), fp, tp, run / "split")
+            more = train_mod.train_run(cfg(epochs - split, peak_lr, seed), fp, tp,
+                                       run / "split", resume_path=first.last_checkpoint)
+            assert more.steps == whole.steps == 2 * epochs
+            want = fileio.load_checkpoint(whole.last_checkpoint)
+            got = fileio.load_checkpoint(more.last_checkpoint)
+            assert sorted(got) == sorted(want)
+            for name, arr in want.items():
+                assert np.array_equal(got[name], arr), name
+            assert int(got["trainer.epoch"]) == epochs
+            records = more.metrics_path.read_text().splitlines()
+            assert [json.loads(r)["epoch"] for r in records] == list(range(1, epochs + 1))
+            assert records == whole.metrics_path.read_text().splitlines()
+            assert more.best_checkpoint.read_bytes() == whole.best_checkpoint.read_bytes()
+            assert more.best_error_rate == whole.best_error_rate
+            assert float(got["trainer.best_error"]) == whole.best_error_rate
 
     def test_identical_runs_write_identical_logs(self, tiny_corpus, tmp_path):
         fp, tp = tiny_corpus

@@ -12,9 +12,9 @@ from skiprec import encoder as enc_mod
 from skiprec import model as model_mod
 from skiprec.config import LossConfig, ModelConfig
 from skiprec.encoder import EncodedSequence
-from skiprec.errors import ConfigError, ContractError
+from skiprec.errors import ConfigError, ContractError, InfeasibleAlignmentError
 from skiprec.evaluate import evaluate_corpus
-from skiprec.frontend import FeatureSequence
+from skiprec.frontend import MIN_INPUT_FRAMES, FeatureSequence
 
 TOY = ModelConfig(d_model=8, heads=2, e1_blocks=1, e2_blocks=1,
                   kernel_e1=3, kernel_e2=3, ffn_multiple=2,
@@ -94,7 +94,8 @@ class TestRecover:
         def loss(*_):
             sa = EncodedSequence(frames=a, orig_index=np.array([1, 3]))
             sb = EncodedSequence(frames=b, orig_index=np.array([0, 2, 4]))
-            return ad.logsumexp_all(model_mod.recover(sa, sb).frames)
+            frames = model_mod.recover(sa, sb).frames
+            return ad.sum_all(ad.mul(frames, frames))
 
         assert ad.grad_check(loss, [a, b]) <= 1e-5
 
@@ -431,6 +432,30 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ConfigError):
             model_mod.load_params_from_tensors(model_mod.init_model(0, TOY), tensors,
                                                restore_moments=True)
+
+
+class TestShortestInput:
+    """An utterance of exactly MIN_INPUT_FRAMES subsamples to a single frame."""
+
+    def test_one_token_trains_on_a_one_frame_lattice(self):
+        params = model_mod.init_model(11, TOY)
+        feats = toy_feats(np.random.default_rng(40), MIN_INPUT_FRAMES)
+        with ad.tape() as tp:
+            trace = model_mod.forward_utterance(feats, params, TOY, LossConfig(), target=[1])
+            loss = model_mod.total_loss(trace, [1], params, TOY, LossConfig())
+            tp.backward(loss)
+        assert trace.subsampled_len == 1 and trace.final_grid.length == 1
+        assert np.isfinite(float(loss.data))
+        for name, p in model_mod.named_parameters(params):
+            assert p.grad is not None and np.all(np.isfinite(p.grad)), name
+        assert np.any(params.inter_head.w.grad) and np.any(params.final_head.w.grad)
+
+    def test_a_target_longer_than_one_frame_is_infeasible(self):
+        params = model_mod.init_model(11, TOY)
+        feats = toy_feats(np.random.default_rng(40), MIN_INPUT_FRAMES)
+        trace = model_mod.forward_utterance(feats, params, TOY, LossConfig(), target=[1, 2])
+        with pytest.raises(InfeasibleAlignmentError):
+            model_mod.total_loss(trace, [1, 2], params, TOY, LossConfig())
 
 
 class TestEndToEndGradient:
