@@ -6,12 +6,16 @@ appends a closure that routes the output gradient back to its inputs;
 is a valid topological order by construction.
 
 The op set is what the model needs: add, scale and constant add/multiply,
-reshape and permute, gather/concat by row index, affine, strided 2-D
+reshape and permute, gather/concat/split by row index, affine, strided 2-D
 convolution, depthwise 1-D convolution, attention, log-softmax, layer norm,
 swish, GLU, cross-entropy, and the CTC lattice's negative log-likelihood
 as one op. ``tensor``, ``mul``, ``sum_all`` and ``grad_check`` serve the
 tests; the model calls every other op. Nothing more general is provided on
 purpose.
+
+Several sequences can run as one: their rows are packed one after another
+and the ops that mix rows (attention, the depthwise conv, the cross-entropy
+mean) take the sequence lengths. A single sequence takes no padding copy.
 
 Ops keep the dtype of their operands: scalar constants are Python floats,
 so float32 inputs stay float32. Attention runs as head-batched matmuls and
@@ -44,7 +48,13 @@ class Tensor:
     __slots__ = ("data", "grad")
 
     def __init__(self, data) -> None:
-        self.data = np.asarray(data, dtype=np.float64) if not isinstance(data, np.ndarray) else data
+        # A ufunc on a 0-d array returns a numpy scalar; keep its dtype, so a
+        # float32 scalar loss stays float32. Python numbers become float64.
+        if isinstance(data, np.generic):
+            data = np.asarray(data)
+        elif not isinstance(data, np.ndarray):
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
 
     @property
@@ -61,21 +71,29 @@ def tensor(data, dtype=None) -> Tensor:
 
 
 class Tape:
-    """Execution-ordered record of backward closures."""
+    """Execution-ordered record of backward closures.
+
+    ``len`` counts the ops recorded, those already replayed included.
+    """
 
     def __init__(self) -> None:
         self._entries: list[Callable[[], None]] = []
+        self._replayed = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + self._replayed
 
     def backward(self, root: Tensor) -> None:
         # Gradients seed at 1 for the scalar root and flow in reverse order.
+        # Each closure is dropped once replayed, and with it the arrays that
+        # only its op's backward needed.
         if root.data.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.data.shape}")
         root.grad = np.ones_like(root.data)
-        for entry in reversed(self._entries):
-            entry()
+        entries = self._entries
+        while entries:
+            entries.pop()()
+            self._replayed += 1
 
 
 _TAPE: Tape | None = None
@@ -129,6 +147,54 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     out += 1.0
     out *= 0.5
     return out
+
+
+# ---------------------------------------------------------------------------
+# packed sequences
+# ---------------------------------------------------------------------------
+
+def _packed_lengths(lengths, total: int, what: str) -> np.ndarray:
+    """Validated int64 lengths of the sequences packed in ``total`` rows.
+
+    ``None`` means one sequence of all the rows.
+    """
+    if lengths is None:
+        return np.array([total], dtype=np.int64)
+    out = np.asarray(lengths, dtype=np.int64)
+    if out.ndim != 1 or out.size == 0 or np.any(out < 0) or out.sum() != total:
+        raise DimensionError(f"{what}: lengths {np.asarray(lengths).tolist()} "
+                             f"must split {total} rows")
+    return out
+
+
+def _padded_rows(lengths: np.ndarray) -> np.ndarray | None:
+    """Row of each packed row in a (sequences x longest) padded layout.
+
+    None for one sequence, whose packed rows are already its padded rows.
+    """
+    if lengths.size == 1:
+        return None
+    seq = np.repeat(np.arange(lengths.size), lengths)
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) - starts[seq] + seq * lengths.max()
+
+
+def _to_padded(a: np.ndarray, lengths: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """(sum of lengths, D) packed rows as (sequences, longest, D), zero-padded.
+
+    One sequence is reshaped, not copied.
+    """
+    if rows is None:
+        return a.reshape(1, *a.shape)
+    out = np.zeros((lengths.size * int(lengths.max()), a.shape[1]), dtype=a.dtype)
+    out[rows] = a
+    return out.reshape(lengths.size, -1, a.shape[1])
+
+
+def _from_padded(a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """The packed rows of a (sequences, longest, D) array."""
+    flat = a.reshape(-1, a.shape[-1])
+    return flat if rows is None else flat[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +329,45 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return out
 
 
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != b.data.ndim:
-        raise DimensionError(f"concat_rows rank mismatch {a.data.shape} vs {b.data.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=0))
-    na = a.data.shape[0]
+def concat_rows(*parts: Tensor) -> Tensor:
+    """Stack tensors along axis 0; a single part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts or len({p.data.ndim for p in parts}) != 1:
+        raise DimensionError(f"concat_rows needs parts of one rank, got "
+                             f"{[p.data.shape for p in parts]}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
+    ends = np.cumsum([p.data.shape[0] for p in parts])[:-1]
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        _accum(a, g[:na])
-        _accum(b, g[na:])
+        for p, gp in zip(parts, np.split(g, ends)):
+            _accum(p, gp)
 
     _record(bwd)
     return out
+
+
+def split_rows(x: Tensor, lengths) -> list[Tensor]:
+    """Cut a packed tensor into its consecutive row blocks of the given lengths.
+
+    Each block is a view of ``x``. The backward stacks the blocks'
+    gradients, zeros for a block that got none, into one array for ``x``.
+    """
+    lengths = _packed_lengths(lengths, x.data.shape[0], "split_rows")
+    parts = [Tensor(a) for a in np.split(x.data, np.cumsum(lengths)[:-1])]
+
+    def bwd():
+        grads = [p.grad for p in parts]
+        if all(g is None for g in grads):
+            return
+        _accum(x, np.concatenate([np.zeros_like(p.data) if g is None else g
+                                  for p, g in zip(parts, grads)]))
+
+    _record(bwd)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +393,16 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def swish(x: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
-    s = _sigmoid(x.data)
-    out = _make(x.data * s, "swish")
+    """x * sigmoid(x).
+
+    The backward recomputes the sigmoid from the input, so the tape holds no
+    array of its own for this op.
+    """
+    out = _make(x.data * _sigmoid(x.data), "swish")
 
     def bwd():
         if out.grad is not None:
+            s = _sigmoid(x.data)
             _accum(x, out.grad * (s * (1.0 + x.data * (1.0 - s))))
 
     _record(bwd)
@@ -316,18 +410,21 @@ def swish(x: Tensor) -> Tensor:
 
 
 def glu_halves(x: Tensor) -> Tensor:
-    """Gated linear unit over column halves: a * sigmoid(b) for x = [a | b]."""
+    """Gated linear unit over column halves: a * sigmoid(b) for x = [a | b].
+
+    Like ``swish``, the backward recomputes the sigmoid from the input.
+    """
     if x.data.ndim != 2 or x.data.shape[1] % 2:
         raise DimensionError(f"glu_halves needs an even column count, got {x.data.shape}")
     d = x.data.shape[1] // 2
     a, b = x.data[:, :d], x.data[:, d:]
-    s = _sigmoid(b)
-    out = _make(a * s, "glu_halves")
+    out = _make(a * _sigmoid(b), "glu_halves")
 
     def bwd():
         g = out.grad
         if g is None:
             return
+        s = _sigmoid(b)
         gx = np.concatenate([g * s, g * a * s * (1.0 - s)], axis=1)
         _accum(x, gx)
 
@@ -336,7 +433,11 @@ def glu_halves(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then scale and shift."""
+    """Normalize each row to zero mean / unit variance, then scale and shift.
+
+    The backward recomputes the normalized rows from the input and the
+    per-row mean and scale, so the tape keeps no (L, D) array of its own.
+    """
     if eps <= 0:
         raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) or bias.data.shape != (x.data.shape[1],):
@@ -345,13 +446,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = _make(xhat * gain.data + bias.data, "layer_norm")
+    out = _make(xc * inv * gain.data + bias.data, "layer_norm")
 
     def bwd():
         g = out.grad
         if g is None:
             return
+        xhat = (x.data - mu) * inv
         _accum(gain, (g * xhat).sum(axis=0))
         _accum(bias, g.sum(axis=0))
         gh = g * gain.data
@@ -381,8 +482,12 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     return out
 
 
-def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of integer targets under row softmax."""
+def cross_entropy_mean(logits: Tensor, targets, lengths=None) -> Tensor:
+    """Mean negative log-likelihood of integer targets under row softmax.
+
+    With ``lengths`` the rows pack consecutive sequences, and the result is
+    the sum over the sequences of each one's mean.
+    """
     targets = np.asarray(targets, dtype=np.int64)
     n, v = logits.data.shape
     if targets.shape != (n,):
@@ -391,10 +496,16 @@ def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
         raise DimensionError("cross_entropy_mean needs at least one row")
     if targets.min() < 0 or targets.max() >= v:
         raise DimensionError(f"target id out of range for {v} classes")
+    lengths = _packed_lengths(lengths, n, "cross_entropy_mean")
+    if np.any(lengths == 0):
+        raise DimensionError("cross_entropy_mean needs at least one row per sequence")
     m = logits.data.max(axis=1, keepdims=True)
     lse = (np.log(np.exp(logits.data - m).sum(axis=1, keepdims=True)) + m)[:, 0]
     picked = logits.data[np.arange(n), targets]
-    out = _make(np.asarray((lse - picked).mean()), "cross_entropy_mean")
+    nll = lse - picked
+    out = _make(np.asarray(np.sum([part.mean() for part in
+                                   np.split(nll, np.cumsum(lengths)[:-1])])),
+                "cross_entropy_mean")
 
     def bwd():
         g = out.grad
@@ -402,7 +513,7 @@ def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
             return
         sm = np.exp(logits.data - lse[:, None])
         sm[np.arange(n), targets] -= 1.0
-        _accum(logits, sm * (g / n))
+        _accum(logits, sm * np.repeat(g / lengths.astype(sm.dtype), lengths)[:, None])
 
     _record(bwd)
     return out
@@ -509,10 +620,12 @@ def conv2d_s2(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
     """Per-channel 1-D convolution along rows with same-length zero padding.
 
-    x: (L, D), w: (K, D) with K odd, b: (D,).
+    x: (L, D), w: (K, D) with K odd, b: (D,). ``lengths`` lists the lengths
+    of consecutive packed sequences (None: one sequence); each is
+    zero-padded at its own ends, so no window reaches into a neighbour.
     """
     if x.data.ndim != 2:
         raise DimensionError(f"depthwise_conv1d needs (L, D), got {x.data.shape}")
@@ -523,20 +636,40 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if k % 2 == 0:
         raise ParameterError(f"depthwise kernel must be odd, got {k}")
     pad = (k - 1) // 2
-    xp = np.pad(x.data, ((pad, pad), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (L, D, K)
-    out = _make(np.einsum("tdk,kd->td", win, w.data) + b.data, "depthwise_conv1d")
+    lengths = _packed_lengths(lengths, L, "depthwise_conv1d")
+    # One shared run of ``pad`` zeros between neighbours pads both; the
+    # window of packed row r of sequence s starts at padded row r + pad*s.
+    sel = None if lengths.size == 1 else \
+        np.arange(L) + pad * np.repeat(np.arange(lengths.size), lengths)
+    n_win = L + pad * (lengths.size - 1)
+
+    def windows() -> np.ndarray:
+        """(n_win, D, K) view of the zero-padded rows; the backward rebuilds it."""
+        if sel is None:
+            xp = np.pad(x.data, ((pad, pad), (0, 0)))
+        else:
+            xp = np.zeros((n_win + 2 * pad, d), dtype=x.data.dtype)
+            xp[sel + pad] = x.data
+        return np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)
+
+    full = np.einsum("tdk,kd->td", windows(), w.data)
+    out = _make((full if sel is None else full[sel]) + b.data, "depthwise_conv1d")
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        _accum(w, np.einsum("tdk,td->kd", win, g))
+        if sel is None:
+            gw = g
+        else:
+            gw = np.zeros((n_win, d), dtype=g.dtype)
+            gw[sel] = g
+        _accum(w, np.einsum("tdk,td->kd", windows(), gw))
         _accum(b, g.sum(axis=0))
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((n_win + 2 * pad, d), dtype=x.data.dtype)
         for kk in range(k):
-            gxp[kk:kk + L] += g * w.data[kk]
-        _accum(x, gxp[pad:pad + L])
+            gxp[kk:kk + n_win] += gw * w.data[kk]
+        _accum(x, gxp[pad:pad + L] if sel is None else gxp[sel + pad])
 
     _record(bwd)
     return out
@@ -546,16 +679,19 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # attention
 # ---------------------------------------------------------------------------
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                   causal: bool = False, segments=None) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention over column-split heads.
+def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool = False,
+                   q_lengths=None, k_lengths=None) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention over column-split heads and packed sequences.
 
-    q: (Lq, D), k/v: (Lk, D); returns the (Lq, D) context and the raw
-    attention weights (H, Lq, Lk) for inspection. Hidden keys get exactly
-    zero weight. ``causal`` requires Lq == Lk and hides keys right of the
-    query position. ``segments`` lists the lengths of consecutive packed
-    sequences, summing to Lq == Lk; a query then sees only the keys of its
-    own sequence, so the scores are block-diagonal.
+    q: (Lq, D), k/v: (Lk, D) pack consecutive sequences of ``q_lengths`` and
+    ``k_lengths`` rows (None: one sequence). There is one key sequence per
+    query sequence, or a single one that every query sequence attends to.
+    The sequences run as one padded (B, H, Lq_max, Lk_max) batched matmul;
+    padded keys and, with ``causal`` (square sequences only), keys right of
+    the query position get exactly zero weight. Returns the packed (Lq, D)
+    context and the raw weights for inspection: (H, Lq, Lk) for one query
+    sequence, else padded (B, H, Lq_max, Lk_max). One sequence on each side
+    is reshaped, never copied into a padded layout.
     """
     lq, d = q.data.shape
     lk, dk = k.data.shape
@@ -563,53 +699,69 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         raise DimensionError(f"attention q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
     if d % n_heads:
         raise DimensionError(f"model width {d} not divisible by {n_heads} heads")
-    if causal and lq != lk:
-        raise DimensionError(f"causal attention needs square scores, got {lq}x{lk}")
-    if segments is not None:
-        segments = np.asarray(segments, dtype=np.int64)
-        if lq != lk or segments.ndim != 1 or np.any(segments < 0) or segments.sum() != lq:
-            raise DimensionError(f"segments {segments.tolist()} must split {lq}x{lk} scores")
+    q_len = _packed_lengths(q_lengths, lq, "attention queries")
+    k_len = _packed_lengths(k_lengths, lk, "attention keys")
+    nq, nk = q_len.size, k_len.size
+    if nk not in (1, nq) or np.any(k_len == 0):
+        raise DimensionError(f"attention needs one non-empty key sequence per query sequence "
+                             f"or one shared, got key lengths {k_len.tolist()} for "
+                             f"{nq} query sequences")
+    if causal and (nk != nq or np.any(q_len != k_len)):
+        raise DimensionError(f"causal attention needs square scores, got query lengths "
+                             f"{q_len.tolist()} and key lengths {k_len.tolist()}")
     dh = d // n_heads
     # A Python float keeps float32 scores float32; an np.float64 would promote.
     inv = 1.0 / math.sqrt(dh)
-    # (H, L, dh) views of the column-split heads; every product below is a
-    # head-batched matmul, which reaches BLAS where einsum does not.
-    qh = q.data.reshape(lq, n_heads, dh).transpose(1, 0, 2)
-    kh = k.data.reshape(lk, n_heads, dh).transpose(1, 0, 2)
-    vh = v.data.reshape(lk, n_heads, dh).transpose(1, 0, 2)
-    scores = qh @ kh.transpose(0, 2, 1)
+    q_rows, k_rows = _padded_rows(q_len), _padded_rows(k_len)
+
+    def heads(a, lengths, rows):   # (B, H, L_max, dh) from packed (L, D)
+        return _to_padded(a, lengths, rows).reshape(
+            lengths.size, -1, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def packed(a, rows):           # packed (L, D) from (B, H, L_max, dh)
+        return _from_padded(a.transpose(0, 2, 1, 3).reshape(a.shape[0], -1, d), rows)
+
+    # Every product below is a batched matmul, which reaches BLAS where
+    # einsum does not.
+    scores = heads(q.data, q_len, q_rows) @ heads(k.data, k_len, k_rows).transpose(0, 1, 3, 2)
     scores *= inv
     if causal:
-        hidden = ~np.tril(np.ones((lq, lk), dtype=bool))
-        scores[:, hidden] = NEG_FILL
-    if segments is not None:
-        seq = np.repeat(np.arange(segments.size), segments)
-        scores[:, seq[:, None] != seq[None, :]] = NEG_FILL
-    scores -= scores.max(axis=2, keepdims=True)
+        hidden = ~np.tril(np.ones(scores.shape[2:], dtype=bool))
+        scores[:, :, hidden] = NEG_FILL
+    if k_rows is not None:
+        padding = np.arange(scores.shape[3]) >= k_len[:, None]
+        np.copyto(scores, NEG_FILL, where=padding[:, None, None, :])
+    scores -= scores.max(axis=3, keepdims=True)
     weights = np.exp(scores, out=scores)
-    weights /= weights.sum(axis=2, keepdims=True)
-    ctx = (weights @ vh).transpose(1, 0, 2).reshape(lq, d)
-    out = _make(ctx, "attention_core")
+    weights /= weights.sum(axis=3, keepdims=True)
+    out = _make(packed(weights @ heads(v.data, k_len, k_rows), q_rows), "attention_core")
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        gr = g.reshape(lq, n_heads, dh).transpose(1, 0, 2)
-        gv = weights.transpose(0, 2, 1) @ gr
-        gs = gr @ vh.transpose(0, 2, 1)
-        gs -= (gs * weights).sum(axis=2, keepdims=True)
+        # Padded heads are rebuilt rather than kept; one sequence's are views.
+        qh = heads(q.data, q_len, q_rows)
+        kh = heads(k.data, k_len, k_rows)
+        vh = heads(v.data, k_len, k_rows)
+        gr = heads(g, q_len, q_rows)
+        gv = weights.transpose(0, 1, 3, 2) @ gr
+        gs = gr @ vh.transpose(0, 1, 3, 2)
+        gs -= (gs * weights).sum(axis=3, keepdims=True)
         gs *= weights
         gq = gs @ kh
         gq *= inv
-        gk = gs.transpose(0, 2, 1) @ qh
+        gk = gs.transpose(0, 1, 3, 2) @ qh
         gk *= inv
-        _accum(q, gq.transpose(1, 0, 2).reshape(lq, d))
-        _accum(k, gk.transpose(1, 0, 2).reshape(lk, d))
-        _accum(v, gv.transpose(1, 0, 2).reshape(lk, d))
+        if nk < nq:   # the shared keys gather every query sequence's gradient
+            gk = gk.sum(axis=0, keepdims=True)
+            gv = gv.sum(axis=0, keepdims=True)
+        _accum(q, packed(gq, q_rows))
+        _accum(k, packed(gk, k_rows))
+        _accum(v, packed(gv, k_rows))
 
     _record(bwd)
-    return out, weights
+    return out, weights[0] if nq == 1 else weights
 
 
 # ---------------------------------------------------------------------------

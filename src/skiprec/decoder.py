@@ -6,9 +6,12 @@ never a decoder target. Blocks are pre-norm: causal self-attention, cross
 attention over encoder frames, then a swish feed-forward, each residual.
 
 The decoder runs a list of input sequences as one packed (sum of lengths, D)
-batch. Self-attention is causal inside each sequence and blind across them,
-so the teacher-forced loss (one sequence) and rescoring (every beam
-hypothesis in a single pass) share one code path.
+batch. Self-attention is causal inside each sequence and blind across them.
+Cross attention reads one encoder memory per input sequence, packed in the
+same order, or one memory that they all share. So the teacher-forced loss
+(every utterance of a training batch, each over its own memory) and
+rescoring (every beam hypothesis of one utterance over its memory) share one
+code path.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .encoder import (AttentionParams, Dropout, EncodedSequence, FeedForwardParams,
                       NormParams, _dropout, _ffn_branch, _init_ffn, _init_norm, _norm,
-                      init_attention, positional_table)
+                      init_attention, packed_positions)
 from .errors import EmptySequenceError, ParameterError
 from .ctc import check_tokens
 
@@ -80,12 +83,13 @@ def init_decoder(rng: np.random.Generator, d_model: int, heads: int, depth: int,
     )
 
 
-def _cross_attention(x: Tensor, enc: Tensor, p: AttentionParams, heads: int) -> Tensor:
+def _cross_attention(x: Tensor, enc: Tensor, p: AttentionParams, heads: int,
+                     lengths=None, enc_lengths=None) -> Tensor:
     h = _norm(x, p.norm)
     q = ad.affine(h, p.wq.value, p.bq.value)
     k = ad.affine(enc, p.wk.value, p.bk.value)
     v = ad.affine(enc, p.wv.value, p.bv.value)
-    ctx, _ = ad.attention_core(q, k, v, heads)
+    ctx, _ = ad.attention_core(q, k, v, heads, q_lengths=lengths, k_lengths=enc_lengths)
     return ad.affine(ctx, p.wo.value, p.bo.value)
 
 
@@ -94,7 +98,8 @@ def _self_attention(x: Tensor, p: AttentionParams, heads: int, lengths: list[int
     q = ad.affine(h, p.wq.value, p.bq.value)
     k = ad.affine(h, p.wk.value, p.bk.value)
     v = ad.affine(h, p.wv.value, p.bv.value)
-    ctx, _ = ad.attention_core(q, k, v, heads, causal=True, segments=lengths)
+    ctx, _ = ad.attention_core(q, k, v, heads, causal=True, q_lengths=lengths,
+                               k_lengths=lengths)
     return ad.affine(ctx, p.wo.value, p.bo.value)
 
 
@@ -103,9 +108,10 @@ def decoder_logits(enc: EncodedSequence, inputs: list[list[int]], params: Decode
     """Logits over the extended vocabulary for each position of each input sequence.
 
     The sequences run as one packed batch: their rows are stacked in order,
-    every row attends to all encoder frames, and self-attention stays causal
-    inside each sequence, so no sequence sees another. ``drop`` (training)
-    applies to each feed-forward output.
+    and self-attention stays causal inside each sequence, so no sequence sees
+    another. Sequence i attends to the i-th memory packed in ``enc`` or, when
+    ``enc`` holds one sequence, all of them attend to it. ``drop``
+    (training) applies to each feed-forward output.
     """
     if enc.length == 0:
         raise EmptySequenceError("decoder needs at least one encoder frame")
@@ -114,28 +120,31 @@ def decoder_logits(enc: EncodedSequence, inputs: list[list[int]], params: Decode
     lengths = [len(seq) for seq in inputs]
     d = params.embed.value.data.shape[1]
     x = ad.gather_rows(params.embed.value, [t for seq in inputs for t in seq])
-    # Rows of a longer table are bit-identical to those of a shorter one.
-    table = positional_table(max(lengths), d)
-    positions = np.concatenate([table[:n] for n in lengths])
-    x = ad.add_const(x, positions.astype(x.data.dtype))
+    x = ad.add_const(x, packed_positions(lengths, d).astype(x.data.dtype))
     for block in params.blocks:
         x = ad.add(x, _self_attention(x, block.self_attn, heads, lengths))
-        x = ad.add(x, _cross_attention(x, enc.frames, block.cross_attn, heads))
+        x = ad.add(x, _cross_attention(x, enc.frames, block.cross_attn, heads, lengths,
+                                       enc.lengths))
         x = ad.add(x, _dropout(_ffn_branch(x, block.ffn), drop))
     x = _norm(x, params.final_norm)
     return ad.affine(x, params.out_w.value, params.out_b.value)
 
 
-def aed_loss(enc: EncodedSequence, tokens, params: DecoderParams, heads: int,
+def aed_loss(enc: EncodedSequence, token_seqs, params: DecoderParams, heads: int,
              drop: Dropout | None = None) -> Tensor:
-    """Teacher-forced cross-entropy over tokens plus end-of-sequence, mean per position."""
-    tokens = check_tokens(tokens, params.vocab_size)
-    if not tokens:
-        raise EmptySequenceError("aed_loss requires a non-empty token sequence")
-    inputs = [params.sos_id] + tokens
-    targets = tokens + [params.eos_id]
-    logits = decoder_logits(enc, [inputs], params, heads, drop)
-    return ad.cross_entropy_mean(logits, targets)
+    """Teacher-forced cross-entropy over tokens plus end-of-sequence.
+
+    ``token_seqs`` holds one token sequence per utterance packed in ``enc``.
+    Each utterance's loss is its mean per position; the result is their sum,
+    from one packed decoder pass.
+    """
+    token_seqs = [check_tokens(tokens, params.vocab_size) for tokens in token_seqs]
+    if not token_seqs or not all(token_seqs):
+        raise EmptySequenceError("aed_loss requires non-empty token sequences")
+    inputs = [[params.sos_id] + tokens for tokens in token_seqs]
+    targets = [t for tokens in token_seqs for t in tokens + [params.eos_id]]
+    logits = decoder_logits(enc, inputs, params, heads, drop)
+    return ad.cross_entropy_mean(logits, targets, [len(seq) for seq in inputs])
 
 
 def _log_likelihoods(enc: EncodedSequence, sequences, params: DecoderParams,

@@ -1,4 +1,4 @@
-"""Conformer-style encoder blocks over per-utterance frame sequences.
+"""Conformer-style encoder blocks over packed frame sequences.
 
 Block layout, every branch residual (including the trailing norm, so a
 block with zeroed branch outputs is exactly the identity):
@@ -12,6 +12,10 @@ block with zeroed branch outputs is exactly the identity):
 The conv module is pointwise-to-2D / GLU / depthwise / norm / swish /
 pointwise. Absolute sinusoidal positions are added once, before the first
 block; split-off subsequences are treated as contiguous afterwards.
+
+A sequence may pack several utterances row-wise (``EncodedSequence.lengths``).
+Norms, feed-forwards and the pointwise layers act on rows alone; attention
+and the depthwise conv take the lengths, so no utterance sees another.
 
 Dropout is an argument, not a process setting: a block drops its branch
 outputs only when the caller passes a ``make_dropout`` function, so
@@ -52,10 +56,15 @@ def _dropout(x: Tensor, drop: Dropout | None) -> Tensor:
 
 @dataclass
 class EncodedSequence:
-    """Encoder frames plus each row's index in the pre-split frame order."""
+    """Encoder frames plus each row's index in its utterance's pre-split frame order.
+
+    ``lengths`` lists the row counts of the utterances packed one after
+    another; None means the rows are one utterance.
+    """
 
     frames: Tensor            # (L, D)
-    orig_index: np.ndarray    # (L,) strictly increasing int64
+    orig_index: np.ndarray    # (L,) int64, strictly increasing within each utterance
+    lengths: tuple[int, ...] | None = None
 
     @property
     def length(self) -> int:
@@ -187,21 +196,24 @@ def _ffn_branch(x: Tensor, p: FeedForwardParams) -> Tensor:
     return ad.affine(h, p.w2.value, p.b2.value)
 
 
-def self_attention_branch(x: Tensor, p: AttentionParams, heads: int
+def self_attention_branch(x: Tensor, p: AttentionParams, heads: int, lengths=None
                           ) -> tuple[Tensor, np.ndarray]:
-    """Pre-norm multi-head self-attention; returns (branch output, weights)."""
+    """Pre-norm multi-head self-attention within each packed sequence.
+
+    Returns (branch output, weights); ``lengths`` as in ``EncodedSequence``.
+    """
     h = _norm(x, p.norm)
     q = ad.affine(h, p.wq.value, p.bq.value)
     k = ad.affine(h, p.wk.value, p.bk.value)
     v = ad.affine(h, p.wv.value, p.bv.value)
-    ctx, weights = ad.attention_core(q, k, v, heads)
+    ctx, weights = ad.attention_core(q, k, v, heads, q_lengths=lengths, k_lengths=lengths)
     return ad.affine(ctx, p.wo.value, p.bo.value), weights
 
 
-def _conv_branch(x: Tensor, p: ConvModuleParams) -> Tensor:
+def _conv_branch(x: Tensor, p: ConvModuleParams, lengths) -> Tensor:
     h = _norm(x, p.norm)
     h = ad.glu_halves(ad.affine(h, p.w_in.value, p.b_in.value))
-    h = ad.depthwise_conv1d(h, p.dw_w.value, p.dw_b.value)
+    h = ad.depthwise_conv1d(h, p.dw_w.value, p.dw_b.value, lengths)
     h = ad.swish(_norm(h, p.mid_norm))
     return ad.affine(h, p.w_out.value, p.b_out.value)
 
@@ -209,16 +221,16 @@ def _conv_branch(x: Tensor, p: ConvModuleParams) -> Tensor:
 def conformer_block(seq: EncodedSequence, p: ConformerBlockParams, heads: int,
                     drop: Dropout | None = None) -> EncodedSequence:
     """One block; ``drop`` (training) applies to each branch output."""
-    if seq.length == 0:
-        raise EmptySequenceError("conformer block requires at least one frame")
+    if seq.length == 0 or (seq.lengths is not None and 0 in seq.lengths):
+        raise EmptySequenceError("conformer block requires at least one frame per sequence")
     x = seq.frames
     x = ad.add(x, ad.scale(_dropout(_ffn_branch(x, p.ffn1), drop), 0.5))
-    branch, _ = self_attention_branch(x, p.attn, heads)
+    branch, _ = self_attention_branch(x, p.attn, heads, seq.lengths)
     x = ad.add(x, _dropout(branch, drop))
-    x = ad.add(x, _dropout(_conv_branch(x, p.conv), drop))
+    x = ad.add(x, _dropout(_conv_branch(x, p.conv, seq.lengths), drop))
     x = ad.add(x, ad.scale(_dropout(_ffn_branch(x, p.ffn2), drop), 0.5))
     x = ad.add(x, _norm(x, p.out_norm))
-    return EncodedSequence(frames=x, orig_index=seq.orig_index)
+    return EncodedSequence(frames=x, orig_index=seq.orig_index, lengths=seq.lengths)
 
 
 def run_blocks(seq: EncodedSequence, blocks: list[ConformerBlockParams], heads: int,
@@ -247,7 +259,21 @@ def positional_table(length: int, d_model: int) -> np.ndarray:
     return table
 
 
-def attach_positions(frames: Tensor) -> Tensor:
-    """Add absolute positions; applied once, before the first encoder block."""
+def packed_positions(lengths, d_model: int) -> np.ndarray:
+    """Positions 0..n-1 of each packed sequence of length n, stacked row-wise.
+
+    Rows of a longer table are bit-identical to those of a shorter one, so
+    one table of the longest length serves every sequence.
+    """
+    table = positional_table(max(lengths), d_model)
+    return table if len(lengths) == 1 else np.concatenate([table[:n] for n in lengths])
+
+
+def attach_positions(frames: Tensor, lengths=None) -> Tensor:
+    """Add absolute positions; applied once, before the first encoder block.
+
+    ``lengths`` as in ``EncodedSequence``: each packed sequence starts at 0.
+    """
     n, d = frames.data.shape
-    return ad.add_const(frames, positional_table(n, d).astype(frames.data.dtype))
+    positions = packed_positions((n,) if lengths is None else lengths, d)
+    return ad.add_const(frames, positions.astype(frames.data.dtype))

@@ -61,7 +61,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
     """Write named float64 tensors in dict insertion order.
 
     The bytes go to a temporary sibling that is then renamed over ``path``,
-    so a write that fails part-way leaves any previous file untouched.
+    so a write that fails part-way leaves any previous file untouched. The
+    parts are written one after another, never joined into one copy.
     """
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", FORMAT_VERSION, len(tensors))]
     for name, arr in tensors.items():
@@ -77,7 +78,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(b"".join(parts))
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -141,9 +143,14 @@ def read_features(path, dtype=np.float64) -> list[tuple[str, np.ndarray]]:
         raise FormatError(f"unsupported feature version {version} at byte {len(FEATURE_MAGIC)}")
     count = rd.u32("utterance count")
     out: list[tuple[str, np.ndarray]] = []
+    seen: set[str] = set()
     for _ in range(count):
         id_len = rd.u32("id length")
+        id_at = rd.off
         utt_id = rd.text(id_len, "utterance id")
+        if utt_id in seen:
+            raise FormatError(f"duplicate utterance id {utt_id!r} at byte {id_at}")
+        seen.add(utt_id)
         t_in = rd.u32("frame count")
         feat_dim = rd.u32("feature dim")
         raw = rd.take(4 * t_in * feat_dim, f"frames of {utt_id}")

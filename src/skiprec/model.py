@@ -5,14 +5,22 @@ blank flags off the intermediate alignment head, group frames, run the
 second stage on crucial frames only, then merge trivial frames back in
 original time order for the final head and the decoder losses.
 
+A batch runs packed: ``forward_batch`` subsamples each utterance, stacks
+the frames into one (sum of lengths, D) matrix and runs every later stage
+once for the whole batch, the split and recover on packed row indices, so
+only crucial frames enter the second stage. ``forward_utterance`` is a
+batch of one, and a batch of one makes no padding copy.
+
 Fallbacks: an empty crucial group, or (given a target) a merged sequence
 too short to spell it, bypasses the splitter and treats every frame as
 crucial for that utterance (``too_short_for`` is the target rule).
 
 The forward and the loss are functions of their arguments: weights,
-features, configs and, in training, the dropout generator. One loss path
-has two views: ``total_loss``, the training objective on the tape, and
-``component_losses``, its terms as floats for logging.
+features, configs and, in training, the dropout generator. One loss path,
+the sum of the utterances' objectives, has three views: ``batch_loss``, the
+training objective of a packed batch on the tape, ``total_loss``, that of one
+utterance, and ``component_losses``, one utterance's terms as floats for
+logging.
 """
 
 from __future__ import annotations
@@ -124,86 +132,159 @@ def _all_crucial_groups(n: int) -> sp_mod.FrameGroups:
         crucial=everything, trivial=(), ignoring=())
 
 
+@dataclass
+class BatchTrace:
+    """A packed batch's forward: packed stage outputs and grids, per-utterance splits.
+
+    ``h1`` and ``inter_grid`` hold each utterance's subsampled frames in
+    batch order (``h1.lengths``); ``h2`` and ``final_grid`` its recovered
+    frames (``h2.lengths``). The lists hold one entry per utterance.
+    """
+
+    time_maps: list[np.ndarray]
+    h1: EncodedSequence
+    inter_grid: ctc_mod.PosteriorGrid
+    flags: list[np.ndarray]
+    groups: list[sp_mod.FrameGroups]
+    h2: EncodedSequence
+    final_grid: ctc_mod.PosteriorGrid
+    fallbacks: list[bool]
+
+
 def recover(crucial: EncodedSequence, trivial: EncodedSequence) -> EncodedSequence:
-    """Merge two sequences back into ascending original-frame order."""
+    """Merge two sequences back into ascending original-frame order.
+
+    Packed inputs hold the same utterances in the same order; each
+    utterance's rows merge with its own, in one gather for the batch.
+    """
+    c_len = crucial.lengths if crucial.lengths is not None else (crucial.length,)
+    t_len = trivial.lengths if trivial.lengths is not None else (trivial.length,)
+    if len(c_len) != len(t_len):
+        raise ContractError(f"recover received {len(c_len)} and {len(t_len)} packed sequences")
+    seq = np.concatenate([np.repeat(np.arange(len(c_len)), c_len),
+                          np.repeat(np.arange(len(t_len)), t_len)])
     merged_idx = np.concatenate([crucial.orig_index, trivial.orig_index])
-    order = np.argsort(merged_idx, kind="stable")
-    sorted_idx = merged_idx[order]
-    if sorted_idx.size > 1 and np.any(sorted_idx[1:] == sorted_idx[:-1]):
-        dup = int(sorted_idx[np.flatnonzero(sorted_idx[1:] == sorted_idx[:-1])[0]])
+    order = np.lexsort((merged_idx, seq))
+    sorted_idx, sorted_seq = merged_idx[order], seq[order]
+    same = (sorted_idx[1:] == sorted_idx[:-1]) & (sorted_seq[1:] == sorted_seq[:-1])
+    if np.any(same):
+        dup = int(sorted_idx[np.flatnonzero(same)[0]])
         raise ContractError(f"recover received frame index {dup} in both groups")
     frames = ad.gather_rows(ad.concat_rows(crucial.frames, trivial.frames), order)
-    return EncodedSequence(frames=frames, orig_index=sorted_idx)
+    lengths = None if crucial.lengths is None and trivial.lengths is None \
+        else tuple(c + t for c, t in zip(c_len, t_len))
+    return EncodedSequence(frames=frames, orig_index=sorted_idx, lengths=lengths)
 
 
 def too_short_for(target, kept_frames: int) -> bool:
     """Whether a split keeping ``kept_frames`` frames cannot spell ``target``.
 
-    This is the target-aware fallback: given a target, ``forward_utterance``
+    This is the target-aware fallback: given a target, ``forward_batch``
     bypasses such a split. It is the only way a target changes the forward.
     """
     return target is not None and kept_frames < ctc_mod.min_frames(target)
+
+
+def forward_batch(batch: list[FeatureSequence], params: ModelParams, cfg: ModelConfig,
+                  loss_cfg: LossConfig, targets=None, force_all_crucial: bool = False,
+                  dropout_rng: np.random.Generator | None = None) -> BatchTrace:
+    """Run the full encoder path for a batch of utterances, packed.
+
+    ``targets`` (one per utterance) enables the length-feasibility fallback
+    used in training; ``force_all_crucial`` bypasses the splitter outright
+    (no-skip baseline). With ``dropout_rng`` (training), encoder branch
+    outputs are dropped at rate ``cfg.dropout``; without it the forward is
+    deterministic.
+    """
+    if targets is not None and len(targets) != len(batch):
+        raise ContractError(f"{len(targets)} targets for a batch of {len(batch)}")
+    subs = [fe_mod.subsample(feats, params.frontend) for feats in batch]
+    lengths = tuple(sub.length for sub in subs)
+    x = EncodedSequence(
+        frames=enc_mod.attach_positions(ad.concat_rows(*(sub.frames for sub in subs)), lengths),
+        orig_index=np.concatenate([np.arange(n, dtype=np.int64) for n in lengths]),
+        lengths=lengths,
+    )
+    drop = enc_mod.make_dropout(cfg.dropout, dropout_rng)
+    h1 = enc_mod.run_blocks(x, params.e1, cfg.heads, drop)
+    inter_grid = ctc_mod.posterior_grid(h1, params.inter_head)
+    flags = np.split(ctc_mod.blank_flags(inter_grid, loss_cfg.blank_threshold),
+                     np.cumsum(lengths)[:-1])
+
+    groups, fallbacks = [], []
+    for n, utt_flags, target in zip(lengths, flags, targets or [None] * len(batch)):
+        g = sp_mod.assign_groups(sp_mod.compute_sets(utt_flags), loss_cfg.split_mode)
+        fallback = not force_all_crucial and (
+            not g.crucial or too_short_for(target, len(g.crucial) + len(g.trivial)))
+        groups.append(_all_crucial_groups(n) if force_all_crucial or fallback else g)
+        fallbacks.append(fallback)
+
+    h1_crucial, h1_trivial = sp_mod.split_frames(h1, *groups)
+    h2_crucial = enc_mod.run_blocks(h1_crucial, params.e2, cfg.heads, drop)
+    h2 = recover(h2_crucial, h1_trivial)
+    return BatchTrace(
+        time_maps=[sub.time_map for sub in subs],
+        h1=h1,
+        inter_grid=inter_grid,
+        flags=flags,
+        groups=groups,
+        h2=h2,
+        final_grid=ctc_mod.posterior_grid(h2, params.final_head),
+        fallbacks=fallbacks,
+    )
 
 
 def forward_utterance(feats: FeatureSequence, params: ModelParams, cfg: ModelConfig,
                       loss_cfg: LossConfig, target=None,
                       force_all_crucial: bool = False,
                       dropout_rng: np.random.Generator | None = None) -> ForwardTrace:
-    """Run the full encoder path for one utterance.
-
-    ``target`` enables the length-feasibility fallback used in training;
-    ``force_all_crucial`` bypasses the splitter outright (no-skip baseline).
-    With ``dropout_rng`` (training), encoder branch outputs are dropped at
-    rate ``cfg.dropout``; without it the forward is deterministic.
-    """
-    sub = fe_mod.subsample(feats, params.frontend)
-    x = EncodedSequence(
-        frames=enc_mod.attach_positions(sub.frames),
-        orig_index=np.arange(sub.length, dtype=np.int64),
-    )
-    drop = enc_mod.make_dropout(cfg.dropout, dropout_rng)
-    h1 = enc_mod.run_blocks(x, params.e1, cfg.heads, drop)
-    inter_grid = ctc_mod.posterior_grid(h1, params.inter_head)
-    flags = ctc_mod.blank_flags(inter_grid, loss_cfg.blank_threshold)
-
-    groups = sp_mod.assign_groups(sp_mod.compute_sets(flags), loss_cfg.split_mode)
-    fallback = False
-    if force_all_crucial:
-        groups = _all_crucial_groups(h1.length)
-    elif not groups.crucial or too_short_for(target, len(groups.crucial) + len(groups.trivial)):
-        groups = _all_crucial_groups(h1.length)
-        fallback = True
-
-    h1_crucial, h1_trivial = sp_mod.split_frames(h1, groups)
-    h2_crucial = enc_mod.run_blocks(h1_crucial, params.e2, cfg.heads, drop)
-    h2 = recover(h2_crucial, h1_trivial)
-    final_grid = ctc_mod.posterior_grid(h2, params.final_head)
+    """Run the full encoder path for one utterance: ``forward_batch`` on a batch of one."""
+    batch = forward_batch([feats], params, cfg, loss_cfg,
+                          targets=None if target is None else [target],
+                          force_all_crucial=force_all_crucial, dropout_rng=dropout_rng)
     return ForwardTrace(
         utterance_id=feats.utterance_id,
         input_len=feats.length,
-        time_map=sub.time_map,
-        h1=h1,
-        inter_grid=inter_grid,
-        flags=flags,
-        groups=groups,
-        h2=h2,
-        final_grid=final_grid,
-        fallback=fallback,
+        time_map=batch.time_maps[0],
+        h1=batch.h1,
+        inter_grid=batch.inter_grid,
+        flags=batch.flags[0],
+        groups=batch.groups[0],
+        h2=batch.h2,
+        final_grid=batch.final_grid,
+        fallback=batch.fallbacks[0],
     )
 
 
-def _loss_and_terms(trace: ForwardTrace, tokens, params: ModelParams, cfg: ModelConfig,
+def _ctc_sum(grid: ctc_mod.PosteriorGrid, seq: EncodedSequence, token_seqs) -> Tensor:
+    """Sum of the utterances' CTC losses, each on its own rows of the packed grid."""
+    if len(token_seqs) == 1:
+        return ctc_mod.ctc_loss(grid, token_seqs[0])
+    parts = ad.split_rows(grid.log_probs, seq.lengths)
+    total = None
+    for part, tokens in zip(parts, token_seqs):
+        loss = ctc_mod.ctc_loss(ctc_mod.PosteriorGrid(part), tokens)
+        total = loss if total is None else ad.add(total, loss)
+    return total
+
+
+def _loss_and_terms(trace, token_seqs, params: ModelParams, cfg: ModelConfig,
                     loss_cfg: LossConfig, drop: enc_mod.Dropout | None
                     ) -> tuple[Tensor, dict[str, float]]:
+    """The summed objective of the utterances of ``trace`` and its terms.
+
+    ``trace`` is a ForwardTrace or BatchTrace; ``token_seqs`` holds one
+    target per utterance.
+    """
     alpha = loss_cfg.ctc_weight
     pairs = []
     if alpha > 0.0:
-        pairs.append(("ctc", alpha, ctc_mod.ctc_loss(trace.inter_grid, tokens),
-                      ctc_mod.ctc_loss(trace.final_grid, tokens)))
+        pairs.append(("ctc", alpha, _ctc_sum(trace.inter_grid, trace.h1, token_seqs),
+                      _ctc_sum(trace.final_grid, trace.h2, token_seqs)))
     if alpha < 1.0:
         pairs.append(("dec", 1.0 - alpha,
-                      dec_mod.aed_loss(trace.h1, tokens, params.decoder, cfg.heads, drop),
-                      dec_mod.aed_loss(trace.h2, tokens, params.decoder, cfg.heads, drop)))
+                      dec_mod.aed_loss(trace.h1, token_seqs, params.decoder, cfg.heads, drop),
+                      dec_mod.aed_loss(trace.h2, token_seqs, params.decoder, cfg.heads, drop)))
     loss = None
     terms: dict[str, float] = {}
     for name, share, inter, final in pairs:
@@ -217,6 +298,20 @@ def _loss_and_terms(trace: ForwardTrace, tokens, params: ModelParams, cfg: Model
     return loss, terms
 
 
+def batch_loss(batch: BatchTrace, token_seqs, params: ModelParams, cfg: ModelConfig,
+               loss_cfg: LossConfig, dropout_rng: np.random.Generator | None = None) -> Tensor:
+    """The sum over a packed batch's utterances of ``total_loss``, on one tape.
+
+    ``token_seqs`` holds the targets in batch order. The CTC lattices run
+    per utterance on row blocks of the packed grids; each decoder pair is
+    one packed pass over the utterances' own encoder frames.
+    """
+    if len(token_seqs) != len(batch.fallbacks):
+        raise ContractError(f"{len(token_seqs)} targets for a batch of {len(batch.fallbacks)}")
+    drop = enc_mod.make_dropout(cfg.dropout, dropout_rng)
+    return _loss_and_terms(batch, token_seqs, params, cfg, loss_cfg, drop)[0]
+
+
 def total_loss(trace: ForwardTrace, tokens, params: ModelParams, cfg: ModelConfig,
                loss_cfg: LossConfig, dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Joint objective over both heads and both decoder passes.
@@ -228,7 +323,7 @@ def total_loss(trace: ForwardTrace, tokens, params: ModelParams, cfg: ModelConfi
     ``cfg.dropout``.
     """
     drop = enc_mod.make_dropout(cfg.dropout, dropout_rng)
-    return _loss_and_terms(trace, tokens, params, cfg, loss_cfg, drop)[0]
+    return _loss_and_terms(trace, [tokens], params, cfg, loss_cfg, drop)[0]
 
 
 def component_losses(trace: ForwardTrace, tokens, params: ModelParams, cfg: ModelConfig,
@@ -238,7 +333,7 @@ def component_losses(trace: ForwardTrace, tokens, params: ModelParams, cfg: Mode
     Maps each evaluated loss ("ctc_inter", "ctc_final", "dec_inter",
     "dec_final") and "total", the objective's value, to a float.
     """
-    return _loss_and_terms(trace, tokens, params, cfg, loss_cfg, None)[1]
+    return _loss_and_terms(trace, [tokens], params, cfg, loss_cfg, None)[1]
 
 
 def checkpoint_tensors(params: ModelParams, step: int | None = None,

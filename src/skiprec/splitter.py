@@ -106,20 +106,33 @@ def assign_groups(sets: BoundarySets, mode: SplitMode | int) -> FrameGroups:
     )
 
 
-def split_frames(seq: EncodedSequence, groups: FrameGroups) -> tuple[EncodedSequence, EncodedSequence]:
-    """Gather crucial and trivial rows into two sequences; ignoring rows drop out."""
-    crucial_idx = np.asarray(groups.crucial, dtype=np.int64)
-    trivial_idx = np.asarray(groups.trivial, dtype=np.int64)
-    for idx in (crucial_idx, trivial_idx):
-        if idx.size and (idx.min() < 0 or idx.max() >= seq.length):
-            raise ContractError(
-                f"group index {int(idx.max())} outside sequence of length {seq.length}")
-    crucial = EncodedSequence(
-        frames=ad.gather_rows(seq.frames, crucial_idx),
-        orig_index=seq.orig_index[crucial_idx],
-    )
-    trivial = EncodedSequence(
-        frames=ad.gather_rows(seq.frames, trivial_idx),
-        orig_index=seq.orig_index[trivial_idx],
-    )
-    return crucial, trivial
+def split_frames(seq: EncodedSequence, *groups: FrameGroups
+                 ) -> tuple[EncodedSequence, EncodedSequence]:
+    """Gather crucial and trivial rows into two sequences; ignoring rows drop out.
+
+    ``groups`` holds one FrameGroups per utterance packed in ``seq``, with
+    indices local to that utterance. Each output packs the utterances'
+    rows in the same order, as one gather each.
+    """
+    lengths = seq.lengths if seq.lengths is not None else (seq.length,)
+    if len(groups) != len(lengths):
+        raise ContractError(f"{len(groups)} frame groups for {len(lengths)} packed sequences")
+    starts = np.cumsum(lengths) - np.asarray(lengths)
+    picked = {"crucial": [], "trivial": []}
+    for start, n, g in zip(starts, lengths, groups):
+        for name, rows in picked.items():
+            idx = np.asarray(getattr(g, name), dtype=np.int64)
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise ContractError(
+                    f"group index {int(idx.max())} outside sequence of length {n}")
+            rows.append(start + idx)
+
+    def gather(rows: list[np.ndarray]) -> EncodedSequence:
+        idx = np.concatenate(rows)
+        return EncodedSequence(
+            frames=ad.gather_rows(seq.frames, idx),
+            orig_index=seq.orig_index[idx],
+            lengths=None if seq.lengths is None else tuple(r.size for r in rows),
+        )
+
+    return gather(picked["crucial"]), gather(picked["trivial"])

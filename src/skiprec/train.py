@@ -91,6 +91,7 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
         best_error = float(tensors.get("trainer.best_error", np.asarray(np.inf)))
         after_warmup = tuple(int(tensors.get(f"trainer.after_warmup_{k}", np.asarray(0.0)))
                              for k in ("utterances", "fallbacks"))
+        del tensors   # the parameters hold their own copies
 
     seed = cfg.training.seed
     order_rng = np.random.default_rng(seed + 1)
@@ -127,25 +128,26 @@ def _train_epoch(cfg: RunConfig, params, corpus, order, step: int,
                  dropout_rng: np.random.Generator) -> tuple[int, list[tuple[int, bool]]]:
     """One pass over ``corpus`` in ``order``, one Adam step per batch.
 
-    Returns the new step count and, per utterance, the step it trained in
-    and whether its forward fell back to the no-skip path.
+    Each batch runs packed: one forward, one loss (the sum of its
+    utterances' objectives) and one backward. Returns the new step count
+    and, per utterance, the step it trained in and whether its forward fell
+    back to the no-skip path.
     """
     named = model_mod.named_parameters(params)
     opt = cfg.optimizer
     fell_back = []
     for start in range(0, len(order), cfg.training.batch_size):
-        batch = order[start:start + cfg.training.batch_size]
+        batch = [corpus[int(j)] for j in order[start:start + cfg.training.batch_size]]
+        feats = [f for f, _ in batch]
+        tokens = [t for _, t in batch]
         for _, p in named:
             p.zero_grad()
-        for j in batch:
-            feats, tokens = corpus[int(j)]
-            with ad.tape() as tp:
-                trace = model_mod.forward_utterance(
-                    feats, params, cfg.model, cfg.loss, target=tokens, dropout_rng=dropout_rng)
-                loss = model_mod.total_loss(trace, tokens, params, cfg.model, cfg.loss,
-                                            dropout_rng)
-                tp.backward(loss)
-            fell_back.append((step, trace.fallback))
+        with ad.tape() as tp:
+            trace = model_mod.forward_batch(feats, params, cfg.model, cfg.loss,
+                                            targets=tokens, dropout_rng=dropout_rng)
+            tp.backward(model_mod.batch_loss(trace, tokens, params, cfg.model, cfg.loss,
+                                             dropout_rng))
+        fell_back.extend((step, f) for f in trace.fallbacks)
         step += 1
         lr = learning_rate(step, opt.peak_lr, opt.warmup_steps)
         inv = 1.0 / len(batch)

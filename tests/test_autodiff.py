@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from skiprec import autodiff as ad
+from skiprec import model as model_mod
+from skiprec.config import LossConfig, ModelConfig
 from skiprec.errors import (ContractError, DimensionError, NumericError,
                             ParameterError)
+from skiprec.frontend import FeatureSequence
 
 
 def check(f, *arrays, h=1e-5, tol=1e-5):
@@ -219,6 +224,39 @@ class TestElementwiseGrads:
         check(lambda a, b: ad.sum_all(ad.concat_rows(a, b)),
               rng.normal(size=(2, 3)), rng.normal(size=(4, 3)))
 
+    def test_concat_rows_of_several_parts(self):
+        rng = np.random.default_rng(12)
+
+        def f(a, b, c):
+            x = ad.concat_rows(a, b, c)
+            return ad.sum_all(ad.mul(x, x))
+
+        check(f, rng.normal(size=(2, 3)), rng.normal(size=(0, 3)), rng.normal(size=(4, 3)))
+        one = ad.tensor(np.ones((2, 3)))
+        assert ad.concat_rows(one) is one
+
+    def test_split_rows(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(7, 3))
+        parts = ad.split_rows(ad.tensor(x), [2, 0, 5])
+        assert [p.data.shape[0] for p in parts] == [2, 0, 5]
+        assert all(np.shares_memory(p.data, x) for p in parts if p.data.size)
+
+        def f(t):
+            a, _, c = ad.split_rows(t, [2, 0, 5])
+            return ad.add(ad.sum_all(ad.mul(a, a)), ad.sum_all(ad.mul(c, c)))
+
+        check(f, x)
+        # A block no op reads gets a zero gradient.
+        xt = ad.tensor(x)
+        with ad.tape() as tp:
+            a, _ = ad.split_rows(xt, [3, 4])
+            tp.backward(ad.sum_all(a))
+        assert np.array_equal(xt.grad, np.concatenate([np.ones((3, 3)), np.zeros((4, 3))]))
+        for bad in ([3, 3], [8, -1], [[7]]):
+            with pytest.raises(DimensionError):
+                ad.split_rows(ad.tensor(x), bad)
+
     def test_lattice_nll(self):
         rng = np.random.default_rng(13)
         states = [0, 1, 0, 2, 0, 2, 0]
@@ -252,6 +290,71 @@ class TestElementwiseGrads:
         with pytest.raises(ParameterError):
             ad.depthwise_conv1d(ad.tensor(np.ones((4, 2))),
                                 ad.tensor(np.ones((2, 2))), ad.tensor(np.zeros(2)))
+
+    def test_cross_entropy_sums_packed_sequence_means(self):
+        rng = np.random.default_rng(26)
+        lengths = [3, 1, 4]
+        z = rng.normal(size=(8, 5))
+        targets = rng.integers(0, 5, size=8)
+        zt = ad.tensor(z)
+        with ad.tape() as tp:
+            out = ad.cross_entropy_mean(zt, targets, lengths)
+            tp.backward(ad.scale(out, 1.7))
+        want, grads, start = 0.0, [], 0
+        for n in lengths:
+            part = ad.tensor(z[start:start + n])
+            with ad.tape() as tp:
+                loss = ad.cross_entropy_mean(part, targets[start:start + n])
+                tp.backward(ad.scale(loss, 1.7))
+            want += float(loss.data)
+            grads.append(part.grad)
+            start += n
+        assert abs(float(out.data) - want) <= 1e-12 * abs(want)
+        assert np.max(np.abs(zt.grad - np.concatenate(grads))) <= 1e-12
+        check(lambda x: ad.cross_entropy_mean(x, targets, lengths), z)
+        # One sequence is the plain mean, to the bit.
+        one = ad.cross_entropy_mean(ad.tensor(z), targets, [8])
+        assert one.data == ad.cross_entropy_mean(ad.tensor(z), targets).data
+        for bad in ([3, 4], [8, 0], [9, -1]):
+            with pytest.raises(DimensionError):
+                ad.cross_entropy_mean(ad.tensor(z), targets, bad)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_depthwise_conv_packed_matches_per_sequence(self, k):
+        rng = np.random.default_rng(27 + k)
+        lengths = [4, 1, 6, 2]
+        x, g = rng.normal(size=(13, 3)), rng.normal(size=(13, 3))
+        w, b = rng.normal(size=(k, 3)), rng.normal(size=3)
+        xt, wt, bt = ad.tensor(x), ad.tensor(w), ad.tensor(b)
+        with ad.tape() as tp:
+            out = ad.depthwise_conv1d(xt, wt, bt, lengths)
+            tp.backward(ad.sum_all(ad.mul_const(out, g)))
+        gw, gb, start = np.zeros_like(w), np.zeros_like(b), 0
+        for n in lengths:
+            rows = slice(start, start + n)
+            parts = [ad.tensor(x[rows]), ad.tensor(w), ad.tensor(b)]
+            with ad.tape() as tp:
+                want = ad.depthwise_conv1d(*parts)
+                tp.backward(ad.sum_all(ad.mul_const(want, g[rows])))
+            assert np.max(np.abs(out.data[rows] - want.data)) <= 1e-12
+            assert np.max(np.abs(xt.grad[rows] - parts[0].grad)) <= 1e-12
+            gw += parts[1].grad
+            gb += parts[2].grad
+            start += n
+        assert np.max(np.abs(wt.grad - gw)) <= 1e-12
+        assert np.max(np.abs(bt.grad - gb)) <= 1e-12
+        check(lambda x, w, b: ad.sum_all(ad.mul(ad.depthwise_conv1d(x, w, b, [2, 3]),
+                                                ad.depthwise_conv1d(x, w, b, [2, 3]))),
+              rng.normal(size=(5, 2)), rng.normal(size=(k, 2)), rng.normal(size=2))
+
+    def test_depthwise_conv_one_sequence_is_unpacked_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        x, w, b = (ad.tensor(rng.normal(size=s)) for s in ((9, 4), (5, 4), (4,)))
+        assert np.array_equal(ad.depthwise_conv1d(x, w, b, [9]).data,
+                              ad.depthwise_conv1d(x, w, b).data)
+        for bad in ([4, 4], [10, -1]):
+            with pytest.raises(DimensionError):
+                ad.depthwise_conv1d(x, w, b, bad)
 
     def test_depthwise_conv_identity_kernel(self):
         x = np.arange(12.0).reshape(4, 3)
@@ -352,6 +455,158 @@ def log_softmax_reference(x):
     return out, lambda g: g - sm * g.sum(axis=1, keepdims=True)
 
 
+def stored_sigmoid_swish_reference(x: ad.Tensor) -> ad.Tensor:
+    """The swish op that kept its forward sigmoid for the backward pass."""
+    s = ad._sigmoid(x.data)
+    out = ad._make(x.data * s, "swish")
+
+    def bwd():
+        if out.grad is not None:
+            ad._accum(x, out.grad * (s * (1.0 + x.data * (1.0 - s))))
+
+    ad._record(bwd)
+    return out
+
+
+def stored_sigmoid_glu_reference(x: ad.Tensor) -> ad.Tensor:
+    """The GLU op that kept its forward sigmoid for the backward pass."""
+    d = x.data.shape[1] // 2
+    a, b = x.data[:, :d], x.data[:, d:]
+    s = ad._sigmoid(b)
+    out = ad._make(a * s, "glu_halves")
+
+    def bwd():
+        g = out.grad
+        if g is not None:
+            ad._accum(x, np.concatenate([g * s, g * a * s * (1.0 - s)], axis=1))
+
+    ad._record(bwd)
+    return out
+
+
+def stored_xhat_layer_norm_reference(x, gain, bias, eps=1e-5):
+    """The layer norm op that kept its normalized rows for the backward pass."""
+    mu = x.data.mean(axis=1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = ad._make(xhat * gain.data + bias.data, "layer_norm")
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        ad._accum(gain, (g * xhat).sum(axis=0))
+        ad._accum(bias, g.sum(axis=0))
+        gh = g * gain.data
+        ad._accum(x, inv * (gh - gh.mean(axis=1, keepdims=True)
+                            - xhat * (gh * xhat).mean(axis=1, keepdims=True)))
+
+    ad._record(bwd)
+    return out
+
+
+def single_sequence_attention_reference(q, k, v, n_heads, causal=False,
+                                        q_lengths=None, k_lengths=None):
+    """The one-sequence (H, L, dh) attention op the padded batched form replaced.
+
+    Takes the packed form's keywords but runs one query and one key sequence.
+    """
+    lq, d = q.data.shape
+    lk = k.data.shape[0]
+    assert q_lengths is None or len(q_lengths) == 1
+    assert k_lengths is None or len(k_lengths) == 1
+    dh = d // n_heads
+    inv = 1.0 / math.sqrt(dh)
+    qh = q.data.reshape(lq, n_heads, dh).transpose(1, 0, 2)
+    kh = k.data.reshape(lk, n_heads, dh).transpose(1, 0, 2)
+    vh = v.data.reshape(lk, n_heads, dh).transpose(1, 0, 2)
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores *= inv
+    if causal:
+        scores[:, ~np.tril(np.ones((lq, lk), dtype=bool))] = ad.NEG_FILL
+    scores -= scores.max(axis=2, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= weights.sum(axis=2, keepdims=True)
+    out = ad._make((weights @ vh).transpose(1, 0, 2).reshape(lq, d), "attention_core")
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        gr = g.reshape(lq, n_heads, dh).transpose(1, 0, 2)
+        gv = weights.transpose(0, 2, 1) @ gr
+        gs = gr @ vh.transpose(0, 2, 1)
+        gs -= (gs * weights).sum(axis=2, keepdims=True)
+        gs *= weights
+        gq = gs @ kh
+        gq *= inv
+        gk = gs.transpose(0, 2, 1) @ qh
+        gk *= inv
+        ad._accum(q, gq.transpose(1, 0, 2).reshape(lq, d))
+        ad._accum(k, gk.transpose(1, 0, 2).reshape(lk, d))
+        ad._accum(v, gv.transpose(1, 0, 2).reshape(lk, d))
+
+    ad._record(bwd)
+    return out, weights
+
+
+def single_sequence_depthwise_reference(x, w, b, lengths=None):
+    """The one-sequence depthwise conv op the packed form replaced."""
+    assert lengths is None or len(lengths) == 1
+    L, d = x.data.shape
+    k = w.data.shape[0]
+    pad = (k - 1) // 2
+    xp = np.pad(x.data, ((pad, pad), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)
+    out = ad._make(np.einsum("tdk,kd->td", win, w.data) + b.data, "depthwise_conv1d")
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        ad._accum(w, np.einsum("tdk,td->kd", win, g))
+        ad._accum(b, g.sum(axis=0))
+        gxp = np.zeros_like(xp)
+        for kk in range(k):
+            gxp[kk:kk + L] += g * w.data[kk]
+        ad._accum(x, gxp[pad:pad + L])
+
+    ad._record(bwd)
+    return out
+
+
+class TestBatchOfOneAgainstSingleSequenceOps:
+    """A batch of one runs the packed ops without padding, to the bit."""
+
+    def test_final_grid_and_gradients_are_bit_identical(self, monkeypatch):
+        cfg = ModelConfig(d_model=8, heads=2, e1_blocks=1, e2_blocks=1, kernel_e1=5,
+                          kernel_e2=3, ffn_multiple=2, decoder_blocks=1, vocab_size=6,
+                          feature_dim=8)
+        loss_cfg = LossConfig(blank_threshold=0.2)
+        params = model_mod.init_model(3, cfg)
+        named = model_mod.named_parameters(params)
+        feats = FeatureSequence("u0", np.random.default_rng(58).normal(size=(41, 8)))
+        target = [1, 2, 3]
+
+        def run():
+            for _, p in named:
+                p.zero_grad()
+            with ad.tape() as tp:
+                trace = model_mod.forward_utterance(feats, params, cfg, loss_cfg, target=target)
+                tp.backward(model_mod.total_loss(trace, target, params, cfg, loss_cfg))
+            return trace, [p.grad.copy() for _, p in named]
+
+        trace, grads = run()
+        monkeypatch.setattr(ad, "attention_core", single_sequence_attention_reference)
+        monkeypatch.setattr(ad, "depthwise_conv1d", single_sequence_depthwise_reference)
+        want, want_grads = run()
+        assert 0 < trace.crucial_len < trace.subsampled_len
+        assert np.array_equal(trace.final_grid.log_probs.data, want.final_grid.log_probs.data)
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+
+
 class TestAgainstReference:
     GRID = np.concatenate([np.linspace(-1e3, 1e3, 2001), np.linspace(-40.0, 40.0, 8001),
                            [0.0, -0.0, 1e-300, -1e-300, 709.0, -745.0]])
@@ -402,6 +657,28 @@ class TestAgainstReference:
         assert np.array_equal(out.data, want)
         assert np.array_equal(xt.grad, want_grad(g))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("op,reference,shapes", [
+        (ad.swish, stored_sigmoid_swish_reference, [(11, 7)]),
+        (ad.glu_halves, stored_sigmoid_glu_reference, [(11, 8)]),
+        (ad.layer_norm, stored_xhat_layer_norm_reference, [(11, 7), (7,), (7,)]),
+    ], ids=["swish", "glu_halves", "layer_norm"])
+    def test_recomputing_backward_matches_stored_form(self, op, reference, shapes, dtype):
+        # These ops rebuild in the backward what they once kept from the forward.
+        rng = np.random.default_rng(33)
+        arrays = [(rng.normal(size=shape) * 6.0).astype(dtype) for shape in shapes]
+        g = rng.normal(size=shapes[0][:1] + (op(*map(ad.tensor, arrays)).data.shape[1],))
+        g = g.astype(dtype)
+        results = []
+        for fn in (op, reference):
+            inputs = [ad.tensor(a, dtype=dtype) for a in arrays]
+            with ad.tape() as tp:
+                out = fn(*inputs)
+                tp.backward(ad.sum_all(ad.mul_const(out, g)))
+            results.append([out.data] + [t.grad for t in inputs])
+        for have, want in zip(*results):
+            assert have.dtype == dtype and np.array_equal(have, want)
+
     @pytest.mark.parametrize("case", ["plain", "causal"])
     def test_attention_matches_einsum_form(self, case):
         rng = np.random.default_rng(30)
@@ -423,37 +700,63 @@ class TestSegmentedAttention:
     """Packed sequences attend exactly as if each ran alone."""
 
     LENGTHS = [3, 1, 5, 2]
+    KEY_LENGTHS = [4, 2, 1, 6]
 
-    @pytest.mark.parametrize("causal", [False, True])
-    def test_matches_per_segment_attention(self, causal):
-        rng = np.random.default_rng(50 + causal)
-        n = sum(self.LENGTHS)
-        q, k, v, g = (rng.normal(size=(n, 12)) for _ in range(4))
+    @staticmethod
+    def packed_against_per_sequence(q_lengths, k_lengths, causal, seed):
+        """Run packed attention and per-sequence calls; return the largest difference."""
+        rng = np.random.default_rng(seed)
+        nq = sum(q_lengths)
+        nk = nq if k_lengths is None else sum(k_lengths)
+        q, g = rng.normal(size=(nq, 12)), rng.normal(size=(nq, 12))
+        k, v = rng.normal(size=(nk, 12)), rng.normal(size=(nk, 12))
         qt, kt, vt = ad.tensor(q), ad.tensor(k), ad.tensor(v)
         with ad.tape() as tp:
-            ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal, segments=self.LENGTHS)
+            ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal, q_lengths=q_lengths,
+                                       k_lengths=k_lengths)
             tp.backward(ad.sum_all(ad.mul_const(ctx, g)))
-        start = 0
-        for length in self.LENGTHS:
-            rows = slice(start, start + length)
-            parts = [ad.tensor(a[rows]) for a in (q, k, v)]
+        assert w.shape[:2] == (len(q_lengths), 3)
+        worst = 0.0
+        gk, gv = np.zeros_like(k), np.zeros_like(v)
+        q_start = k_start = 0
+        for i, n in enumerate(q_lengths):
+            m = nk if k_lengths is None else k_lengths[i]
+            rows, keys = slice(q_start, q_start + n), slice(k_start, k_start + m)
+            parts = [ad.tensor(q[rows]), ad.tensor(k[keys]), ad.tensor(v[keys])]
             with ad.tape() as tp:
                 want_ctx, want_w = ad.attention_core(*parts, 3, causal=causal)
                 tp.backward(ad.sum_all(ad.mul_const(want_ctx, g[rows])))
-            got = [ctx.data[rows], w[:, rows, rows], qt.grad[rows], kt.grad[rows],
-                   vt.grad[rows]]
-            want = [want_ctx.data, want_w] + [t.grad for t in parts]
-            for have, ref in zip(got, want):
-                assert np.max(np.abs(have - ref)) <= 1e-12
-            outside = np.ones(n, dtype=bool)
-            outside[rows] = False
-            assert np.all(w[:, rows][:, :, outside] == 0.0)
-            start += length
+            got = [ctx.data[rows], w[i, :, :n, :m], qt.grad[rows]]
+            for have, ref in zip(got, [want_ctx.data, want_w, parts[0].grad]):
+                worst = max(worst, float(np.max(np.abs(have - ref), initial=0.0)))
+            # padded keys get exactly zero weight
+            assert np.all(w[i, :, :n, m:] == 0.0)
+            gk[keys] += parts[1].grad
+            gv[keys] += parts[2].grad
+            q_start += n
+            if k_lengths is not None:
+                k_start += m
+        for have, ref in ((kt.grad, gk), (vt.grad, gv)):
+            worst = max(worst, float(np.max(np.abs(have - ref))))
+        return worst
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_matches_per_segment_attention(self, causal):
+        assert self.packed_against_per_sequence(self.LENGTHS, self.LENGTHS, causal,
+                                                50 + causal) <= 1e-12
+
+    def test_cross_lengths_match_per_sequence_attention(self):
+        assert self.packed_against_per_sequence(self.LENGTHS, self.KEY_LENGTHS, False,
+                                                55) <= 1e-12
+
+    def test_shared_keys_match_per_sequence_attention(self):
+        # One key sequence serves every query sequence, as in rescoring.
+        assert self.packed_against_per_sequence(self.LENGTHS, None, False, 56) <= 1e-12
 
     def test_single_segment_is_plain_causal_bit_for_bit(self):
         rng = np.random.default_rng(52)
         q, k, v = (ad.tensor(rng.normal(size=(6, 8))) for _ in range(3))
-        ctx, w = ad.attention_core(q, k, v, 2, causal=True, segments=[6])
+        ctx, w = ad.attention_core(q, k, v, 2, causal=True, q_lengths=[6], k_lengths=[6])
         want_ctx, want_w = ad.attention_core(q, k, v, 2, causal=True)
         assert np.array_equal(ctx.data, want_ctx.data) and np.array_equal(w, want_w)
 
@@ -461,11 +764,19 @@ class TestSegmentedAttention:
         rng = np.random.default_rng(53)
 
         def f(q, k, v):
-            ctx, _ = ad.attention_core(q, k, v, n_heads=2, causal=True, segments=[2, 3])
+            ctx, _ = ad.attention_core(q, k, v, n_heads=2, causal=True, q_lengths=[2, 3],
+                                       k_lengths=[2, 3])
             return ad.sum_all(ad.mul(ctx, ctx))
 
         check(f, rng.normal(size=(5, 6)), rng.normal(size=(5, 6)),
               rng.normal(size=(5, 6)), tol=1e-4)
+
+        def g(q, k, v):
+            ctx, _ = ad.attention_core(q, k, v, n_heads=2, q_lengths=[2, 3], k_lengths=[1, 3])
+            return ad.sum_all(ad.mul(ctx, ctx))
+
+        check(g, rng.normal(size=(5, 6)), rng.normal(size=(4, 6)),
+              rng.normal(size=(4, 6)), tol=1e-4)
 
     @pytest.mark.parametrize("segments,lk", [([2, 2], 5), ([3, 3], 5), ([4, 2], 6),
                                              ([6, -1], 5), ([[5]], 5)])
@@ -474,7 +785,20 @@ class TestSegmentedAttention:
         q = ad.tensor(rng.normal(size=(5, 4)))
         k = ad.tensor(rng.normal(size=(lk, 4)))
         with pytest.raises(DimensionError):
-            ad.attention_core(q, k, k, 2, segments=segments)
+            ad.attention_core(q, k, k, 2, q_lengths=segments, k_lengths=segments)
+
+    @pytest.mark.parametrize("q_lengths,k_lengths,causal", [
+        ([2, 3], [1, 1, 3], False),     # neither one key sequence per query nor one shared
+        ([2, 3], [5, 0], False),        # a query sequence with no keys
+        ([2, 3], [3, 2], True),         # causal scores must be square
+        ([2, 3], None, True),
+    ])
+    def test_key_sequences_must_fit_the_queries(self, q_lengths, k_lengths, causal):
+        rng = np.random.default_rng(57)
+        q, k = ad.tensor(rng.normal(size=(5, 4))), ad.tensor(rng.normal(size=(5, 4)))
+        with pytest.raises(DimensionError):
+            ad.attention_core(q, k, k, 2, causal=causal, q_lengths=q_lengths,
+                              k_lengths=k_lengths)
 
 
 class TestFiniteGuard:
@@ -496,6 +820,25 @@ class TestTape:
         out = ad.sum_all(ad.mul(x, x))
         assert out.data == 5.0
         assert x.grad is None
+
+    def test_backward_keeps_the_recorded_op_count(self):
+        x = ad.tensor([2.0, 3.0])
+        with ad.tape() as tp:
+            out = ad.sum_all(ad.mul(ad.swish(x), x))
+            recorded = len(tp)
+            tp.backward(out)
+            assert recorded == 3 and len(tp) == recorded
+            ad.scale(out, 2.0)
+            assert len(tp) == recorded + 1
+
+    def test_scalar_results_keep_their_dtype(self):
+        assert ad.Tensor(np.float32(1.5)).data.dtype == np.float32
+        assert ad.Tensor(1.5).data.dtype == np.float64
+        x = ad.tensor(np.array(2.0, dtype=np.float32), dtype=np.float32)
+        with ad.tape() as tp:
+            out = ad.scale(x, 3.0)
+            tp.backward(out)
+        assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
 
     def test_grad_accumulates_across_uses(self):
         x = ad.tensor([2.0])

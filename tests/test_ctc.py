@@ -475,6 +475,13 @@ class TestLatticeOpAgainstComposedReference:
             assert got[0] == want[0]
             assert all(np.array_equal(h, r) for h, r in zip(got[1:], want[1:]))
 
+    def test_float32_loss_backpropagates_in_float32(self):
+        rng = np.random.default_rng(66)
+        logits = rng.normal(size=(7, 5)).astype(np.float32)
+        loss, lp_grad, x_grad = loss_and_grads(ctc.ctc_loss, logits, [1, 3, 3])
+        assert loss.dtype == np.float32
+        assert lp_grad.dtype == np.float32 and x_grad.dtype == np.float32
+
     def test_is_one_tape_entry(self):
         grid = uniform_grid(9, 5)
         with ad.tape() as tp:

@@ -11,7 +11,8 @@ from skiprec import decoder as dec
 from skiprec.autodiff import Parameter
 from skiprec.encoder import (EncodedSequence, _ffn_branch, _norm,
                              positional_table)
-from skiprec.errors import ContractError, EmptySequenceError, ParameterError
+from skiprec.errors import (ContractError, DimensionError, EmptySequenceError,
+                            ParameterError)
 
 
 def make_enc(rng, length, d):
@@ -84,7 +85,7 @@ class TestUniformOutputs:
         rng = np.random.default_rng(6)
         params = zero_output_stage(dec.init_decoder(rng, 8, 2, 1, 5, 2))
         enc = make_enc(rng, 4, 8)
-        loss = dec.aed_loss(enc, [1, 3, 2], params, heads=2)
+        loss = dec.aed_loss(enc, [[1, 3, 2]], params, heads=2)
         assert loss.data == pytest.approx(math.log(7), rel=1e-12)
 
     def test_single_token_likelihood_scores_two_positions(self):
@@ -131,13 +132,13 @@ class TestTokenValidation:
         params = dec.init_decoder(rng, 8, 2, 1, 5, 2)
         enc = make_enc(rng, 3, 8)
         with pytest.raises(ContractError):
-            dec.aed_loss(enc, [1, bad], params, heads=2)
+            dec.aed_loss(enc, [[1, bad]], params, heads=2)
 
     def test_empty_target_rejected_for_loss(self):
         rng = np.random.default_rng(12)
         params = dec.init_decoder(rng, 8, 2, 1, 5, 2)
         with pytest.raises(EmptySequenceError):
-            dec.aed_loss(make_enc(rng, 3, 8), [], params, heads=2)
+            dec.aed_loss(make_enc(rng, 3, 8), [[]], params, heads=2)
 
 
 class TestRescore:
@@ -196,7 +197,7 @@ class TestTraining:
         def compute():
             enc = EncodedSequence(frames=ad.Tensor(enc_frames.copy()),
                                   orig_index=np.arange(4))
-            return dec.aed_loss(enc, tokens, params, heads=2)
+            return dec.aed_loss(enc, [tokens], params, heads=2)
 
         with ad.tape() as t:
             loss = compute()
@@ -216,11 +217,57 @@ class TestTraining:
 
         def loss(*_):
             enc = EncodedSequence(frames=frames, orig_index=np.arange(3))
-            return dec.aed_loss(enc, [1, 4], params, heads=2)
+            return dec.aed_loss(enc, [[1, 4]], params, heads=2)
 
         targets = [frames, params.embed.value, params.out_w.value,
                    params.blocks[0].cross_attn.wk.value]
         assert ad.grad_check(loss, targets) <= 1e-4
+
+
+class TestPackedLoss:
+    """Several utterances, each over its own encoder memory, in one decoder pass."""
+
+    MEMORY_LENGTHS = (3, 5, 1)
+    TOKENS = ([1, 4], [2, 2, 3, 1], [3])
+
+    def test_matches_the_sum_of_per_utterance_losses(self):
+        rng = np.random.default_rng(20)
+        params = dec.init_decoder(rng, 8, 2, 2, 5, 2)
+        frames = rng.normal(size=(sum(self.MEMORY_LENGTHS), 8))
+        orig = np.concatenate([np.arange(n) for n in self.MEMORY_LENGTHS])
+        packed = ad.Tensor(frames.copy())
+        enc = EncodedSequence(frames=packed, orig_index=orig, lengths=self.MEMORY_LENGTHS)
+        with ad.tape() as tp:
+            loss = dec.aed_loss(enc, list(self.TOKENS), params, heads=2)
+            tp.backward(loss)
+        got = [p.grad.copy() for p in collect_parameters(params)]
+        for p in collect_parameters(params):
+            p.zero_grad()
+        want, want_frames, start = 0.0, [], 0
+        for n, tokens in zip(self.MEMORY_LENGTHS, self.TOKENS):
+            part = ad.Tensor(frames[start:start + n].copy())
+            with ad.tape() as tp:
+                one = dec.aed_loss(make_enc_from(part), [tokens], params, heads=2)
+                tp.backward(one)
+            want += float(one.data)
+            want_frames.append(part.grad)
+            start += n
+        assert abs(float(loss.data) - want) <= 1e-12 * abs(want)
+        assert np.max(np.abs(packed.grad - np.concatenate(want_frames))) <= 1e-12
+        for g, p in zip(got, collect_parameters(params)):
+            assert np.max(np.abs(g - p.grad)) <= 1e-12 * max(np.abs(p.grad).max(), 1e-3)
+
+    def test_memory_count_must_match_the_sequences(self):
+        rng = np.random.default_rng(21)
+        params = dec.init_decoder(rng, 8, 2, 1, 5, 2)
+        enc = EncodedSequence(frames=ad.Tensor(rng.normal(size=(4, 8))),
+                              orig_index=np.array([0, 1, 0, 1]), lengths=(2, 2))
+        with pytest.raises(DimensionError):
+            dec.aed_loss(enc, [[1], [2], [3]], params, heads=2)
+
+
+def make_enc_from(frames):
+    return EncodedSequence(frames=frames, orig_index=np.arange(frames.data.shape[0]))
 
 
 def single_sequence_log_likelihood_reference(enc, tokens, params, heads):

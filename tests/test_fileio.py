@@ -22,6 +22,20 @@ class TestCheckpoint:
             assert back[name].dtype == np.float64
             assert np.array_equal(back[name], tensors[name])
 
+    def test_sequential_write_matches_the_joined_bytes(self, tmp_path):
+        # The file is written part by part; its bytes are the joined layout.
+        import struct
+        rng = np.random.default_rng(1)
+        tensors = {"w": rng.normal(size=(3, 2)), "s": np.asarray(1.5), "ü": np.ones(4)}
+        parts = [b"SKPF", struct.pack("<II", 1, len(tensors))]
+        for name, arr in tensors.items():
+            raw = name.encode("utf-8")
+            parts += [struct.pack("<I", len(raw)), raw, struct.pack("<I", arr.ndim),
+                      struct.pack(f"<{arr.ndim}Q", *arr.shape), arr.astype("<f8").tobytes()]
+        path = tmp_path / "model.ckpt"
+        fileio.save_checkpoint(path, tensors)
+        assert path.read_bytes() == b"".join(parts)
+
     def test_bad_magic_offset_zero(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -157,6 +171,14 @@ class TestFeatures:
         at = blob.index(b"u1")
         path.write_bytes(blob.replace(b"u1", b"u\x81"))
         with pytest.raises(FormatError, match=f"utterance id at byte {at} is not valid UTF-8"):
+            fileio.read_features(path)
+
+    def test_repeated_utterance_id_reports_offset(self, tmp_path):
+        path = tmp_path / "features.bin"
+        fileio.write_features(path, [("u0", np.ones((9, 3))), ("u1", np.ones((4, 3))),
+                                     ("u0", np.ones((12, 3)))])
+        at = path.read_bytes().rindex(b"u0")
+        with pytest.raises(FormatError, match=f"duplicate utterance id 'u0' at byte {at}"):
             fileio.read_features(path)
 
 

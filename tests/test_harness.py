@@ -193,8 +193,8 @@ class TestTrainRun:
                 training=dataclasses.replace(TINY_CFG.training, epochs=epochs, eval_every=1,
                                              seed=seed))
 
-        # The second run's eval errors go 1.0, 1.0, 0.75, 0.75, 1.0, 1.0: its
-        # best model comes before the split and only worse ones follow it.
+        # The second run's eval errors go 1.0, 0.75, 1.0, 0.5, 0.5, 0.5: its
+        # best model comes at the split and none that follows is better.
         for epochs, split, peak_lr, seed in [(3, 2, 1e-3, 0), (6, 4, 3e-2, 1)]:
             run = tmp_path / f"{epochs}-{split}"
             whole = train_mod.train_run(cfg(epochs, peak_lr, seed), fp, tp, run / "whole")
@@ -214,6 +214,30 @@ class TestTrainRun:
             assert more.best_checkpoint.read_bytes() == whole.best_checkpoint.read_bytes()
             assert more.best_error_rate == whole.best_error_rate
             assert float(got["trainer.best_error"]) == whole.best_error_rate
+
+    def test_each_batch_trains_as_one_packed_forward(self, tiny_corpus, tmp_path,
+                                                     monkeypatch):
+        fp, tp = tiny_corpus
+        calls, backwards = [], []
+        forward, backward = model_mod.forward_batch, ad.Tape.backward
+
+        def counting_forward(batch, *args, **kwargs):
+            calls.append((len(batch), ad._TAPE is not None))
+            return forward(batch, *args, **kwargs)
+
+        def counting_backward(self, root):
+            backwards.append(len(calls))
+            return backward(self, root)
+
+        monkeypatch.setattr(model_mod, "forward_batch", counting_forward)
+        monkeypatch.setattr(ad.Tape, "backward", counting_backward)
+        result = train_mod.train_run(TINY_CFG, fp, tp, tmp_path / "run")
+        # Per epoch: 3 utterances in batches of 2 and 1 on a tape, each with
+        # one backward, then an eval forward per utterance without a tape.
+        epoch = [(2, True), (1, True)] + [(1, False)] * 3
+        assert result.steps == 4
+        assert calls == epoch * 2
+        assert backwards == [1, 2, 6, 7]
 
     def test_identical_runs_write_identical_logs(self, tiny_corpus, tmp_path):
         fp, tp = tiny_corpus

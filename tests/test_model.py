@@ -86,6 +86,39 @@ class TestRecover:
         with pytest.raises(ContractError):
             model_mod.recover(a, b)
 
+    def test_packed_sequences_merge_each_with_its_own(self):
+        rng = np.random.default_rng(4)
+        sizes = [6, 1, 9, 3]
+        crucial, trivial, want = [], [], []
+        for n in sizes:
+            src = rng.normal(size=(n, 4))
+            mask = rng.random(n) < 0.5
+            keep = mask | (rng.random(n) < 0.7)
+            a_idx = np.flatnonzero(mask).astype(np.int64)
+            b_idx = np.flatnonzero(keep & ~mask).astype(np.int64)
+            crucial.append((src[a_idx], a_idx))
+            trivial.append((src[b_idx], b_idx))
+            one = model_mod.recover(
+                EncodedSequence(frames=ad.Tensor(src[a_idx]), orig_index=a_idx),
+                EncodedSequence(frames=ad.Tensor(src[b_idx]), orig_index=b_idx))
+            want.append(one)
+
+        def packed(parts):
+            return EncodedSequence(frames=ad.Tensor(np.concatenate([f for f, _ in parts])),
+                                   orig_index=np.concatenate([i for _, i in parts]),
+                                   lengths=tuple(i.size for _, i in parts))
+
+        merged = model_mod.recover(packed(crucial), packed(trivial))
+        assert merged.lengths == tuple(w.length for w in want)
+        np.testing.assert_array_equal(merged.frames.data,
+                                      np.concatenate([w.frames.data for w in want]))
+        np.testing.assert_array_equal(merged.orig_index,
+                                      np.concatenate([w.orig_index for w in want]))
+        # the same frame index in two sequences is no duplicate; in one it is
+        with pytest.raises(ContractError):
+            model_mod.recover(packed([(np.ones((1, 4)), np.array([2])), crucial[1]]),
+                              packed([(np.ones((1, 4)), np.array([2])), trivial[1]]))
+
     def test_gradient_flows_to_both_sides(self):
         rng = np.random.default_rng(3)
         a = ad.Tensor(rng.normal(size=(2, 3)))
@@ -456,6 +489,102 @@ class TestShortestInput:
         trace = model_mod.forward_utterance(feats, params, TOY, LossConfig(), target=[1, 2])
         with pytest.raises(InfeasibleAlignmentError):
             model_mod.total_loss(trace, [1, 2], params, TOY, LossConfig())
+
+
+def ragged_batch_case():
+    """A ragged batch whose split exercises every per-utterance path.
+
+    Utterance 0 has exactly MIN_INPUT_FRAMES input frames. At the chosen
+    blank threshold every frame of utterance 1 is blank, so its crucial group
+    is empty and it falls back; utterance 2 gets a target one token too long
+    for its kept frames and falls back on that; the rest skip frames.
+    """
+    params = model_mod.init_model(6, TOY)
+    lengths = [MIN_INPUT_FRAMES, 31, 45, 38, 23, 52]
+    for seed in range(60):
+        rng = np.random.default_rng(100 + seed)
+        feats = [toy_feats(rng, n, f"u{i}") for i, n in enumerate(lengths)]
+        probe = model_mod.forward_batch(feats, params, TOY, LossConfig(blank_threshold=0.5))
+        blank = np.split(np.exp(probe.inter_grid.log_probs.data[:, 0]),
+                         np.cumsum(probe.h1.lengths)[:-1])
+        beta = float(blank[1].min()) * (1.0 - 1e-9)
+        loss_cfg = LossConfig(blank_threshold=beta, split_mode=2)
+        trace = model_mod.forward_batch(feats, params, TOY, loss_cfg)
+        kept = [len(g.crucial) + len(g.trivial) for g in trace.groups]
+        if trace.fallbacks != [False, True] + [False] * 4:
+            continue
+        if not all(0 < k < t for k, t in zip(kept[2:], trace.h1.lengths[2:])):
+            continue
+        targets = [[1], [2, 1], [(i % 2) + 1 for i in range(kept[2] + 1)]]
+        targets += [[1 + i % (TOY.vocab_size - 1), 1 + (i + 1) % (TOY.vocab_size - 1)]
+                    for i in range(3, len(lengths))]
+        return params, feats, loss_cfg, targets
+    pytest.fail("no seed gave the wanted splits")
+
+
+def assert_packed_matches_per_utterance(params, feats, loss_cfg, targets):
+    """Packed forward, loss and gradients against one utterance at a time."""
+    named = model_mod.named_parameters(params)
+    with ad.tape() as tp:
+        batch = model_mod.forward_batch(feats, params, TOY, loss_cfg, targets=targets)
+        loss = model_mod.batch_loss(batch, targets, params, TOY, loss_cfg)
+        tp.backward(loss)
+    packed = {name: p.grad for name, p in named}
+    for _, p in named:
+        p.zero_grad()
+    want = 0.0
+    rows1 = np.split(np.arange(batch.h1.length), np.cumsum(batch.h1.lengths)[:-1])
+    rows2 = np.split(np.arange(batch.h2.length), np.cumsum(batch.h2.lengths)[:-1])
+    for i, (f, tokens) in enumerate(zip(feats, targets)):
+        with ad.tape() as tp:
+            trace = model_mod.forward_utterance(f, params, TOY, loss_cfg, target=tokens)
+            one = model_mod.total_loss(trace, tokens, params, TOY, loss_cfg)
+            tp.backward(one)
+        want += float(one.data)
+        assert trace.fallback == batch.fallbacks[i]
+        assert trace.groups == batch.groups[i]
+        np.testing.assert_array_equal(trace.flags, batch.flags[i])
+        np.testing.assert_array_equal(trace.h2.orig_index, batch.h2.orig_index[rows2[i]])
+        for have, ref, rows in ((batch.inter_grid, trace.inter_grid, rows1[i]),
+                                (batch.final_grid, trace.final_grid, rows2[i])):
+            assert np.max(np.abs(have.log_probs.data[rows] - ref.log_probs.data)) <= 1e-12
+    assert abs(float(loss.data) - want) <= 1e-12 * abs(want)
+    for name, p in named:
+        # A gradient that is zero up to rounding (the attention key biases)
+        # is compared on an absolute scale, as grad_check does.
+        scale = max(float(np.abs(p.grad).max()), 1e-3)
+        assert np.max(np.abs(packed[name] - p.grad)) <= 1e-12 * scale, name
+    return batch
+
+
+class TestPackedBatch:
+    """A packed batch computes what its utterances compute one at a time."""
+
+    def test_every_split_path_matches_per_utterance_runs(self):
+        params, feats, loss_cfg, targets = ragged_batch_case()
+        batch = assert_packed_matches_per_utterance(params, feats, loss_cfg, targets)
+        assert batch.fallbacks == [False, True, True, False, False, False]
+        assert batch.h1.lengths[0] == 1 and batch.flags[1].all()
+
+    def test_targets_must_match_the_batch(self):
+        params, feats, loss_cfg, targets = ragged_batch_case()
+        with pytest.raises(ContractError):
+            model_mod.forward_batch(feats, params, TOY, loss_cfg, targets=targets[:-1])
+        batch = model_mod.forward_batch(feats, params, TOY, loss_cfg, targets=targets)
+        with pytest.raises(ContractError):
+            model_mod.batch_loss(batch, targets[:1], params, TOY, loss_cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_ragged_batches_match_per_utterance_runs(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        params = model_mod.init_model(seed, TOY)
+        feats = [toy_feats(rng, int(n), f"u{i}")
+                 for i, n in enumerate(rng.integers(19, 70, size=5))]
+        targets = [[int(t) for t in rng.integers(1, TOY.vocab_size, size=1 + i % 2)]
+                   for i in range(len(feats))]
+        beta = median_threshold(params, feats[-1], TOY)
+        assert_packed_matches_per_utterance(params, feats, LossConfig(blank_threshold=beta),
+                                            targets)
 
 
 class TestEndToEndGradient:

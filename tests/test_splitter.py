@@ -186,6 +186,28 @@ class TestSplitFrames:
         expect[[1, 2, 5]] = 1.0
         assert np.array_equal(grad, expect)
 
+    def test_packed_sequences_split_as_one_gather_each(self):
+        rng = np.random.default_rng(3)
+        flags = [WORKED_FLAGS, [True] * 4, [False, True, True]]
+        lengths = tuple(len(f) for f in flags)
+        seq = EncodedSequence(frames=ad.tensor(rng.normal(size=(sum(lengths), 4))),
+                              orig_index=np.concatenate([np.arange(n) for n in lengths]),
+                              lengths=lengths)
+        groups = [splitter.assign_groups(splitter.compute_sets(f), SplitMode.CARRY_RIGHT)
+                  for f in flags]
+        with ad.tape() as tp:
+            crucial, trivial = splitter.split_frames(seq, *groups)
+            assert len(tp) == 2
+        starts = np.cumsum(lengths) - np.asarray(lengths)
+        for out, name in ((crucial, "crucial"), (trivial, "trivial")):
+            local = [np.asarray(getattr(g, name), dtype=np.int64) for g in groups]
+            assert out.lengths == tuple(idx.size for idx in local)
+            rows = np.concatenate([s + idx for s, idx in zip(starts, local)])
+            assert np.array_equal(out.frames.data, seq.frames.data[rows])
+            assert np.array_equal(out.orig_index, np.concatenate(local))
+        with pytest.raises(ContractError):
+            splitter.split_frames(seq, *groups[:2])
+
     def test_out_of_range_rejected(self):
         seq = self._seq(3)
         g = splitter.FrameGroups(
