@@ -6,16 +6,17 @@ appends a closure that routes the output gradient back to its inputs;
 is a valid topological order by construction.
 
 The op set is what the model needs: add, scale and constant add/multiply,
-reshape and permute, gather/concat/split by row index, affine, strided 2-D
-convolution, depthwise 1-D convolution, attention, log-softmax, layer norm,
-swish, GLU, cross-entropy, and the CTC lattice's negative log-likelihood
-as one op. ``tensor``, ``mul``, ``sum_all`` and ``grad_check`` serve the
-tests; the model calls every other op. Nothing more general is provided on
-purpose.
+reshape and permute, gather/concat by row index, affine, strided 2-D
+convolution (channels last, one im2col GEMM), depthwise 1-D convolution,
+attention, log-softmax, layer norm, swish, GLU, cross-entropy, and the CTC
+lattice's negative log-likelihood as one op. ``tensor``, ``mul``,
+``sum_all`` and ``grad_check`` serve the tests; the model calls every other
+op. Nothing more general is provided on purpose.
 
 Several sequences can run as one: their rows are packed one after another
 and the ops that mix rows (attention, the depthwise conv, the cross-entropy
-mean) take the sequence lengths. A single sequence takes no padding copy.
+mean, the CTC lattice) take the sequence lengths. A single sequence takes no
+padding copy.
 
 Ops keep the dtype of their operands: scalar constants are Python floats,
 so float32 inputs stay float32. Attention runs as head-batched matmuls and
@@ -350,26 +351,6 @@ def concat_rows(*parts: Tensor) -> Tensor:
     return out
 
 
-def split_rows(x: Tensor, lengths) -> list[Tensor]:
-    """Cut a packed tensor into its consecutive row blocks of the given lengths.
-
-    Each block is a view of ``x``. The backward stacks the blocks'
-    gradients, zeros for a block that got none, into one array for ``x``.
-    """
-    lengths = _packed_lengths(lengths, x.data.shape[0], "split_rows")
-    parts = [Tensor(a) for a in np.split(x.data, np.cumsum(lengths)[:-1])]
-
-    def bwd():
-        grads = [p.grad for p in parts]
-        if all(g is None for g in grads):
-            return
-        _accum(x, np.concatenate([np.zeros_like(p.data) if g is None else g
-                                  for p, g in zip(parts, grads)]))
-
-    _record(bwd)
-    return parts
-
-
 # ---------------------------------------------------------------------------
 # dense algebra
 # ---------------------------------------------------------------------------
@@ -523,63 +504,121 @@ def cross_entropy_mean(logits: Tensor, targets, lengths=None) -> Tensor:
 # alignment lattice
 # ---------------------------------------------------------------------------
 
-def lattice_nll(log_probs: Tensor, states, allow_skip) -> Tensor:
-    """Negative log of the summed probability of every path through a CTC lattice.
+def lattice_nll(log_probs: Tensor, states, allow_skip, lengths=None) -> Tensor:
+    """Negative log of the summed probability of every path through CTC lattices.
 
     ``log_probs`` is a (T, V) grid. Lattice state s emits class ``states[s]``
     and is entered from s, s - 1 and, where ``allow_skip[s]`` holds, s - 2.
-    Paths start in state 0 or 1 and end in one of the last two states. The
-    forward recursion runs in log space, unreachable branches held at
-    NEG_FILL; the backward replays it in reverse, so the whole loss is one
-    tape entry. Each array operation, down to the order in which the emission
-    gradient accumulates, is the one the former per-frame tape ops made, so
-    the loss and its gradient are the same to the bit.
+    Paths start in state 0 or 1 and end in one of the last two states. With
+    ``lengths`` the grid packs consecutive sequences of those frame counts,
+    ``states`` and ``allow_skip`` hold one lattice per sequence, and the
+    result is the sum of the sequences' losses, added in sequence order.
+
+    All lattices run as one (sequences, most states) recursion per frame in
+    log space, unreachable branches held at NEG_FILL. A lattice's padded
+    states emit NEG_FILL, and a sequence past its last frame re-reads that
+    frame; its loss and gradient are taken at its own last frame, so the
+    frames after it change nothing. The backward replays the recursion in
+    reverse, so the whole loss is one tape entry. Element by element, each
+    array operation, down to the order in which the emission gradient
+    accumulates, is the one the former per-frame, per-sequence tape ops
+    made, so the loss and its gradient are the same to the bit.
     """
     lp = log_probs.data
-    states = np.asarray(states, dtype=np.int64)
-    allow_skip = np.asarray(allow_skip, dtype=bool)
-    s = states.size
-    if lp.ndim != 2 or lp.shape[0] < 1 or states.shape != (s,) or s < 1 \
-            or allow_skip.shape != (s,):
-        raise DimensionError(f"lattice_nll grid {lp.shape}, states {states.shape}, "
-                             f"skips {allow_skip.shape}")
-    if states.min() < 0 or states.max() >= lp.shape[1]:
-        raise DimensionError(f"lattice state class out of range for {lp.shape[1]} classes")
-    emit = lp[:, states]
-    if not np.all(np.isfinite(emit)):
-        raise NumericError("non-finite log probability on the lattice_nll path")
-    fill = np.full(2, NEG_FILL, dtype=lp.dtype)
-    alpha = emit[0].copy()
-    alpha[2:] = NEG_FILL
-    steps = []  # frames 1..T-1: the stay, step and skip branches and their log-sum-exp
-    for t in range(1, lp.shape[0]):
-        b1 = np.concatenate([fill[:1], alpha[:-1]])
-        b2 = np.concatenate([fill, alpha[:-2]])[:s]
-        b2[~allow_skip] = NEG_FILL
-        m = np.maximum(np.maximum(alpha, b1), b2)
-        lse = m + np.log(np.exp(alpha - m) + np.exp(b1 - m) + np.exp(b2 - m))
-        steps.append((alpha, b1, b2, lse))
-        alpha = lse + emit[t]
-    final = np.arange(max(s - 2, 0), s)
-    last = alpha[final]
-    m = float(last.max())
-    total = np.asarray(m + np.log(np.exp(last - m).sum()))
-    out = _make(-total, "lattice_nll")
+    if lp.ndim != 2:
+        raise DimensionError(f"lattice_nll needs a (T, V) grid, got {lp.shape}")
+    packed = lengths is not None
+    lengths = _packed_lengths(lengths, lp.shape[0], "lattice_nll")
+    if not packed:
+        states, allow_skip = [states], [allow_skip]
+    if len(states) != lengths.size or len(allow_skip) != lengths.size:
+        raise DimensionError(f"lattice_nll: {len(states)} lattices and {len(allow_skip)} "
+                             f"skip masks for {lengths.size} sequences")
+    lattices = []
+    for i, (st, sk) in enumerate(zip(states, allow_skip)):
+        st, sk = np.asarray(st, dtype=np.int64), np.asarray(sk, dtype=bool)
+        where = f" of sequence {i}" if packed else ""
+        if lengths[i] < 1 or st.ndim != 1 or st.size < 1 or sk.shape != st.shape:
+            raise DimensionError(f"lattice_nll grid {(int(lengths[i]), lp.shape[1])}{where}, "
+                                 f"states {st.shape}, skips {sk.shape}")
+        if st.min() < 0 or st.max() >= lp.shape[1]:
+            raise DimensionError(f"lattice state class{where} out of range for "
+                                 f"{lp.shape[1]} classes")
+        lattices.append((st, sk))
+    n, t_max = lengths.size, int(lengths.max())
+    sizes = np.array([st.size for st, _ in lattices])
+    s_max = int(sizes.max())
+    real = np.arange(s_max) < sizes[:, None]                      # (n, S)
+    state = np.zeros((n, s_max), dtype=np.int64)
+    skip = np.zeros((n, s_max), dtype=bool)
+    for i, (st, sk) in enumerate(lattices):
+        # Padded states re-read the lattice's first class, so every cell
+        # read lies on its own sequence's path.
+        state[i] = st[0]
+        state[i, :st.size] = st
+        skip[i, :st.size] = sk
+    frame = np.minimum(np.arange(t_max)[:, None], lengths - 1)      # (T, n)
+    rows = (np.cumsum(lengths) - lengths) + frame
+    emit = lp[rows[:, :, None], state[None]]                        # (T, n, S)
+    finite = np.isfinite(emit).all(axis=(0, 2))
+    if not finite.all():
+        where = f" of sequence {int(np.flatnonzero(~finite)[0])}" if packed else ""
+        raise NumericError(f"non-finite log probability on the lattice_nll path{where}")
+    emit[:, ~real] = NEG_FILL
+
+    alpha = np.empty_like(emit)          # alpha[t]: log mass of each state after frame t
+    lse = np.empty_like(emit)            # lse[t]: its log-sum-exp over the entering branches
+    b2 = np.full_like(emit, NEG_FILL)    # b2[t]: the skip branch, NEG_FILL where barred
+    b1 = np.full((n, s_max), NEG_FILL, dtype=lp.dtype)
+    alpha[0] = emit[0]
+    alpha[0, :, 2:] = NEG_FILL
+    for t in range(1, t_max):
+        a = alpha[t - 1]
+        b1[:, 1:] = a[:, :-1]
+        np.copyto(b2[t, :, 2:], a[:, :-2], where=skip[:, 2:])
+        m = np.maximum(np.maximum(a, b1), b2[t])
+        np.add(m, np.log(np.exp(a - m) + np.exp(b1 - m) + np.exp(b2[t] - m)), out=lse[t])
+        np.add(lse[t], emit[t], out=alpha[t])
+    finals, lasts, totals = [], [], []
+    for i, s in enumerate(sizes):
+        final = np.arange(max(s - 2, 0), s)
+        last = alpha[lengths[i] - 1, i, final]
+        m = float(last.max())
+        finals.append(final)
+        lasts.append(last)
+        totals.append(np.asarray(m + np.log(np.exp(last - m).sum())))
+    nll = -totals[0]
+    for total in totals[1:]:
+        nll = nll + -total
+    out = _make(nll, "lattice_nll")
 
     def bwd():
         if out.grad is None:
             return
-        g = np.zeros_like(alpha)
-        np.add.at(g, final, -out.grad * np.exp(last - total))
-        grad = np.zeros_like(lp)
-        for t in range(len(steps), 0, -1):
-            b0, b1, b2, lse = steps[t - 1]
-            np.add.at(grad[t], states, g)
-            prev = g * np.exp(b0 - lse)
-            prev[:-1] += (g * np.exp(b1 - lse))[1:]
-            prev[:-2] += (g * np.exp(b2 - lse) * allow_skip)[2:]
+        # Branch weights of every step at once: stay, step from s - 1 (for
+        # states 1..), skip from s - 2 (for states 2..).
+        e0 = np.exp(alpha[:-1] - lse[1:])
+        e1 = np.exp(alpha[:-1, :, :-1] - lse[1:, :, 1:])
+        e2 = np.exp(b2[1:, :, 2:] - lse[1:, :, 2:])
+        ends = lengths - 1
+        g = np.zeros((n, s_max), dtype=alpha.dtype)
+        ge = np.empty_like(alpha)        # gradient reaching each emission
+        for t in range(t_max - 1, -1, -1):
+            for i in np.flatnonzero(ends == t):
+                g[i, finals[i]] += -out.grad * np.exp(lasts[i] - totals[i])
+            ge[t] = g
+            if t == 0:
+                break
+            prev = g * e0[t - 1]
+            prev[:, :-1] += g[:, 1:] * e1[t - 1]
+            prev[:, :-2] += g[:, 2:] * e2[t - 1] * skip[:, 2:]
             g = prev
-        np.add.at(grad[0], states[:2], g[:2])
+        # Frame 0 enters states 0 and 1 only; no frame past a sequence's end emits.
+        use = real & (np.arange(t_max)[:, None, None] < lengths[:, None])
+        use[0, :, 2:] = False
+        grad = np.zeros_like(lp)
+        np.add.at(grad, (np.broadcast_to(rows[:, :, None], use.shape)[use],
+                         np.broadcast_to(state, use.shape)[use]), ge[use])
         _accum(log_probs, grad)
 
     _record(bwd)
@@ -591,29 +630,52 @@ def lattice_nll(log_probs: Tensor, states, allow_skip) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def conv2d_s2(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Valid 2-D convolution with stride 2: (Ci, H, W) -> (Co, H', W')."""
-    ci, h, wd = x.data.shape
+    """Valid 2-D convolution with stride 2, channels last: (H, W, Ci) -> (H', W', Co).
+
+    The kernel is (Co, Ci, kh, kw). The forward is one GEMM over im2col
+    columns, ``(Co, Ci*kh*kw) @ (Ci*kh*kw, H'*W')``, and the output is an
+    (H', W', Co) view of its (Co, H'*W') result. The backward rebuilds the
+    columns rather than keeping them on the tape, takes the weight and the
+    input gradient with one GEMM each, and adds the input gradient back with
+    one strided slice-add per kernel position over whole channel rows.
+    """
+    h, wd, ci = x.data.shape
     co, ci2, kh, kw = w.data.shape
     if ci != ci2 or b.data.shape != (co,):
         raise DimensionError(f"conv2d_s2 input {x.data.shape} vs kernel {w.data.shape}")
     if h < kh or wd < kw:
         raise DimensionError(f"conv2d_s2 input {x.data.shape} smaller than kernel {w.data.shape}")
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(1, 2))[:, ::2, ::2]
-    out_data = np.tensordot(w.data, win, axes=([1, 2, 3], [0, 3, 4])) + b.data[:, None, None]
-    out = _make(out_data, "conv2d_s2")
-    ho, wo = out_data.shape[1:]
+    ho, wo = (h - kh) // 2 + 1, (wd - kw) // 2 + 1
+
+    def columns() -> np.ndarray:
+        # Rows run over (ci, ky, kx), the kernel's own order: each input
+        # channel is read in one pass, and one utterance's output is the
+        # (Ci, H, W) convolution's to the bit.
+        win = np.lib.stride_tricks.sliding_window_view(
+            x.data.transpose(2, 0, 1), (kh, kw), axis=(1, 2))[:, ::2, ::2]
+        return win.transpose(0, 3, 4, 1, 2).reshape(ci * kh * kw, ho * wo)
+
+    # The bias makes a new array rather than adding in place: freeing the
+    # product here lets malloc raise its mmap threshold, where an in-place
+    # add left each desk forward faulting in fresh pages (86 per call).
+    out2d = w.data.reshape(co, ci * kh * kw) @ columns() + b.data[:, None]
+    out = _make(out2d.T.reshape(ho, wo, co), "conv2d_s2")
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        _accum(w, np.tensordot(g, win, axes=([1, 2], [1, 2])))
-        _accum(b, g.sum(axis=(1, 2)))
-        gx = np.zeros_like(x.data)
+        g2 = g.reshape(ho * wo, co)
+        _accum(w, (g2.T @ columns().T).reshape(w.data.shape))
+        _accum(b, g2.sum(axis=0))
+        # Input-gradient columns over (ky, kx, ci): each kernel position's
+        # share of an output frame is one contiguous channel row.
+        wm = w.data.transpose(0, 2, 3, 1).reshape(co, kh * kw * ci)
+        gcols = (g2 @ wm).reshape(ho, wo, kh, kw, ci)
+        gx = np.zeros((h, wd, ci), dtype=x.data.dtype)
         for ky in range(kh):
             for kx in range(kw):
-                gx[:, ky:ky + 2 * ho:2, kx:kx + 2 * wo:2] += np.tensordot(
-                    w.data[:, :, ky, kx], g, axes=([0], [0]))
+                gx[ky:ky + 2 * ho - 1:2, kx:kx + 2 * wo - 1:2] += gcols[:, :, ky, kx]
         _accum(x, gx)
 
     _record(bwd)

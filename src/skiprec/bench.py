@@ -28,7 +28,8 @@ from .config import LossConfig, ModelConfig, RunConfig
 from .errors import ParameterError
 from .train import load_corpus, train_run
 
-MIN_TIMING_WINDOW = 0.02   # seconds a timed window must span to trust the clock
+TIMING_WINDOW = 0.05     # seconds every timed window spans at least
+ALTERNATIONS = 3         # windows of each function per repeat
 MAX_BATCH = 4096
 
 
@@ -54,10 +55,11 @@ class BenchRow:
 def _timed_interleaved(fns, repeats: int) -> list[float]:
     """Median wall time per call of each of ``fns`` over ``repeats`` rounds.
 
-    Each round times one window of every function in turn, so drift in the
-    machine's speed falls on all of them alike. Short calls are batched
-    geometrically until every function's window spans enough time for the
-    clock to resolve it; all windows then run that one batch count.
+    Each round alternates the functions ``ALTERNATIONS`` times, one window
+    each, in reverse order every other time, so drift in the machine's speed
+    falls on all of them alike. Calls are batched geometrically until every
+    function's window spans ``TIMING_WINDOW``; all windows then run that one
+    batch count, and each function's median is over all of its windows.
     """
     def window(fn, batch):
         t0 = time.perf_counter()
@@ -66,12 +68,14 @@ def _timed_interleaved(fns, repeats: int) -> list[float]:
         return time.perf_counter() - t0
 
     batch = 1
-    while min(window(fn, batch) for fn in fns) < MIN_TIMING_WINDOW and batch < MAX_BATCH:
+    while min(window(fn, batch) for fn in fns) < TIMING_WINDOW and batch < MAX_BATCH:
         batch *= 2
     samples = [[] for _ in fns]
-    for _ in range(repeats):
-        for fn, times in zip(fns, samples):
+    order = list(zip(fns, samples))
+    for _ in range(repeats * ALTERNATIONS):
+        for fn, times in order:
             times.append(window(fn, batch) / batch)
+        order.reverse()
     return [float(np.median(times)) for times in samples]
 
 

@@ -2,9 +2,10 @@
 
 The loss builds the blank-interleaved lattice states and hands the grid to
 ``autodiff.lattice_nll``, one tape op that runs the forward recursion in
-log space and replays it in reverse for the gradient. Blank is always
-class 0. Unreachable lattice cells hold NEG_FILL rather than -inf to keep
-every array finite.
+log space and replays it in reverse for the gradient. A packed grid of
+several utterances is one op too: all its lattices step as one array per
+frame. Blank is always class 0. Unreachable lattice cells hold NEG_FILL
+rather than -inf to keep every array finite.
 
 The prefix beam search (Hannun et al. 2014) is exact up to the beam width:
 it prunes nothing else. Each frame is one vectorized step over a
@@ -79,23 +80,41 @@ def min_frames(tokens) -> int:
     return len(tokens) + repeats
 
 
-def ctc_loss(grid: PosteriorGrid, tokens) -> Tensor:
-    """Negative log probability of all alignments spelling ``tokens``."""
-    n_frames, vocab = grid.log_probs.data.shape
-    if n_frames < 1:
-        raise DimensionError("ctc_loss needs at least one frame")
-    tokens = check_tokens(tokens, vocab)
-    if n_frames < min_frames(tokens):
-        raise InfeasibleAlignmentError(
-            f"{len(tokens)} tokens need at least {min_frames(tokens)} frames, have {n_frames}")
+def ctc_loss(grid: PosteriorGrid, tokens, lengths=None) -> Tensor:
+    """Negative log probability of all alignments spelling ``tokens``.
 
-    # Blank-interleaved state sequence. A token state may be entered from
-    # two states back unless that state holds the same token.
-    ext = np.full(2 * len(tokens) + 1, BLANK_ID, dtype=np.int64)
-    ext[1::2] = tokens
-    allow_skip = np.zeros(ext.size, dtype=bool)
-    allow_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
-    return ad.lattice_nll(grid.log_probs, ext, allow_skip)
+    With ``lengths`` the grid packs consecutive utterances of those frame
+    counts, ``tokens`` holds one token sequence per utterance, and the result
+    is the sum of their losses: one lattice op for the whole grid, equal to
+    the bit to the sum of one call per utterance.
+    """
+    n_frames, vocab = grid.log_probs.data.shape
+    token_seqs = [tokens] if lengths is None else list(tokens)
+    frame_counts = [n_frames] if lengths is None else [int(n) for n in lengths]
+    if len(token_seqs) != len(frame_counts):
+        raise ContractError(f"{len(token_seqs)} token sequences for "
+                            f"{len(frame_counts)} utterances")
+    states, skips = [], []
+    for i, (n, seq) in enumerate(zip(frame_counts, token_seqs)):
+        where = "" if lengths is None else f"utterance {i}: "
+        if n < 1:
+            raise DimensionError(f"{where}ctc_loss needs at least one frame")
+        try:
+            seq = check_tokens(seq, vocab)
+        except ContractError as err:
+            raise ContractError(f"{where}{err}") from None
+        if n < min_frames(seq):
+            raise InfeasibleAlignmentError(
+                f"{where}{len(seq)} tokens need at least {min_frames(seq)} frames, have {n}")
+        # Blank-interleaved state sequence. A token state may be entered from
+        # two states back unless that state holds the same token.
+        ext = np.full(2 * len(seq) + 1, BLANK_ID, dtype=np.int64)
+        ext[1::2] = seq
+        allow_skip = np.zeros(ext.size, dtype=bool)
+        allow_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
+        states.append(ext)
+        skips.append(allow_skip)
+    return ad.lattice_nll(grid.log_probs, states, skips, frame_counts)
 
 
 def greedy_decode(grid: PosteriorGrid) -> list[int]:

@@ -4,6 +4,8 @@ Two 3x3 stride-2 valid convolutions with swish, channel count equal to the
 model width, then a linear projection of the flattened channel/frequency
 axes back to the model width. Time shrinks by a factor just over 4:
     T = ((T_in - 1) // 2 - 1) // 2
+The convolutions run channels last, on (time, frequency, channel) arrays,
+and a batch of utterances runs through them once, packed along time.
 Position handling is left to the encoder; nothing positional is added here.
 """
 
@@ -39,10 +41,15 @@ class FeatureSequence:
 
 @dataclass
 class SubsampledSequence:
-    """Frames after subsampling, plus the map back to input frame indices."""
+    """Frames after subsampling, plus the map back to input frame indices.
+
+    Packed utterances lie one after another; ``lengths`` holds their frame
+    counts (None: one utterance) and ``time_map`` counts from each one's start.
+    """
 
     frames: Tensor            # (T, D)
     time_map: np.ndarray      # (T,) first covered input index per output frame
+    lengths: tuple[int, ...] | None = None
 
     @property
     def length(self) -> int:
@@ -94,24 +101,58 @@ def init_frontend(rng: np.random.Generator, feature_dim: int, d_model: int) -> F
     )
 
 
-def subsample(feats: FeatureSequence, params: FrontendParams) -> SubsampledSequence:
-    """(T_in, F) features -> (T, D) frames with T = ((T_in-1)//2 - 1)//2."""
-    t_in, feat_dim = feats.frames.shape
-    if t_in < MIN_INPUT_FRAMES:
-        raise InputTooShortError(
-            f"utterance {feats.utterance_id!r} has {t_in} frames; "
-            f"subsampling needs at least {MIN_INPUT_FRAMES}")
+def subsample(feats: FeatureSequence | list[FeatureSequence],
+              params: FrontendParams) -> SubsampledSequence:
+    """(T_in, F) features -> (T, D) frames with T = ((T_in-1)//2 - 1)//2.
+
+    A list of utterances runs as one packed batch and comes back packed, its
+    ``lengths`` and ``time_map`` per utterance. The features are stacked
+    along time, every utterance but the last zero-padded to a multiple of 4
+    frames, so an utterance starts at an input frame s that is a multiple of
+    4 and its output frame t, packed row s/4 + t, reads only its own inputs
+    s + 4t to s + 4t + 6. Both convolutions, both swishes and the projection
+    run once; one gather keeps each utterance's rows and drops those that
+    straddle a boundary. A lone utterance returns ``lengths`` None.
+    """
+    batch = [feats] if isinstance(feats, FeatureSequence) else list(feats)
+    if not batch:
+        raise DimensionError("subsample needs at least one utterance")
+    feat_dim = batch[0].feature_dim
+    for utt in batch:
+        if utt.length < MIN_INPUT_FRAMES:
+            raise InputTooShortError(
+                f"utterance {utt.utterance_id!r} has {utt.length} frames; "
+                f"subsampling needs at least {MIN_INPUT_FRAMES}")
+        if utt.feature_dim != feat_dim:
+            raise DimensionError(f"utterance {utt.utterance_id!r} has feature dim "
+                                 f"{utt.feature_dim}, the batch {feat_dim}")
     expected_cols = params.conv2_w.value.data.shape[0] * reduced_feature_dim(feat_dim)
     if params.proj_w.value.data.shape[0] != expected_cols:
         raise DimensionError(
             f"feature dim {feat_dim} incompatible with projection "
             f"{params.proj_w.value.data.shape}")
-    x = ad.reshape(Tensor(feats.frames), (1, t_in, feat_dim))
+    lengths = [subsampled_length(utt.length) for utt in batch]
+    if len(batch) == 1:
+        frames = batch[0].frames
+        keep = None
+    else:
+        starts = np.cumsum([0] + [-(-utt.length // 4) * 4 for utt in batch[:-1]])
+        frames = np.zeros((starts[-1] + batch[-1].length, feat_dim),
+                          dtype=np.result_type(*(utt.frames for utt in batch)))
+        for s, utt in zip(starts, batch):
+            frames[s:s + utt.length] = utt.frames
+        keep = np.concatenate([s // 4 + np.arange(n) for s, n in zip(starts, lengths)])
+    x = ad.reshape(Tensor(frames), (*frames.shape, 1))
     h = ad.swish(ad.conv2d_s2(x, params.conv1_w.value, params.conv1_b.value))
     h = ad.swish(ad.conv2d_s2(h, params.conv2_w.value, params.conv2_b.value))
-    c, t, f2 = h.data.shape
-    h = ad.reshape(ad.permute(h, (1, 0, 2)), (t, c * f2))
-    out = ad.affine(h, params.proj_w.value, params.proj_b.value)
+    # Projection rows run over (channel, frequency): (T, F'', C) -> (T, C, F'').
+    h = ad.permute(h, (0, 2, 1))
+    if keep is not None:
+        h = ad.gather_rows(h, keep)
+    t, c, f2 = h.data.shape
+    out = ad.affine(ad.reshape(h, (t, c * f2)), params.proj_w.value, params.proj_b.value)
     # Each output frame's window starts at input index 4t (stride 2 twice).
-    time_map = np.arange(t, dtype=np.int64) * 4
-    return SubsampledSequence(frames=out, time_map=time_map)
+    time_map = np.concatenate([np.arange(n, dtype=np.int64) * 4 for n in lengths])
+    return SubsampledSequence(frames=out, time_map=time_map,
+                              lengths=None if isinstance(feats, FeatureSequence)
+                              else tuple(lengths))

@@ -1,15 +1,15 @@
 """Full model assembly: skip low-information frames, recover frame order.
 
-Per utterance: subsample, add positions, run the first encoder stage, read
-blank flags off the intermediate alignment head, group frames, run the
-second stage on crucial frames only, then merge trivial frames back in
-original time order for the final head and the decoder losses.
+Each utterance's path: subsample, add positions, run the first encoder
+stage, read blank flags off the intermediate alignment head, group frames,
+run the second stage on crucial frames only, then merge trivial frames back
+in original time order for the final head and the decoder losses.
 
-A batch runs packed: ``forward_batch`` subsamples each utterance, stacks
-the frames into one (sum of lengths, D) matrix and runs every later stage
-once for the whole batch, the split and recover on packed row indices, so
-only crucial frames enter the second stage. ``forward_utterance`` is a
-batch of one, and a batch of one makes no padding copy.
+A batch runs packed: ``forward_batch`` subsamples the whole batch in one
+frontend pass into one (sum of lengths, D) matrix and runs every later
+stage once for the whole batch, the split and recover on packed row
+indices, so only crucial frames enter the second stage. ``forward_utterance``
+is a batch of one, and a batch of one makes no padding copy.
 
 Fallbacks: an empty crucial group, or (given a target) a merged sequence
 too short to spell it, bypasses the splitter and treats every frame as
@@ -198,10 +198,10 @@ def forward_batch(batch: list[FeatureSequence], params: ModelParams, cfg: ModelC
     """
     if targets is not None and len(targets) != len(batch):
         raise ContractError(f"{len(targets)} targets for a batch of {len(batch)}")
-    subs = [fe_mod.subsample(feats, params.frontend) for feats in batch]
-    lengths = tuple(sub.length for sub in subs)
+    sub = fe_mod.subsample(batch, params.frontend)
+    lengths = sub.lengths
     x = EncodedSequence(
-        frames=enc_mod.attach_positions(ad.concat_rows(*(sub.frames for sub in subs)), lengths),
+        frames=enc_mod.attach_positions(sub.frames, lengths),
         orig_index=np.concatenate([np.arange(n, dtype=np.int64) for n in lengths]),
         lengths=lengths,
     )
@@ -223,7 +223,7 @@ def forward_batch(batch: list[FeatureSequence], params: ModelParams, cfg: ModelC
     h2_crucial = enc_mod.run_blocks(h1_crucial, params.e2, cfg.heads, drop)
     h2 = recover(h2_crucial, h1_trivial)
     return BatchTrace(
-        time_maps=[sub.time_map for sub in subs],
+        time_maps=np.split(sub.time_map, np.cumsum(lengths)[:-1]),
         h1=h1,
         inter_grid=inter_grid,
         flags=flags,
@@ -256,18 +256,6 @@ def forward_utterance(feats: FeatureSequence, params: ModelParams, cfg: ModelCon
     )
 
 
-def _ctc_sum(grid: ctc_mod.PosteriorGrid, seq: EncodedSequence, token_seqs) -> Tensor:
-    """Sum of the utterances' CTC losses, each on its own rows of the packed grid."""
-    if len(token_seqs) == 1:
-        return ctc_mod.ctc_loss(grid, token_seqs[0])
-    parts = ad.split_rows(grid.log_probs, seq.lengths)
-    total = None
-    for part, tokens in zip(parts, token_seqs):
-        loss = ctc_mod.ctc_loss(ctc_mod.PosteriorGrid(part), tokens)
-        total = loss if total is None else ad.add(total, loss)
-    return total
-
-
 def _loss_and_terms(trace, token_seqs, params: ModelParams, cfg: ModelConfig,
                     loss_cfg: LossConfig, drop: enc_mod.Dropout | None
                     ) -> tuple[Tensor, dict[str, float]]:
@@ -279,8 +267,9 @@ def _loss_and_terms(trace, token_seqs, params: ModelParams, cfg: ModelConfig,
     alpha = loss_cfg.ctc_weight
     pairs = []
     if alpha > 0.0:
-        pairs.append(("ctc", alpha, _ctc_sum(trace.inter_grid, trace.h1, token_seqs),
-                      _ctc_sum(trace.final_grid, trace.h2, token_seqs)))
+        pairs.append(("ctc", alpha,
+                      ctc_mod.ctc_loss(trace.inter_grid, token_seqs, trace.h1.lengths),
+                      ctc_mod.ctc_loss(trace.final_grid, token_seqs, trace.h2.lengths)))
     if alpha < 1.0:
         pairs.append(("dec", 1.0 - alpha,
                       dec_mod.aed_loss(trace.h1, token_seqs, params.decoder, cfg.heads, drop),
@@ -302,9 +291,9 @@ def batch_loss(batch: BatchTrace, token_seqs, params: ModelParams, cfg: ModelCon
                loss_cfg: LossConfig, dropout_rng: np.random.Generator | None = None) -> Tensor:
     """The sum over a packed batch's utterances of ``total_loss``, on one tape.
 
-    ``token_seqs`` holds the targets in batch order. The CTC lattices run
-    per utterance on row blocks of the packed grids; each decoder pair is
-    one packed pass over the utterances' own encoder frames.
+    ``token_seqs`` holds the targets in batch order. Each CTC loss is one
+    lattice op over its packed grid, and each decoder pair one packed pass
+    over the utterances' own encoder frames.
     """
     if len(token_seqs) != len(batch.fallbacks):
         raise ContractError(f"{len(token_seqs)} targets for a batch of {len(batch.fallbacks)}")

@@ -502,3 +502,118 @@ class TestLatticeOpAgainstComposedReference:
         lp[1, 2] = np.nan
         with pytest.raises(NumericError):
             ad.lattice_nll(ad.tensor(lp), [0, 2, 0], [False, False, False])
+
+
+def per_utterance_loss_and_grads(logits, token_seqs, lengths, extra=None):
+    """The packed loss as it was before the packed op: one ``ctc_loss`` per
+    utterance on its own rows, the losses summed in order with ``add``, and
+    the row blocks' gradients stacked back into one grid gradient."""
+    x = ad.tensor(logits, dtype=logits.dtype)
+    with ad.tape() as tp:
+        grid = ad.log_softmax_rows(x)
+        parts = [ad.Tensor(block) for block in np.split(grid.data, np.cumsum(lengths)[:-1])]
+
+        def stack_grads():
+            ad._accum(grid, np.concatenate([p.grad for p in parts]))
+
+        ad._record(stack_grads)
+        total = None
+        for part, tokens in zip(parts, token_seqs):
+            loss = ctc.ctc_loss(ctc.PosteriorGrid(part), tokens)
+            total = loss if total is None else ad.add(total, loss)
+        root = ad.scale(total, 0.7)
+        if extra is not None:
+            root = ad.add(root, ad.sum_all(ad.mul_const(grid, extra)))
+        tp.backward(root)
+    return total.data, grid.grad, x.grad
+
+
+def packed_loss_and_grads(logits, token_seqs, lengths, extra=None):
+    x = ad.tensor(logits, dtype=logits.dtype)
+    with ad.tape() as tp:
+        grid = ad.log_softmax_rows(x)
+        loss = ctc.ctc_loss(ctc.PosteriorGrid(grid), token_seqs, lengths)
+        root = ad.scale(loss, 0.7)
+        if extra is not None:
+            root = ad.add(root, ad.sum_all(ad.mul_const(grid, extra)))
+        tp.backward(root)
+    return loss.data, grid.grad, x.grad
+
+
+def random_batch_case(rng, dtype):
+    """A ragged batch of 1 to 6 utterances over one vocabulary."""
+    vocab = int(rng.choice([2, 3, 5, 20]))
+    token_seqs, lengths = [], []
+    for _ in range(int(rng.integers(1, 7))):
+        tokens = [int(t) for t in rng.integers(1, vocab, size=int(rng.integers(0, 6)))]
+        if len(tokens) > 1 and rng.random() < 0.3:
+            tokens[1:] = [tokens[0]] * (len(tokens) - 1)  # repeats force blanks
+        token_seqs.append(tokens)
+        lengths.append(max(ctc.min_frames(tokens), 1) + int(rng.choice([0, 0, 1, 5, 20])))
+    logits = rng.normal(size=(sum(lengths), vocab)) * float(rng.choice([1.0, 4.0]))
+    logits[rng.random(sum(lengths)) < 0.5, ctc.BLANK_ID] += 8.0
+    extra = rng.normal(size=logits.shape).astype(dtype) if rng.random() < 0.3 else None
+    return logits.astype(dtype), token_seqs, lengths, extra
+
+
+def assert_same_bits(got, want):
+    assert got[0] == want[0] and got[0].dtype == want[0].dtype
+    for have, ref in zip(got[1:], want[1:]):
+        assert have.dtype == ref.dtype and np.array_equal(have, ref)
+
+
+class TestPackedLattice:
+    """One lattice op over a packed grid equals one call per utterance, to the bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_identical_to_per_utterance_calls_on_random_batches(self, dtype):
+        rng = np.random.default_rng(70 + (dtype == np.float32))
+        for _ in range(400):
+            logits, token_seqs, lengths, extra = random_batch_case(rng, dtype)
+            assert_same_bits(packed_loss_and_grads(logits, token_seqs, lengths, extra),
+                             per_utterance_loss_and_grads(logits, token_seqs, lengths, extra))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_identical_at_the_edges(self, dtype):
+        # One-frame utterances, empty targets and repeated tokens, side by side.
+        token_seqs = [[1], [], [2, 2], [], [1, 2, 2, 3], [3, 3, 3]]
+        lengths = [1, 1, 3, 4, 5, 5]
+        rng = np.random.default_rng(72)
+        for logits in (rng.normal(size=(sum(lengths), 4)), np.zeros((sum(lengths), 4))):
+            logits = logits.astype(dtype)
+            logits[:, ctc.BLANK_ID] += 20.0
+            assert_same_bits(packed_loss_and_grads(logits, token_seqs, lengths),
+                             per_utterance_loss_and_grads(logits, token_seqs, lengths))
+
+    def test_a_batch_of_one_is_the_unpacked_call(self):
+        rng = np.random.default_rng(73)
+        logits = rng.normal(size=(9, 5))
+        assert_same_bits(packed_loss_and_grads(logits, [[1, 4, 4]], [9]),
+                         loss_and_grads(ctc.ctc_loss, logits, [1, 4, 4]))
+
+    def test_is_one_tape_entry(self):
+        grid = uniform_grid(12, 5)
+        with ad.tape() as tp:
+            ctc.ctc_loss(grid, [[1, 2, 2], [], [3]], [5, 3, 4])
+        assert len(tp) == 1
+
+    def test_non_finite_value_on_one_utterance_path_names_it(self):
+        lp = np.log(np.full((9, 5), 0.2))
+        lp[:, 4] = -np.inf  # no lattice reads class 4
+        ctc.ctc_loss(ctc.PosteriorGrid(ad.tensor(lp)), [[1], [2, 3], [1]], [2, 4, 3])
+        lp[4, 3] = np.nan   # frame 2 of utterance 1, on its path
+        with pytest.raises(NumericError, match="sequence 1"):
+            ctc.ctc_loss(ctc.PosteriorGrid(ad.tensor(lp)), [[1], [2, 3], [1]], [2, 4, 3])
+
+    def test_per_utterance_errors_name_the_utterance(self):
+        grid = uniform_grid(6, 4)
+        with pytest.raises(InfeasibleAlignmentError, match="utterance 1"):
+            ctc.ctc_loss(grid, [[1], [2, 2], [3]], [2, 2, 2])
+        with pytest.raises(ContractError, match="utterance 2"):
+            ctc.ctc_loss(grid, [[1], [2], [4]], [2, 2, 2])
+        with pytest.raises(ContractError):
+            ctc.ctc_loss(grid, [[1], [2]], [2, 2, 2])
+        with pytest.raises(DimensionError):
+            ctc.ctc_loss(grid, [[1], [2]], [2, 3])
+        with pytest.raises(DimensionError):
+            ctc.ctc_loss(grid, [[1], []], [6, 0])

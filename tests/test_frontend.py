@@ -75,3 +75,160 @@ class TestSubsample:
 
         err = ad.grad_check(f, [params.conv1_w.value, params.proj_b.value], h=1e-5)
         assert err <= 1e-4
+
+
+# The (Ci, H, W) convolution and per-utterance frontend that the
+# channels-last, packed ones replaced, kept as the reference.
+
+def reference_conv2d_s2(x, w, b):
+    """Valid 2-D convolution with stride 2: (Ci, H, W) -> (Co, H', W')."""
+    kh, kw = w.data.shape[2:]
+    win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(1, 2))[:, ::2, ::2]
+    out = ad.Tensor(np.tensordot(w.data, win, axes=([1, 2, 3], [0, 3, 4]))
+                    + b.data[:, None, None])
+    ho, wo = out.data.shape[1:]
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        ad._accum(w, np.tensordot(g, win, axes=([1, 2], [1, 2])))
+        ad._accum(b, g.sum(axis=(1, 2)))
+        gx = np.zeros_like(x.data)
+        for ky in range(kh):
+            for kx in range(kw):
+                gx[:, ky:ky + 2 * ho:2, kx:kx + 2 * wo:2] += np.tensordot(
+                    w.data[:, :, ky, kx], g, axes=([0], [0]))
+        ad._accum(x, gx)
+
+    ad._record(bwd)
+    return out
+
+
+def reference_subsample(feats, params):
+    t_in, feat_dim = feats.frames.shape
+    x = ad.reshape(ad.Tensor(feats.frames), (1, t_in, feat_dim))
+    h = ad.swish(reference_conv2d_s2(x, params.conv1_w.value, params.conv1_b.value))
+    h = ad.swish(reference_conv2d_s2(h, params.conv2_w.value, params.conv2_b.value))
+    c, t, f2 = h.data.shape
+    h = ad.reshape(ad.permute(h, (1, 0, 2)), (t, c * f2))
+    return ad.affine(h, params.proj_w.value, params.proj_b.value)
+
+
+def frontend_grads(params, run):
+    """Gradients of the frontend parameters under a fixed random readout."""
+    named = [("conv1_w", params.conv1_w), ("conv1_b", params.conv1_b),
+             ("conv2_w", params.conv2_w), ("conv2_b", params.conv2_b),
+             ("proj_w", params.proj_w), ("proj_b", params.proj_b)]
+    for _, p in named:
+        p.zero_grad()
+    with ad.tape() as tp:
+        out = run()
+        readout = np.random.default_rng(99).normal(size=out.data.shape)
+        tp.backward(ad.sum_all(ad.mul_const(out, readout)))
+    return out.data, {name: p.grad for name, p in named}
+
+
+def assert_close(have, want, rel=1e-12):
+    assert np.max(np.abs(have - want)) <= rel * max(float(np.abs(want).max()), 1e-3)
+
+
+class TestChannelsLastConv:
+    def test_matches_the_channels_first_reference(self):
+        rng = np.random.default_rng(20)
+        for h, w, ci, co in [(7, 9, 1, 4), (15, 8, 3, 5), (9, 7, 6, 6)]:
+            x = rng.normal(size=(h, w, ci))
+            kernel, bias = rng.normal(size=(co, ci, 3, 3)), rng.normal(size=co)
+            g = rng.normal(size=((h - 3) // 2 + 1, (w - 3) // 2 + 1, co))
+            results = []
+            for conv, layout in ((ad.conv2d_s2, (0, 1, 2)), (reference_conv2d_s2, (2, 0, 1))):
+                xt, kt, bt = ad.tensor(x.transpose(layout)), ad.tensor(kernel), ad.tensor(bias)
+                with ad.tape() as tp:
+                    out = conv(xt, kt, bt)
+                    if conv is reference_conv2d_s2:
+                        out = ad.permute(out, (1, 2, 0))
+                    tp.backward(ad.sum_all(ad.mul_const(out, g)))
+                gx = xt.grad if conv is ad.conv2d_s2 else xt.grad.transpose(1, 2, 0)
+                results.append((out.data, gx, kt.grad, bt.grad))
+            for have, want in zip(*results):
+                assert have.shape == want.shape
+                assert_close(have, want)
+
+
+class TestPackedSubsample:
+    # Every length mod 4, and exactly MIN_INPUT_FRAMES in mid-batch.
+    LENGTHS = [9, 7, 10, 11, 8, 7]
+
+    @staticmethod
+    def batch(rng, lengths, feat_dim=16):
+        return [FeatureSequence(f"u{i}", rng.normal(size=(n, feat_dim)))
+                for i, n in enumerate(lengths)]
+
+    def test_matches_per_utterance_calls_and_the_reference(self):
+        rng = np.random.default_rng(21)
+        params = frontend.init_frontend(rng, 16, 8)
+        for p in (params.conv1_b, params.conv2_b, params.proj_b):
+            p.value.data[...] = rng.normal(size=p.value.data.shape)
+        feats = self.batch(rng, self.LENGTHS + [23, 50])
+        packed = frontend.subsample(feats, params)
+        assert packed.lengths == tuple(frontend.subsampled_length(n)
+                                       for n in self.LENGTHS + [23, 50])
+        out, grads = frontend_grads(params, lambda: frontend.subsample(feats, params).frames)
+        rows = np.split(np.arange(out.shape[0]), np.cumsum(packed.lengths)[:-1])
+        want = {name: 0.0 for name in grads}
+        readout = np.random.default_rng(99).normal(size=out.shape)
+        for utt, r in zip(feats, rows):
+            one = frontend.subsample(utt, params)
+            assert one.lengths is None
+            assert np.array_equal(one.time_map, packed.time_map[r])
+            assert_close(out[r], one.frames.data)
+            for p in (params.conv1_w, params.conv1_b, params.conv2_w, params.conv2_b,
+                      params.proj_w, params.proj_b):
+                p.zero_grad()
+            with ad.tape() as tp:
+                ref = reference_subsample(utt, params)
+                tp.backward(ad.sum_all(ad.mul_const(ref, readout[r])))
+            assert_close(out[r], ref.data)
+            for name in want:
+                want[name] = want[name] + getattr(params, name).grad
+        for name, g in grads.items():
+            assert_close(g, want[name])
+
+    def test_a_batch_of_one_is_the_lone_call(self):
+        rng = np.random.default_rng(22)
+        params = frontend.init_frontend(rng, 16, 8)
+        utt = self.batch(rng, [37])[0]
+        one, lone = frontend.subsample([utt], params), frontend.subsample(utt, params)
+        assert one.lengths == (lone.length,) and lone.lengths is None
+        assert np.array_equal(one.frames.data, lone.frames.data)
+
+    def test_perturbing_one_utterance_leaves_the_others_bitwise(self):
+        rng = np.random.default_rng(23)
+        params = frontend.init_frontend(rng, 16, 8)
+        feats = self.batch(rng, self.LENGTHS)
+        before = frontend.subsample(feats, params)
+        rows = np.split(np.arange(before.length), np.cumsum(before.lengths)[:-1])
+        for k in range(len(feats)):
+            changed = list(feats)
+            changed[k] = FeatureSequence(feats[k].utterance_id,
+                                         feats[k].frames + rng.normal(size=feats[k].frames.shape))
+            after = frontend.subsample(changed, params)
+            for i, r in enumerate(rows):
+                same = np.array_equal(after.frames.data[r], before.frames.data[r])
+                assert same == (i != k), (k, i)
+
+    def test_too_short_names_the_utterance(self):
+        rng = np.random.default_rng(24)
+        params = frontend.init_frontend(rng, 16, 8)
+        feats = self.batch(rng, [12, 9, 6, 20])
+        with pytest.raises(InputTooShortError, match="'u2' has 6 frames"):
+            frontend.subsample(feats, params)
+
+    def test_mismatched_feature_dims_rejected(self):
+        rng = np.random.default_rng(25)
+        params = frontend.init_frontend(rng, 16, 8)
+        feats = self.batch(rng, [12, 9]) + self.batch(rng, [10], feat_dim=17)
+        with pytest.raises(DimensionError):
+            frontend.subsample(feats, params)
+        with pytest.raises(DimensionError):
+            frontend.subsample([], params)

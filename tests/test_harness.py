@@ -376,8 +376,10 @@ class TestBench:
         assert 0.5 <= row.measured_speedup <= 2.0
 
     def test_timing_windows_alternate_with_one_batch(self, monkeypatch):
-        # On a fake clock "a" takes 1 ms and "b" 50 ms. "a" needs 32 calls to
-        # fill a 20 ms window, and "b" runs the same 32 in each of its windows.
+        # On a fake clock "a" takes 1 ms and "b" 50 ms. "a" needs 64 calls to
+        # fill a 50 ms window, and "b" runs the same 64 in each of its windows.
+        # Each repeat alternates them ALTERNATIONS times, the order reversed
+        # every other time.
         clock = [0.0]
         calls = []
 
@@ -389,8 +391,10 @@ class TestBench:
         times = bench_mod._timed_interleaved(
             [lambda: call("a", 0.001), lambda: call("b", 0.05)], repeats=3)
         assert times == pytest.approx([0.001, 0.05])
-        calibration = sum(2 * n for n in (1, 2, 4, 8, 16, 32))
-        assert calls[calibration:] == (["a"] * 32 + ["b"] * 32) * 3
+        calibration = sum(2 * n for n in (1, 2, 4, 8, 16, 32, 64))
+        rounds = (["a"] * 64 + ["b"] * 64, ["b"] * 64 + ["a"] * 64)
+        assert calls[calibration:] == [name for k in range(3 * bench_mod.ALTERNATIONS)
+                                       for name in rounds[k % 2]]
 
     def test_row_serialization_shapes(self, tiny_model):
         params, corpus, _ = tiny_model

@@ -29,8 +29,12 @@ def toy_feats(rng, n_in=23, utt="u0"):
 def median_threshold(params, feats, cfg):
     """A blank threshold that splits the init posteriors roughly in half."""
     trace = model_mod.forward_utterance(feats, params, cfg, LossConfig(blank_threshold=0.5))
-    blank = np.exp(trace.inter_grid.log_probs.data[:, 0])
-    beta = float(np.median(blank))
+    # The midpoint of the two middle distinct posteriors: a median taken over
+    # an odd frame count would sit on one frame's posterior, and the flag of
+    # that frame would then hang on rounding.
+    blank = np.unique(np.exp(trace.inter_grid.log_probs.data[:, 0]))
+    mid = blank.size // 2
+    beta = float(blank[0]) if blank.size == 1 else float((blank[mid - 1] + blank[mid]) / 2)
     return min(max(beta, 1e-9), 1 - 1e-9)
 
 
@@ -266,11 +270,12 @@ def stubbed_total_loss(monkeypatch, loss_cfg, **values):
     Evaluating a term not given fails.
     """
     trace = SimpleNamespace(inter_grid="ctc_inter", final_grid="ctc_final",
-                            h1="dec_inter", h2="dec_final")
+                            h1=SimpleNamespace(term="dec_inter", lengths=(3,)),
+                            h2=SimpleNamespace(term="dec_final", lengths=(2,)))
     monkeypatch.setattr(model_mod.ctc_mod, "ctc_loss",
-                        lambda grid, _: ad.Tensor(np.asarray(values[grid])))
+                        lambda grid, _tokens, _lengths: ad.Tensor(np.asarray(values[grid])))
     monkeypatch.setattr(model_mod.dec_mod, "aed_loss",
-                        lambda h, *_: ad.Tensor(np.asarray(values[h])))
+                        lambda h, *_: ad.Tensor(np.asarray(values[h.term])))
     params = SimpleNamespace(decoder=None)
     return (model_mod.total_loss(trace, [1], params, TOY, loss_cfg),
             model_mod.component_losses(trace, [1], params, TOY, loss_cfg))
