@@ -337,8 +337,13 @@ def concat_rows(*parts: Tensor) -> Tensor:
     if not parts or len({p.data.ndim for p in parts}) != 1:
         raise DimensionError(f"concat_rows needs parts of one rank, got "
                              f"{[p.data.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    ends = np.cumsum([p.data.shape[0] for p in parts])[:-1]
+    # The result is C-ordered whatever the parts' layout: np.concatenate
+    # would follow a transposed layout, and a reshape after it would copy.
+    data = [p.data for p in parts]
+    rows = [a.shape[0] for a in data]
+    out = Tensor(np.concatenate(data, axis=0, out=np.empty(
+        (sum(rows), *data[0].shape[1:]), np.result_type(*data))))
+    ends = np.cumsum(rows)[:-1]
 
     def bwd():
         g = out.grad
@@ -379,7 +384,11 @@ def swish(x: Tensor) -> Tensor:
     The backward recomputes the sigmoid from the input, so the tape holds no
     array of its own for this op.
     """
-    out = _make(x.data * _sigmoid(x.data), "swish")
+    # Multiplying into the sigmoid's buffer saves a third full-size array;
+    # products commute, so this is x * sigmoid(x) to the bit.
+    s = _sigmoid(x.data)
+    s *= x.data
+    out = _make(s, "swish")
 
     def bwd():
         if out.grad is not None:
@@ -399,7 +408,9 @@ def glu_halves(x: Tensor) -> Tensor:
         raise DimensionError(f"glu_halves needs an even column count, got {x.data.shape}")
     d = x.data.shape[1] // 2
     a, b = x.data[:, :d], x.data[:, d:]
-    out = _make(a * _sigmoid(b), "glu_halves")
+    s = _sigmoid(b)
+    s *= a
+    out = _make(s, "glu_halves")
 
     def bwd():
         g = out.grad
@@ -629,7 +640,7 @@ def lattice_nll(log_probs: Tensor, states, allow_skip, lengths=None) -> Tensor:
 # convolutions
 # ---------------------------------------------------------------------------
 
-def conv2d_s2(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def conv2d_s2(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     """Valid 2-D convolution with stride 2, channels last: (H, W, Ci) -> (H', W', Co).
 
     The kernel is (Co, Ci, kh, kw). The forward is one GEMM over im2col
@@ -638,13 +649,17 @@ def conv2d_s2(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     columns rather than keeping them on the tape, takes the weight and the
     input gradient with one GEMM each, and adds the input gradient back with
     one strided slice-add per kernel position over whole channel rows.
+
+    ``x`` may be a plain array, a constant like ``add_const``'s ``c``: it
+    gets no gradient, and the backward skips the input-gradient GEMM.
     """
-    h, wd, ci = x.data.shape
+    xd = x.data if isinstance(x, Tensor) else np.asarray(x)
+    h, wd, ci = xd.shape
     co, ci2, kh, kw = w.data.shape
     if ci != ci2 or b.data.shape != (co,):
-        raise DimensionError(f"conv2d_s2 input {x.data.shape} vs kernel {w.data.shape}")
+        raise DimensionError(f"conv2d_s2 input {xd.shape} vs kernel {w.data.shape}")
     if h < kh or wd < kw:
-        raise DimensionError(f"conv2d_s2 input {x.data.shape} smaller than kernel {w.data.shape}")
+        raise DimensionError(f"conv2d_s2 input {xd.shape} smaller than kernel {w.data.shape}")
     ho, wo = (h - kh) // 2 + 1, (wd - kw) // 2 + 1
 
     def columns() -> np.ndarray:
@@ -652,7 +667,7 @@ def conv2d_s2(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         # channel is read in one pass, and one utterance's output is the
         # (Ci, H, W) convolution's to the bit.
         win = np.lib.stride_tricks.sliding_window_view(
-            x.data.transpose(2, 0, 1), (kh, kw), axis=(1, 2))[:, ::2, ::2]
+            xd.transpose(2, 0, 1), (kh, kw), axis=(1, 2))[:, ::2, ::2]
         return win.transpose(0, 3, 4, 1, 2).reshape(ci * kh * kw, ho * wo)
 
     # The bias makes a new array rather than adding in place: freeing the
@@ -668,11 +683,13 @@ def conv2d_s2(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g2 = g.reshape(ho * wo, co)
         _accum(w, (g2.T @ columns().T).reshape(w.data.shape))
         _accum(b, g2.sum(axis=0))
+        if not isinstance(x, Tensor):
+            return
         # Input-gradient columns over (ky, kx, ci): each kernel position's
         # share of an output frame is one contiguous channel row.
         wm = w.data.transpose(0, 2, 3, 1).reshape(co, kh * kw * ci)
         gcols = (g2 @ wm).reshape(ho, wo, kh, kw, ci)
-        gx = np.zeros((h, wd, ci), dtype=x.data.dtype)
+        gx = np.zeros((h, wd, ci), dtype=xd.dtype)
         for ky in range(kh):
             for kx in range(kw):
                 gx[ky:ky + 2 * ho - 1:2, kx:kx + 2 * wo - 1:2] += gcols[:, :, ky, kx]

@@ -5,8 +5,18 @@ model width, then a linear projection of the flattened channel/frequency
 axes back to the model width. Time shrinks by a factor just over 4:
     T = ((T_in - 1) // 2 - 1) // 2
 The convolutions run channels last, on (time, frequency, channel) arrays,
-and a batch of utterances runs through them once, packed along time.
+and a batch of utterances runs through them packed along time.
 Position handling is left to the encoder; nothing positional is added here.
+
+The convolutions and swishes run over blocks of output rows, at most
+``BLOCK_BYTES`` of conv2's im2col columns each (frequency'' x channels x 9
+values per row). Output rows [r0, r1) read input rows [4*r0, 4*r1 + 3), and
+the last block reads to the end of the input. One pass over a long input
+would hold its full-length conv1 output, the swish's temporaries and
+conv2's columns at once: 142 MB for one 1090-frame utterance at 80
+features and 256 channels. That peak sets the process's resident size, and
+each call faults in fresh pages for it. An input that fits one block runs
+the single pass's ops, to the bit.
 """
 
 from __future__ import annotations
@@ -21,6 +31,11 @@ from .errors import DimensionError, InputTooShortError
 
 KERNEL = 3
 MIN_INPUT_FRAMES = 7  # smallest T_in that survives both stride-2 convs
+# conv2's im2col columns per block of output rows. On m5n7's long-encode
+# inputs (1002-1178 frames) process peak RSS read 456-460 MiB for budgets
+# of 4 to 16 MiB, 477 at 32 and 549 at 64; 16 MiB keeps the fewest blocks of
+# those, and a desk training batch (under 6 MiB of columns) in one block.
+BLOCK_BYTES = 16 << 20
 
 
 @dataclass
@@ -101,6 +116,14 @@ def init_frontend(rng: np.random.Generator, feature_dim: int, d_model: int) -> F
     )
 
 
+def _convolve(x: np.ndarray, params: FrontendParams) -> Tensor:
+    """(T_in, F, 1) features -> (T, C, F'') rows after both convs and swishes."""
+    h = ad.swish(ad.conv2d_s2(x, params.conv1_w.value, params.conv1_b.value))
+    h = ad.swish(ad.conv2d_s2(h, params.conv2_w.value, params.conv2_b.value))
+    # Projection rows run over (channel, frequency): (T, F'', C) -> (T, C, F'').
+    return ad.permute(h, (0, 2, 1))
+
+
 def subsample(feats: FeatureSequence | list[FeatureSequence],
               params: FrontendParams) -> SubsampledSequence:
     """(T_in, F) features -> (T, D) frames with T = ((T_in-1)//2 - 1)//2.
@@ -110,9 +133,11 @@ def subsample(feats: FeatureSequence | list[FeatureSequence],
     along time, every utterance but the last zero-padded to a multiple of 4
     frames, so an utterance starts at an input frame s that is a multiple of
     4 and its output frame t, packed row s/4 + t, reads only its own inputs
-    s + 4t to s + 4t + 6. Both convolutions, both swishes and the projection
-    run once; one gather keeps each utterance's rows and drops those that
-    straddle a boundary. A lone utterance returns ``lengths`` None.
+    s + 4t to s + 4t + 6. The convolutions and swishes run over blocks of
+    packed output rows (module docstring), whose outputs are stacked; one
+    gather keeps each utterance's rows and drops those that straddle a
+    boundary, and the projection runs once. A lone utterance returns
+    ``lengths`` None.
     """
     batch = [feats] if isinstance(feats, FeatureSequence) else list(feats)
     if not batch:
@@ -142,11 +167,17 @@ def subsample(feats: FeatureSequence | list[FeatureSequence],
         for s, utt in zip(starts, batch):
             frames[s:s + utt.length] = utt.frames
         keep = np.concatenate([s // 4 + np.arange(n) for s, n in zip(starts, lengths)])
-    x = ad.reshape(Tensor(frames), (*frames.shape, 1))
-    h = ad.swish(ad.conv2d_s2(x, params.conv1_w.value, params.conv1_b.value))
-    h = ad.swish(ad.conv2d_s2(h, params.conv2_w.value, params.conv2_b.value))
-    # Projection rows run over (channel, frequency): (T, F'', C) -> (T, C, F'').
-    h = ad.permute(h, (0, 2, 1))
+    # The features are a constant to the tape: they get no gradient.
+    x = frames[:, :, None]
+    row_bytes = (expected_cols * KERNEL * KERNEL
+                 * np.result_type(frames, params.conv1_w.value.data).itemsize)
+    block = max(1, BLOCK_BYTES // row_bytes)
+    n_rows = subsampled_length(frames.shape[0])
+    blocks = []
+    for r0 in range(0, n_rows, block):
+        r1 = r0 + block
+        blocks.append(_convolve(x[4 * r0:4 * r1 + 3 if r1 < n_rows else None], params))
+    h = ad.concat_rows(*blocks)
     if keep is not None:
         h = ad.gather_rows(h, keep)
     t, c, f2 = h.data.shape

@@ -664,6 +664,22 @@ class TestAgainstReference:
         for have, want in zip(*results):
             assert have.dtype == dtype and np.array_equal(have, want)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_forward_matches_the_product(self, dtype):
+        # swish and glu_halves multiply into the sigmoid's buffer; products
+        # commute, so they must equal the allocating expression to the bit.
+        rng = np.random.default_rng(34)
+        grid = self.GRID.astype(dtype)
+        x = np.concatenate([grid, rng.permutation(grid)]).reshape(2, -1)
+        with np.errstate(over="ignore", under="ignore"):
+            swish, glu = ad.swish(ad.tensor(x[0], dtype=dtype)), ad.glu_halves(
+                ad.tensor(x.T, dtype=dtype))
+            want_swish = x[0] * ad._sigmoid(x[0])
+            want_glu = x.T[:, :1] * ad._sigmoid(x.T[:, 1:])
+        assert swish.data.dtype == glu.data.dtype == dtype
+        assert np.array_equal(swish.data, want_swish)
+        assert np.array_equal(glu.data, want_glu)
+
     @pytest.mark.parametrize("case", ["plain", "causal"])
     def test_attention_matches_einsum_form(self, case):
         rng = np.random.default_rng(30)

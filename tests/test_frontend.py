@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,176 @@ class TestPackedSubsample:
             frontend.subsample(feats, params)
         with pytest.raises(DimensionError):
             frontend.subsample([], params)
+
+
+class TestConstantFeatures:
+    def test_a_plain_array_input_gets_no_gradient(self):
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(11, 9, 1))
+        kernel, bias = rng.normal(size=(4, 1, 3, 3)), rng.normal(size=4)
+        g = rng.normal(size=(5, 4, 4))
+        results = []
+        for xin in (ad.tensor(x), x):
+            kt, bt = ad.tensor(kernel), ad.tensor(bias)
+            with ad.tape() as tp:
+                out = ad.conv2d_s2(xin, kt, bt)
+                tp.backward(ad.sum_all(ad.mul_const(out, g)))
+            results.append((out.data, kt.grad, bt.grad))
+        for have, want in zip(*results):
+            assert np.array_equal(have, want)
+
+    def test_the_frontend_passes_its_features_as_a_constant(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        params = frontend.init_frontend(rng, 16, 8)
+        feats = [FeatureSequence(f"u{i}", rng.normal(size=(n, 16))) for i, n in enumerate([23, 9])]
+        _, want = frontend_grads(params, lambda: single_pass_subsample(feats, params))
+        inputs = []
+
+        def spy(x, w, b):
+            inputs.append(x)
+            return conv(x, w, b)
+
+        conv = ad.conv2d_s2
+        monkeypatch.setattr(ad, "conv2d_s2", spy)
+        _, grads = frontend_grads(params, lambda: frontend.subsample(feats, params).frames)
+        assert isinstance(inputs[0], np.ndarray) and isinstance(inputs[1], ad.Tensor)
+        for name, g in grads.items():
+            assert np.array_equal(g, want[name]), name
+
+
+def single_pass_subsample(feats, params):
+    """The frontend as one pass over the whole stacked input: both convs,
+    both swishes and the projection run once, the feature input a tensor."""
+    batch = [feats] if isinstance(feats, FeatureSequence) else feats
+    starts = np.cumsum([0] + [-(-u.length // 4) * 4 for u in batch[:-1]])
+    frames = np.zeros((starts[-1] + batch[-1].length, batch[0].feature_dim))
+    for s, u in zip(starts, batch):
+        frames[s:s + u.length] = u.frames
+    x = ad.reshape(ad.Tensor(frames), (*frames.shape, 1))
+    h = ad.swish(ad.conv2d_s2(x, params.conv1_w.value, params.conv1_b.value))
+    h = ad.swish(ad.conv2d_s2(h, params.conv2_w.value, params.conv2_b.value))
+    h = ad.permute(h, (0, 2, 1))
+    if len(batch) > 1:
+        h = ad.gather_rows(h, np.concatenate([
+            s // 4 + np.arange(frontend.subsampled_length(u.length))
+            for s, u in zip(starts, batch)]))
+    t, c, f2 = h.data.shape
+    return ad.affine(ad.reshape(h, (t, c * f2)), params.proj_w.value, params.proj_b.value)
+
+
+class TestTimeBlocks:
+    FEAT_DIM, WIDTH = 16, 8
+
+    @pytest.fixture
+    def params(self):
+        rng = np.random.default_rng(28)
+        params = frontend.init_frontend(rng, self.FEAT_DIM, self.WIDTH)
+        for p in (params.conv1_b, params.conv2_b, params.proj_b):
+            p.value.data[...] = rng.normal(size=p.value.data.shape)
+        return params
+
+    def force_block_rows(self, monkeypatch, rows):
+        """Set the budget to exactly ``rows`` output rows per block; returns a
+        list that collects the input length of each block."""
+        row_bytes = frontend.reduced_feature_dim(self.FEAT_DIM) * self.WIDTH * 9 * 8
+        monkeypatch.setattr(frontend, "BLOCK_BYTES", rows * row_bytes)
+        seen = []
+        convolve = frontend._convolve
+
+        def spy(x, params):
+            seen.append(x.shape[0])
+            return convolve(x, params)
+
+        monkeypatch.setattr(frontend, "_convolve", spy)
+        return seen
+
+    def batch(self, lengths, seed=29):
+        rng = np.random.default_rng(seed)
+        return [FeatureSequence(f"u{i}", rng.normal(size=(n, self.FEAT_DIM)))
+                for i, n in enumerate(lengths)]
+
+    def check_against_single_pass(self, feats, params, exact):
+        rows, grads = frontend_grads(params, lambda: frontend.subsample(feats, params).frames)
+        want_rows, want_grads = frontend_grads(params, lambda: single_pass_subsample(feats, params))
+        if exact:
+            assert np.array_equal(rows, want_rows)
+        else:
+            assert np.max(np.abs(rows - want_rows)) <= 1e-12
+        for name, g in grads.items():
+            if exact:
+                assert np.array_equal(g, want_grads[name]), name
+            else:
+                assert_close(g, want_grads[name])
+
+    @pytest.mark.parametrize("n_rows", [12, 11, 13])
+    def test_row_counts_around_a_multiple_of_the_block(self, monkeypatch, params, n_rows):
+        seen = self.force_block_rows(monkeypatch, 4)
+        for t_in in range(4 * n_rows + 3, 4 * n_rows + 7):
+            assert frontend.subsampled_length(t_in) == n_rows
+            seen.clear()
+            self.check_against_single_pass(self.batch([t_in])[0], params, exact=False)
+            blocks = -(-n_rows // 4)
+            # Every block but the last reads 4 * 4 + 3 frames; the last reads to the end.
+            assert seen == [19] * (blocks - 1) + [t_in - 16 * (blocks - 1)]
+
+    @pytest.mark.parametrize("lengths,boundary_row", [([32, 30], 8), ([26, 30], 7),
+                                                      ([29, 17, 40], 8)])
+    def test_packed_boundaries_on_and_inside_a_block(self, monkeypatch, params,
+                                                     lengths, boundary_row):
+        # The second utterance starts at packed output row ceil(L0 / 4); with
+        # 4 rows per block, row 8 is a block boundary and row 7 is inside one.
+        assert -(-lengths[0] // 4) == boundary_row
+        seen = self.force_block_rows(monkeypatch, 4)
+        feats = self.batch(lengths)
+        self.check_against_single_pass(feats, params, exact=False)
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_utterances_of_exactly_min_input_frames(self, monkeypatch, params, rows):
+        seen = self.force_block_rows(monkeypatch, rows)
+        m = frontend.MIN_INPUT_FRAMES
+        self.check_against_single_pass(self.batch([m, m, 13, m]), params, exact=False)
+        assert len(seen) > 1
+        # A lone one has one output row: one block, the single pass to the bit.
+        seen.clear()
+        self.check_against_single_pass(self.batch([m])[0], params, exact=True)
+        assert seen == [m]
+
+    def test_a_batch_of_one_is_the_lone_call(self, monkeypatch, params):
+        seen = self.force_block_rows(monkeypatch, 3)
+        utt = self.batch([61])[0]
+        one, lone = frontend.subsample([utt], params), frontend.subsample(utt, params)
+        assert len(seen) == 2 * 5
+        assert one.lengths == (lone.length,) and lone.lengths is None
+        assert np.array_equal(one.frames.data, lone.frames.data)
+        assert np.array_equal(one.time_map, lone.time_map)
+
+    @pytest.mark.parametrize("lengths", [[203], [37, 7, 120, 64], [9, 7, 10, 11, 8, 7]])
+    def test_inputs_that_fit_one_block_are_the_single_pass(self, monkeypatch, params, lengths):
+        feats = self.batch(lengths)
+        seen = self.force_block_rows(monkeypatch, frontend.subsampled_length(
+            sum(-(-n // 4) * 4 for n in lengths[:-1]) + lengths[-1]))
+        self.check_against_single_pass(feats if len(lengths) > 1 else feats[0], params,
+                                       exact=True)
+        assert len(seen) == 1
+        monkeypatch.undo()
+        self.check_against_single_pass(feats, params, exact=True)
+
+    def test_peak_memory_follows_the_budget_not_the_length(self):
+        # m5n7 widths: 80 features, 256 channels, on a 2000-frame utterance.
+        # One pass held 261 MiB, 14x the conv output, at once.
+        rng = np.random.default_rng(30)
+        params = frontend.init_frontend(rng, 80, 256)
+        utt = FeatureSequence("long", rng.normal(size=(2000, 80)))
+        out_bytes = (frontend.subsampled_length(2000) * frontend.reduced_feature_dim(80)
+                     * 256 * 8)
+        tracemalloc.start()
+        try:
+            frontend.subsample(utt, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One block's columns, conv1 output and temporaries stay under twice
+        # the budget. The blocks' outputs and their concatenation hold twice
+        # the conv output, and the projection's output is 1/19 of it.
+        assert peak <= 2 * (frontend.BLOCK_BYTES + out_bytes), peak / 2**20
