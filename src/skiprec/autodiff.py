@@ -15,8 +15,9 @@ op. Nothing more general is provided on purpose.
 
 Several sequences can run as one: their rows are packed one after another
 and the ops that mix rows (attention, the depthwise conv, the cross-entropy
-mean, the CTC lattice) take the sequence lengths. A single sequence takes no
-padding copy.
+mean, the CTC lattice) take the sequence lengths; all but the lattice read
+none as one sequence of all the rows. A single sequence takes no padding
+copy.
 
 Ops keep the dtype of their operands: scalar constants are Python floats,
 so float32 inputs stay float32. Attention runs as head-batched matmuls and
@@ -515,15 +516,15 @@ def cross_entropy_mean(logits: Tensor, targets, lengths=None) -> Tensor:
 # alignment lattice
 # ---------------------------------------------------------------------------
 
-def lattice_nll(log_probs: Tensor, states, allow_skip, lengths=None) -> Tensor:
+def lattice_nll(log_probs: Tensor, states, allow_skip, lengths) -> Tensor:
     """Negative log of the summed probability of every path through CTC lattices.
 
-    ``log_probs`` is a (T, V) grid. Lattice state s emits class ``states[s]``
-    and is entered from s, s - 1 and, where ``allow_skip[s]`` holds, s - 2.
-    Paths start in state 0 or 1 and end in one of the last two states. With
-    ``lengths`` the grid packs consecutive sequences of those frame counts,
-    ``states`` and ``allow_skip`` hold one lattice per sequence, and the
-    result is the sum of the sequences' losses, added in sequence order.
+    ``log_probs`` is a (T, V) grid that packs consecutive sequences of
+    ``lengths`` frames; ``states`` and ``allow_skip`` hold one lattice per
+    sequence. Lattice state s emits class ``states[s]`` and is entered from
+    s, s - 1 and, where ``allow_skip[s]`` holds, s - 2. Paths start in state
+    0 or 1 and end in one of the last two states. The result is the sum of
+    the sequences' losses, added in sequence order.
 
     All lattices run as one (sequences, most states) recursion per frame in
     log space, unreachable branches held at NEG_FILL. A lattice's padded
@@ -538,22 +539,18 @@ def lattice_nll(log_probs: Tensor, states, allow_skip, lengths=None) -> Tensor:
     lp = log_probs.data
     if lp.ndim != 2:
         raise DimensionError(f"lattice_nll needs a (T, V) grid, got {lp.shape}")
-    packed = lengths is not None
     lengths = _packed_lengths(lengths, lp.shape[0], "lattice_nll")
-    if not packed:
-        states, allow_skip = [states], [allow_skip]
     if len(states) != lengths.size or len(allow_skip) != lengths.size:
         raise DimensionError(f"lattice_nll: {len(states)} lattices and {len(allow_skip)} "
                              f"skip masks for {lengths.size} sequences")
     lattices = []
     for i, (st, sk) in enumerate(zip(states, allow_skip)):
         st, sk = np.asarray(st, dtype=np.int64), np.asarray(sk, dtype=bool)
-        where = f" of sequence {i}" if packed else ""
         if lengths[i] < 1 or st.ndim != 1 or st.size < 1 or sk.shape != st.shape:
-            raise DimensionError(f"lattice_nll grid {(int(lengths[i]), lp.shape[1])}{where}, "
-                                 f"states {st.shape}, skips {sk.shape}")
+            raise DimensionError(f"lattice_nll grid {(int(lengths[i]), lp.shape[1])} of "
+                                 f"sequence {i}, states {st.shape}, skips {sk.shape}")
         if st.min() < 0 or st.max() >= lp.shape[1]:
-            raise DimensionError(f"lattice state class{where} out of range for "
+            raise DimensionError(f"lattice state class of sequence {i} out of range for "
                                  f"{lp.shape[1]} classes")
         lattices.append((st, sk))
     n, t_max = lengths.size, int(lengths.max())
@@ -573,8 +570,8 @@ def lattice_nll(log_probs: Tensor, states, allow_skip, lengths=None) -> Tensor:
     emit = lp[rows[:, :, None], state[None]]                        # (T, n, S)
     finite = np.isfinite(emit).all(axis=(0, 2))
     if not finite.all():
-        where = f" of sequence {int(np.flatnonzero(~finite)[0])}" if packed else ""
-        raise NumericError(f"non-finite log probability on the lattice_nll path{where}")
+        raise NumericError(f"non-finite log probability on the lattice_nll path of "
+                           f"sequence {int(np.flatnonzero(~finite)[0])}")
     emit[:, ~real] = NEG_FILL
 
     alpha = np.empty_like(emit)          # alpha[t]: log mass of each state after frame t
@@ -768,9 +765,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool =
     The sequences run as one padded (B, H, Lq_max, Lk_max) batched matmul;
     padded keys and, with ``causal`` (square sequences only), keys right of
     the query position get exactly zero weight. Returns the packed (Lq, D)
-    context and the raw weights for inspection: (H, Lq, Lk) for one query
-    sequence, else padded (B, H, Lq_max, Lk_max). One sequence on each side
-    is reshaped, never copied into a padded layout.
+    context and the raw weights for inspection, padded (B, H, Lq_max, Lk_max)
+    for every B. One sequence on each side is reshaped, never copied into a
+    padded layout.
     """
     lq, d = q.data.shape
     lk, dk = k.data.shape
@@ -840,7 +837,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool =
         _accum(v, packed(gv, k_rows))
 
     _record(bwd)
-    return out, weights[0] if nq == 1 else weights
+    return out, weights
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,10 @@ def posterior_grid(seq: EncodedSequence, head: HeadParams) -> PosteriorGrid:
 
 def check_tokens(tokens, vocab_size: int) -> list[int]:
     """Validate a token sequence: integer ids in [1, vocab), never blank."""
-    out = [int(t) for t in tokens]
+    try:
+        out = [int(t) for t in tokens]
+    except TypeError:
+        raise ContractError(f"expected a sequence of token ids, got {tokens!r}") from None
     for t in out:
         if t < 1 or t >= vocab_size:
             raise ContractError(f"token id {t} outside [1, {vocab_size})")
@@ -80,32 +83,30 @@ def min_frames(tokens) -> int:
     return len(tokens) + repeats
 
 
-def ctc_loss(grid: PosteriorGrid, tokens, lengths=None) -> Tensor:
-    """Negative log probability of all alignments spelling ``tokens``.
+def ctc_loss(grid: PosteriorGrid, token_seqs, lengths) -> Tensor:
+    """Negative log probability of all alignments spelling each token sequence.
 
-    With ``lengths`` the grid packs consecutive utterances of those frame
-    counts, ``tokens`` holds one token sequence per utterance, and the result
-    is the sum of their losses: one lattice op for the whole grid, equal to
-    the bit to the sum of one call per utterance.
+    The grid packs consecutive utterances of ``lengths`` frames, one
+    sequence of ``token_seqs`` each; a lone utterance is ``[tokens], [T]``.
+    The result is the sum of their losses: one lattice op for the whole
+    grid, equal to the bit to the sum of one call per utterance.
     """
-    n_frames, vocab = grid.log_probs.data.shape
-    token_seqs = [tokens] if lengths is None else list(tokens)
-    frame_counts = [n_frames] if lengths is None else [int(n) for n in lengths]
-    if len(token_seqs) != len(frame_counts):
+    token_seqs, lengths = list(token_seqs), [int(n) for n in lengths]
+    if len(token_seqs) != len(lengths):
         raise ContractError(f"{len(token_seqs)} token sequences for "
-                            f"{len(frame_counts)} utterances")
+                            f"{len(lengths)} utterances")
     states, skips = [], []
-    for i, (n, seq) in enumerate(zip(frame_counts, token_seqs)):
-        where = "" if lengths is None else f"utterance {i}: "
+    for i, (n, seq) in enumerate(zip(lengths, token_seqs)):
         if n < 1:
-            raise DimensionError(f"{where}ctc_loss needs at least one frame")
+            raise DimensionError(f"utterance {i}: ctc_loss needs at least one frame")
         try:
-            seq = check_tokens(seq, vocab)
+            seq = check_tokens(seq, grid.vocab_size)
         except ContractError as err:
-            raise ContractError(f"{where}{err}") from None
+            raise ContractError(f"utterance {i}: {err}") from None
         if n < min_frames(seq):
             raise InfeasibleAlignmentError(
-                f"{where}{len(seq)} tokens need at least {min_frames(seq)} frames, have {n}")
+                f"utterance {i}: {len(seq)} tokens need at least {min_frames(seq)} "
+                f"frames, have {n}")
         # Blank-interleaved state sequence. A token state may be entered from
         # two states back unless that state holds the same token.
         ext = np.full(2 * len(seq) + 1, BLANK_ID, dtype=np.int64)
@@ -114,7 +115,7 @@ def ctc_loss(grid: PosteriorGrid, tokens, lengths=None) -> Tensor:
         allow_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
         states.append(ext)
         skips.append(allow_skip)
-    return ad.lattice_nll(grid.log_probs, states, skips, frame_counts)
+    return ad.lattice_nll(grid.log_probs, states, skips, lengths)
 
 
 def greedy_decode(grid: PosteriorGrid) -> list[int]:

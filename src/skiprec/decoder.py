@@ -83,23 +83,16 @@ def init_decoder(rng: np.random.Generator, d_model: int, heads: int, depth: int,
     )
 
 
-def _cross_attention(x: Tensor, enc: Tensor, p: AttentionParams, heads: int,
-                     lengths=None, enc_lengths=None) -> Tensor:
+def _attention(x: Tensor, p: AttentionParams, heads: int, lengths: list[int],
+               memory: EncodedSequence | None = None) -> Tensor:
+    """Pre-norm attention over ``memory``, or causal self-attention without one."""
     h = _norm(x, p.norm)
+    src, src_lengths = (h, lengths) if memory is None else (memory.frames, memory.lengths)
     q = ad.affine(h, p.wq.value, p.bq.value)
-    k = ad.affine(enc, p.wk.value, p.bk.value)
-    v = ad.affine(enc, p.wv.value, p.bv.value)
-    ctx, _ = ad.attention_core(q, k, v, heads, q_lengths=lengths, k_lengths=enc_lengths)
-    return ad.affine(ctx, p.wo.value, p.bo.value)
-
-
-def _self_attention(x: Tensor, p: AttentionParams, heads: int, lengths: list[int]) -> Tensor:
-    h = _norm(x, p.norm)
-    q = ad.affine(h, p.wq.value, p.bq.value)
-    k = ad.affine(h, p.wk.value, p.bk.value)
-    v = ad.affine(h, p.wv.value, p.bv.value)
-    ctx, _ = ad.attention_core(q, k, v, heads, causal=True, q_lengths=lengths,
-                               k_lengths=lengths)
+    k = ad.affine(src, p.wk.value, p.bk.value)
+    v = ad.affine(src, p.wv.value, p.bv.value)
+    ctx, _ = ad.attention_core(q, k, v, heads, causal=memory is None, q_lengths=lengths,
+                               k_lengths=src_lengths)
     return ad.affine(ctx, p.wo.value, p.bo.value)
 
 
@@ -122,9 +115,8 @@ def decoder_logits(enc: EncodedSequence, inputs: list[list[int]], params: Decode
     x = ad.gather_rows(params.embed.value, [t for seq in inputs for t in seq])
     x = ad.add_const(x, packed_positions(lengths, d).astype(x.data.dtype))
     for block in params.blocks:
-        x = ad.add(x, _self_attention(x, block.self_attn, heads, lengths))
-        x = ad.add(x, _cross_attention(x, enc.frames, block.cross_attn, heads, lengths,
-                                       enc.lengths))
+        x = ad.add(x, _attention(x, block.self_attn, heads, lengths))
+        x = ad.add(x, _attention(x, block.cross_attn, heads, lengths, enc))
         x = ad.add(x, _dropout(_ffn_branch(x, block.ffn), drop))
     x = _norm(x, params.final_norm)
     return ad.affine(x, params.out_w.value, params.out_b.value)
@@ -149,25 +141,14 @@ def aed_loss(enc: EncodedSequence, token_seqs, params: DecoderParams, heads: int
 
 def _log_likelihoods(enc: EncodedSequence, sequences, params: DecoderParams,
                      heads: int) -> list[float]:
-    """Decoder log likelihood of each token sequence, from one packed pass."""
+    """Decoder log likelihood of each token sequence, end-of-sequence included, in one pass."""
     sequences = [check_tokens(tokens, params.vocab_size) for tokens in sequences]
     inputs = [[params.sos_id] + tokens for tokens in sequences]
     targets = [t for tokens in sequences for t in tokens + [params.eos_id]]
-    logits = decoder_logits(enc, inputs, params, heads).data
-    m = logits.max(axis=1, keepdims=True)
-    lse = (np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m)[:, 0]
-    picked = logits[np.arange(len(targets)), targets] - lse
+    log_probs = ad.log_softmax_rows(decoder_logits(enc, inputs, params, heads)).data
+    picked = log_probs[np.arange(len(targets)), targets]
     ends = np.cumsum([len(seq) for seq in inputs])[:-1]
     return [float(part.sum()) for part in np.split(picked, ends)]
-
-
-def sequence_log_likelihood(enc: EncodedSequence, tokens, params: DecoderParams,
-                            heads: int) -> float:
-    """Sum of per-token log probabilities, end-of-sequence included.
-
-    Accepts the empty sequence (scores end-of-sequence alone).
-    """
-    return _log_likelihoods(enc, [tokens], params, heads)[0]
 
 
 def rescore(enc: EncodedSequence, hypotheses: list[tuple[tuple[int, ...], float]],

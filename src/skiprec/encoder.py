@@ -59,12 +59,16 @@ class EncodedSequence:
     """Encoder frames plus each row's index in its utterance's pre-split frame order.
 
     ``lengths`` lists the row counts of the utterances packed one after
-    another; None means the rows are one utterance.
+    another; built without it, the rows are one utterance: ``(length,)``.
     """
 
     frames: Tensor            # (L, D)
     orig_index: np.ndarray    # (L,) int64, strictly increasing within each utterance
     lengths: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.lengths is None:
+            self.lengths = (self.length,)
 
     @property
     def length(self) -> int:
@@ -221,7 +225,7 @@ def _conv_branch(x: Tensor, p: ConvModuleParams, lengths) -> Tensor:
 def conformer_block(seq: EncodedSequence, p: ConformerBlockParams, heads: int,
                     drop: Dropout | None = None) -> EncodedSequence:
     """One block; ``drop`` (training) applies to each branch output."""
-    if seq.length == 0 or (seq.lengths is not None and 0 in seq.lengths):
+    if seq.length == 0 or 0 in seq.lengths:
         raise EmptySequenceError("conformer block requires at least one frame per sequence")
     x = seq.frames
     x = ad.add(x, ad.scale(_dropout(_ffn_branch(x, p.ffn1), drop), 0.5))

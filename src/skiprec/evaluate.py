@@ -107,7 +107,7 @@ def evaluate_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig,
                                      and model_mod.too_short_for(tokens, trace.output_len)):
                 trace = model_mod.forward_utterance(
                     feats, params, model_cfg, loss_cfg, target=tokens)
-            terms = model_mod.component_losses(trace, tokens, params, model_cfg, loss_cfg)
+            terms = model_mod.component_losses(trace, [tokens], params, model_cfg, loss_cfg)
             for k, v in terms.items():
                 loss_sums[k] = loss_sums.get(k, 0.0) + v
             loss_n += 1

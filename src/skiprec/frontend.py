@@ -59,12 +59,12 @@ class SubsampledSequence:
     """Frames after subsampling, plus the map back to input frame indices.
 
     Packed utterances lie one after another; ``lengths`` holds their frame
-    counts (None: one utterance) and ``time_map`` counts from each one's start.
+    counts and ``time_map`` counts from each one's start.
     """
 
     frames: Tensor            # (T, D)
     time_map: np.ndarray      # (T,) first covered input index per output frame
-    lengths: tuple[int, ...] | None = None
+    lengths: tuple[int, ...]
 
     @property
     def length(self) -> int:
@@ -136,8 +136,8 @@ def subsample(feats: FeatureSequence | list[FeatureSequence],
     s + 4t to s + 4t + 6. The convolutions and swishes run over blocks of
     packed output rows (module docstring), whose outputs are stacked; one
     gather keeps each utterance's rows and drops those that straddle a
-    boundary, and the projection runs once. A lone utterance returns
-    ``lengths`` None.
+    boundary, and the projection runs once. A lone utterance is a batch of
+    one: its ``lengths`` is ``(T,)``.
     """
     batch = [feats] if isinstance(feats, FeatureSequence) else list(feats)
     if not batch:
@@ -184,6 +184,4 @@ def subsample(feats: FeatureSequence | list[FeatureSequence],
     out = ad.affine(ad.reshape(h, (t, c * f2)), params.proj_w.value, params.proj_b.value)
     # Each output frame's window starts at input index 4t (stride 2 twice).
     time_map = np.concatenate([np.arange(n, dtype=np.int64) * 4 for n in lengths])
-    return SubsampledSequence(frames=out, time_map=time_map,
-                              lengths=None if isinstance(feats, FeatureSequence)
-                              else tuple(lengths))
+    return SubsampledSequence(frames=out, time_map=time_map, lengths=tuple(lengths))

@@ -17,10 +17,10 @@ crucial for that utterance (``too_short_for`` is the target rule).
 
 The forward and the loss are functions of their arguments: weights,
 features, configs and, in training, the dropout generator. One loss path,
-the sum of the utterances' objectives, has three views: ``batch_loss``, the
-training objective of a packed batch on the tape, ``total_loss``, that of one
-utterance, and ``component_losses``, one utterance's terms as floats for
-logging.
+the sum of a trace's utterances' objectives, has two views: ``total_loss``,
+the training objective on the tape, and ``component_losses``, its terms as
+floats for logging. Either takes a ForwardTrace (a batch of one) or a
+BatchTrace, with one target per utterance.
 """
 
 from __future__ import annotations
@@ -157,8 +157,7 @@ def recover(crucial: EncodedSequence, trivial: EncodedSequence) -> EncodedSequen
     Packed inputs hold the same utterances in the same order; each
     utterance's rows merge with its own, in one gather for the batch.
     """
-    c_len = crucial.lengths if crucial.lengths is not None else (crucial.length,)
-    t_len = trivial.lengths if trivial.lengths is not None else (trivial.length,)
+    c_len, t_len = crucial.lengths, trivial.lengths
     if len(c_len) != len(t_len):
         raise ContractError(f"recover received {len(c_len)} and {len(t_len)} packed sequences")
     seq = np.concatenate([np.repeat(np.arange(len(c_len)), c_len),
@@ -171,9 +170,8 @@ def recover(crucial: EncodedSequence, trivial: EncodedSequence) -> EncodedSequen
         dup = int(sorted_idx[np.flatnonzero(same)[0]])
         raise ContractError(f"recover received frame index {dup} in both groups")
     frames = ad.gather_rows(ad.concat_rows(crucial.frames, trivial.frames), order)
-    lengths = None if crucial.lengths is None and trivial.lengths is None \
-        else tuple(c + t for c, t in zip(c_len, t_len))
-    return EncodedSequence(frames=frames, orig_index=sorted_idx, lengths=lengths)
+    return EncodedSequence(frames=frames, orig_index=sorted_idx,
+                           lengths=tuple(c + t for c, t in zip(c_len, t_len)))
 
 
 def too_short_for(target, kept_frames: int) -> bool:
@@ -262,8 +260,11 @@ def _loss_and_terms(trace, token_seqs, params: ModelParams, cfg: ModelConfig,
     """The summed objective of the utterances of ``trace`` and its terms.
 
     ``trace`` is a ForwardTrace or BatchTrace; ``token_seqs`` holds one
-    target per utterance.
+    target per utterance, in trace order.
     """
+    if len(token_seqs) != len(trace.h1.lengths):
+        raise ContractError(f"{len(token_seqs)} targets for a trace of "
+                            f"{len(trace.h1.lengths)} utterances")
     alpha = loss_cfg.ctc_weight
     pairs = []
     if alpha > 0.0:
@@ -287,42 +288,32 @@ def _loss_and_terms(trace, token_seqs, params: ModelParams, cfg: ModelConfig,
     return loss, terms
 
 
-def batch_loss(batch: BatchTrace, token_seqs, params: ModelParams, cfg: ModelConfig,
-               loss_cfg: LossConfig, dropout_rng: np.random.Generator | None = None) -> Tensor:
-    """The sum over a packed batch's utterances of ``total_loss``, on one tape.
-
-    ``token_seqs`` holds the targets in batch order. Each CTC loss is one
-    lattice op over its packed grid, and each decoder pair one packed pass
-    over the utterances' own encoder frames.
-    """
-    if len(token_seqs) != len(batch.fallbacks):
-        raise ContractError(f"{len(token_seqs)} targets for a batch of {len(batch.fallbacks)}")
-    drop = enc_mod.make_dropout(cfg.dropout, dropout_rng)
-    return _loss_and_terms(batch, token_seqs, params, cfg, loss_cfg, drop)[0]
-
-
-def total_loss(trace: ForwardTrace, tokens, params: ModelParams, cfg: ModelConfig,
-               loss_cfg: LossConfig, dropout_rng: np.random.Generator | None = None) -> Tensor:
-    """Joint objective over both heads and both decoder passes.
+def total_loss(trace: ForwardTrace | BatchTrace, token_seqs, params: ModelParams,
+               cfg: ModelConfig, loss_cfg: LossConfig,
+               dropout_rng: np.random.Generator | None = None) -> Tensor:
+    """Joint objective, summed over the trace's utterances, on one tape.
 
     ctc_weight * (alignment pair) + (1 - ctc_weight) * (decoder pair), each
     pair mixed by inter_weight / final_weight. A pair with zero weight is
-    never evaluated and receives no gradient. With ``dropout_rng``
+    never evaluated and receives no gradient. ``token_seqs`` holds one
+    target per utterance: ``[tokens]`` for a ForwardTrace. Each CTC loss is
+    one lattice op over its packed grid, and each decoder pair one packed
+    pass over the utterances' own encoder frames. With ``dropout_rng``
     (training), the decoder's feed-forward outputs are dropped at rate
     ``cfg.dropout``.
     """
     drop = enc_mod.make_dropout(cfg.dropout, dropout_rng)
-    return _loss_and_terms(trace, [tokens], params, cfg, loss_cfg, drop)[0]
+    return _loss_and_terms(trace, token_seqs, params, cfg, loss_cfg, drop)[0]
 
 
-def component_losses(trace: ForwardTrace, tokens, params: ModelParams, cfg: ModelConfig,
-                     loss_cfg: LossConfig) -> dict[str, float]:
+def component_losses(trace: ForwardTrace | BatchTrace, token_seqs, params: ModelParams,
+                     cfg: ModelConfig, loss_cfg: LossConfig) -> dict[str, float]:
     """The terms of ``total_loss``, without dropout, as floats for logging.
 
     Maps each evaluated loss ("ctc_inter", "ctc_final", "dec_inter",
     "dec_final") and "total", the objective's value, to a float.
     """
-    return _loss_and_terms(trace, [tokens], params, cfg, loss_cfg, None)[1]
+    return _loss_and_terms(trace, token_seqs, params, cfg, loss_cfg, None)[1]
 
 
 def checkpoint_tensors(params: ModelParams, step: int | None = None,

@@ -114,7 +114,7 @@ def split_frames(seq: EncodedSequence, *groups: FrameGroups
     indices local to that utterance. Each output packs the utterances'
     rows in the same order, as one gather each.
     """
-    lengths = seq.lengths if seq.lengths is not None else (seq.length,)
+    lengths = seq.lengths
     if len(groups) != len(lengths):
         raise ContractError(f"{len(groups)} frame groups for {len(lengths)} packed sequences")
     starts = np.cumsum(lengths) - np.asarray(lengths)
@@ -132,7 +132,7 @@ def split_frames(seq: EncodedSequence, *groups: FrameGroups
         return EncodedSequence(
             frames=ad.gather_rows(seq.frames, idx),
             orig_index=seq.orig_index[idx],
-            lengths=None if seq.lengths is None else tuple(r.size for r in rows),
+            lengths=tuple(r.size for r in rows),
         )
 
     return gather(picked["crucial"]), gather(picked["trivial"])

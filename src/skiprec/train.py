@@ -145,7 +145,7 @@ def _train_epoch(cfg: RunConfig, params, corpus, order, step: int,
         with ad.tape() as tp:
             trace = model_mod.forward_batch(feats, params, cfg.model, cfg.loss,
                                             targets=tokens, dropout_rng=dropout_rng)
-            tp.backward(model_mod.batch_loss(trace, tokens, params, cfg.model, cfg.loss,
+            tp.backward(model_mod.total_loss(trace, tokens, params, cfg.model, cfg.loss,
                                              dropout_rng))
         fell_back.extend((step, f) for f in trace.fallbacks)
         step += 1

@@ -207,7 +207,7 @@ def test_criterion_03_ctc_loss_oracle():
             if len(cand) + repeats <= n_frames:
                 tokens = cand
                 break
-        ours = float(ctc.ctc_loss(ctc.PosteriorGrid(ad.Tensor(lp)), tokens).data)
+        ours = float(ctc.ctc_loss(ctc.PosteriorGrid(ad.Tensor(lp)), [tokens], [n_frames]).data)
         worst = max(worst, abs(ours - oracle_ctc_nll(lp, tokens)))
     verdict(3, worst <= 1e-6, f"1000 grids, max |diff| {worst:.2e}")
 
@@ -253,7 +253,7 @@ def test_criterion_05_gradient_correctness():
         def loss(*_):
             trace = model_mod.forward_utterance(feats, params, TOY, loss_cfg,
                                                 target=target)
-            return model_mod.total_loss(trace, target, params, TOY, loss_cfg)
+            return model_mod.total_loss(trace, [target], params, TOY, loss_cfg)
 
         tensors = [by_name[nm].value for nm in slices[seed] if nm]
         err = ad.grad_check(loss, tensors)

@@ -239,10 +239,11 @@ class TestElementwiseGrads:
         rng = np.random.default_rng(13)
         states = [0, 1, 0, 2, 0, 2, 0]
         allow = [False, False, False, True, False, False, False]
-        check(lambda x: ad.lattice_nll(x, states, allow), rng.normal(size=(6, 3)), tol=1e-4)
+        check(lambda x: ad.lattice_nll(x, [states], [allow], [6]), rng.normal(size=(6, 3)),
+              tol=1e-4)
         # One frame and one token: the only path emits the token once.
         x = rng.normal(size=(1, 3))
-        out = ad.lattice_nll(ad.tensor(x), [0, 1, 0], [False, False, False])
+        out = ad.lattice_nll(ad.tensor(x), [[0, 1, 0]], [[False, False, False]], [1])
         assert float(out.data) == -x[0, 1]
 
     def test_cross_entropy(self):
@@ -356,8 +357,8 @@ class TestAttention:
         k = ad.tensor(rng.normal(size=(7, 8)))
         v = ad.tensor(rng.normal(size=(7, 8)))
         _, w = ad.attention_core(q, k, v, n_heads=2)
-        assert w.shape == (2, 5, 7)
-        assert np.all(np.abs(w.sum(axis=2) - 1.0) <= 1e-9)
+        assert w.shape == (1, 2, 5, 7)
+        assert np.all(np.abs(w.sum(axis=3) - 1.0) <= 1e-9)
 
     def test_causal_is_lower_triangular(self):
         rng = np.random.default_rng(19)
@@ -365,7 +366,7 @@ class TestAttention:
         _, w = ad.attention_core(ad.tensor(x), ad.tensor(x), ad.tensor(x),
                                  n_heads=2, causal=True)
         upper = ~np.tril(np.ones((5, 5), dtype=bool))
-        assert np.all(w[:, upper] == 0.0)
+        assert np.all(w[0][:, upper] == 0.0)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_grad(self, causal):
@@ -580,7 +581,7 @@ class TestBatchOfOneAgainstSingleSequenceOps:
                 p.zero_grad()
             with ad.tape() as tp:
                 trace = model_mod.forward_utterance(feats, params, cfg, loss_cfg, target=target)
-                tp.backward(model_mod.total_loss(trace, target, params, cfg, loss_cfg))
+                tp.backward(model_mod.total_loss(trace, [target], params, cfg, loss_cfg))
             return trace, [p.grad.copy() for _, p in named]
 
         trace, grads = run()
@@ -691,8 +692,8 @@ class TestAgainstReference:
         with ad.tape() as tp:
             ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal)
             tp.backward(ad.sum_all(ad.mul_const(ctx, g)))
-        assert w.shape == (3, lq, lk)
-        got = [ctx.data, w, qt.grad, kt.grad, vt.grad]
+        assert w.shape == (1, 3, lq, lk)
+        got = [ctx.data, w[0], qt.grad, kt.grad, vt.grad]
         for have, want in zip(got, [want_ctx, want_w, *want_grads(g)]):
             assert np.max(np.abs(have - want)) <= 1e-12
 
@@ -728,7 +729,7 @@ class TestSegmentedAttention:
                 want_ctx, want_w = ad.attention_core(*parts, 3, causal=causal)
                 tp.backward(ad.sum_all(ad.mul_const(want_ctx, g[rows])))
             got = [ctx.data[rows], w[i, :, :n, :m], qt.grad[rows]]
-            for have, ref in zip(got, [want_ctx.data, want_w, parts[0].grad]):
+            for have, ref in zip(got, [want_ctx.data, want_w[0], parts[0].grad]):
                 worst = max(worst, float(np.max(np.abs(have - ref), initial=0.0)))
             # padded keys get exactly zero weight
             assert np.all(w[i, :, :n, m:] == 0.0)

@@ -77,12 +77,12 @@ class TestCtcLoss:
     def test_uniform_two_frame_single_token(self):
         # Three of the four two-frame paths over {blank, 1} spell "1".
         grid = uniform_grid(2, 2)
-        loss = ctc.ctc_loss(grid, [1])
+        loss = ctc.ctc_loss(grid, [[1]], [2])
         assert loss.data == pytest.approx(-math.log(0.75), rel=1e-12)
 
     def test_single_frame_single_token(self):
         grid = uniform_grid(1, 3)
-        assert ctc.ctc_loss(grid, [2]).data == pytest.approx(math.log(3), rel=1e-12)
+        assert ctc.ctc_loss(grid, [[2]], [1]).data == pytest.approx(math.log(3), rel=1e-12)
 
     @pytest.mark.parametrize("n_frames,vocab,n_tokens", [
         (3, 2, 1), (4, 3, 2), (5, 3, 2), (5, 4, 3), (6, 2, 2),
@@ -95,29 +95,29 @@ class TestCtcLoss:
             if n_frames < ctc.min_frames(tokens):
                 continue
             want = exhaustive_nll(grid.log_probs.data, tokens)
-            assert ctc.ctc_loss(grid, tokens).data == pytest.approx(want, abs=1e-6)
+            assert ctc.ctc_loss(grid, [tokens], [n_frames]).data == pytest.approx(want, abs=1e-6)
 
     def test_empty_token_sequence_consumes_all_blanks(self):
         rng = np.random.default_rng(7)
         grid = random_grid(rng, 4, 3)
         want = -grid.log_probs.data[:, 0].sum()
-        assert ctc.ctc_loss(grid, []).data == pytest.approx(want, abs=1e-9)
+        assert ctc.ctc_loss(grid, [[]], [4]).data == pytest.approx(want, abs=1e-9)
 
     def test_infeasible_target_rejected(self):
         grid = uniform_grid(2, 3)
         with pytest.raises(InfeasibleAlignmentError):
-            ctc.ctc_loss(grid, [1, 1])
+            ctc.ctc_loss(grid, [[1, 1]], [2])
 
     def test_zero_frames_rejected(self):
         grid = ctc.PosteriorGrid(log_probs=ad.Tensor(np.zeros((0, 3))))
         with pytest.raises(DimensionError):
-            ctc.ctc_loss(grid, [1])
+            ctc.ctc_loss(grid, [[1]], [0])
 
     @pytest.mark.parametrize("bad", [0, -1, 3, 7])
     def test_out_of_range_token_rejected(self, bad):
         grid = uniform_grid(4, 3)
         with pytest.raises(ContractError):
-            ctc.ctc_loss(grid, [1, bad])
+            ctc.ctc_loss(grid, [[1, bad]], [4])
 
     def test_loss_gradient_through_head(self):
         rng = np.random.default_rng(21)
@@ -127,7 +127,7 @@ class TestCtcLoss:
         def loss(*_):
             seq = EncodedSequence(frames=frames, orig_index=np.arange(5))
             grid = ctc.posterior_grid(seq, head)
-            return ctc.ctc_loss(grid, [1, 2, 1])
+            return ctc.ctc_loss(grid, [[1, 2, 1]], [5])
 
         err = ad.grad_check(loss, [frames, head.w.value, head.b.value])
         assert err <= 1e-4
@@ -415,6 +415,11 @@ def composed_ctc_loss_reference(grid, tokens):
     return ad.scale(_ref_logsumexp_all(ad.gather_rows(alpha, final_states)), -1.0)
 
 
+def ctc_loss_of_one(grid, tokens):
+    """``ctc_loss`` of a grid that holds one utterance."""
+    return ctc.ctc_loss(grid, [tokens], [grid.length])
+
+
 def loss_and_grads(loss_fn, logits, tokens, extra=None):
     """Loss value and the log-prob and logits gradients of one tape pass.
 
@@ -455,7 +460,7 @@ class TestLatticeOpAgainstComposedReference:
         rng = np.random.default_rng(60 + (dtype == np.float32))
         for _ in range(1100):
             logits, tokens, extra = random_lattice_case(rng, dtype)
-            got = loss_and_grads(ctc.ctc_loss, logits, tokens, extra)
+            got = loss_and_grads(ctc_loss_of_one, logits, tokens, extra)
             want = loss_and_grads(composed_ctc_loss_reference, logits, tokens, extra)
             assert got[0] == want[0] and got[0].dtype == want[0].dtype
             for have, ref in zip(got[1:], want[1:]):
@@ -470,7 +475,7 @@ class TestLatticeOpAgainstComposedReference:
         for logits in (rng.normal(size=(n_frames, 4)), np.zeros((n_frames, 4))):
             logits = logits.astype(dtype)
             logits[:, ctc.BLANK_ID] += 20.0
-            got = loss_and_grads(ctc.ctc_loss, logits, tokens)
+            got = loss_and_grads(ctc_loss_of_one, logits, tokens)
             want = loss_and_grads(composed_ctc_loss_reference, logits, tokens)
             assert got[0] == want[0]
             assert all(np.array_equal(h, r) for h, r in zip(got[1:], want[1:]))
@@ -478,14 +483,14 @@ class TestLatticeOpAgainstComposedReference:
     def test_float32_loss_backpropagates_in_float32(self):
         rng = np.random.default_rng(66)
         logits = rng.normal(size=(7, 5)).astype(np.float32)
-        loss, lp_grad, x_grad = loss_and_grads(ctc.ctc_loss, logits, [1, 3, 3])
+        loss, lp_grad, x_grad = loss_and_grads(ctc_loss_of_one, logits, [1, 3, 3])
         assert loss.dtype == np.float32
         assert lp_grad.dtype == np.float32 and x_grad.dtype == np.float32
 
     def test_is_one_tape_entry(self):
         grid = uniform_grid(9, 5)
         with ad.tape() as tp:
-            ctc.ctc_loss(grid, [1, 2, 2])
+            ctc.ctc_loss(grid, [[1, 2, 2]], [9])
         assert len(tp) == 1
 
     def test_rejects_malformed_lattices(self):
@@ -493,15 +498,15 @@ class TestLatticeOpAgainstComposedReference:
         for states, skips in [([], []), ([0, 4, 0], [0, 0, 0]), ([0, 1], [0, 0, 0]),
                               ([[0, 1, 0]], [[0, 0, 0]])]:
             with pytest.raises(DimensionError):
-                ad.lattice_nll(lp, states, skips)
+                ad.lattice_nll(lp, [states], [skips], [3])
 
     def test_non_finite_log_probs_on_the_path_raise(self):
         lp = np.log(np.full((3, 4), 0.25))
         lp[:, 3] = -np.inf  # class 3 is off the path, so the op never reads it
-        ad.lattice_nll(ad.tensor(lp), [0, 2, 0], [False, False, False])
+        ad.lattice_nll(ad.tensor(lp), [[0, 2, 0]], [[False, False, False]], [3])
         lp[1, 2] = np.nan
-        with pytest.raises(NumericError):
-            ad.lattice_nll(ad.tensor(lp), [0, 2, 0], [False, False, False])
+        with pytest.raises(NumericError, match="sequence 0"):
+            ad.lattice_nll(ad.tensor(lp), [[0, 2, 0]], [[False, False, False]], [3])
 
 
 def per_utterance_loss_and_grads(logits, token_seqs, lengths, extra=None):
@@ -519,7 +524,7 @@ def per_utterance_loss_and_grads(logits, token_seqs, lengths, extra=None):
         ad._record(stack_grads)
         total = None
         for part, tokens in zip(parts, token_seqs):
-            loss = ctc.ctc_loss(ctc.PosteriorGrid(part), tokens)
+            loss = ctc.ctc_loss(ctc.PosteriorGrid(part), [tokens], [part.data.shape[0]])
             total = loss if total is None else ad.add(total, loss)
         root = ad.scale(total, 0.7)
         if extra is not None:
@@ -585,12 +590,6 @@ class TestPackedLattice:
             assert_same_bits(packed_loss_and_grads(logits, token_seqs, lengths),
                              per_utterance_loss_and_grads(logits, token_seqs, lengths))
 
-    def test_a_batch_of_one_is_the_unpacked_call(self):
-        rng = np.random.default_rng(73)
-        logits = rng.normal(size=(9, 5))
-        assert_same_bits(packed_loss_and_grads(logits, [[1, 4, 4]], [9]),
-                         loss_and_grads(ctc.ctc_loss, logits, [1, 4, 4]))
-
     def test_is_one_tape_entry(self):
         grid = uniform_grid(12, 5)
         with ad.tape() as tp:
@@ -617,3 +616,10 @@ class TestPackedLattice:
             ctc.ctc_loss(grid, [[1], [2]], [2, 3])
         with pytest.raises(DimensionError):
             ctc.ctc_loss(grid, [[1], []], [6, 0])
+
+    def test_a_bare_token_list_is_not_one_utterance(self):
+        grid = uniform_grid(6, 4)
+        with pytest.raises(ContractError, match="2 token sequences for 1 utterances"):
+            ctc.ctc_loss(grid, [1, 2], [6])
+        with pytest.raises(ContractError, match="utterance 0"):
+            ctc.ctc_loss(grid, [3], [6])

@@ -93,14 +93,14 @@ class TestUniformOutputs:
         rng = np.random.default_rng(7)
         params = zero_output_stage(dec.init_decoder(rng, 8, 2, 1, 5, 2))
         enc = make_enc(rng, 4, 8)
-        ll = dec.sequence_log_likelihood(enc, [2], params, heads=2)
+        [ll] = dec._log_likelihoods(enc, [[2]], params, heads=2)
         assert ll == pytest.approx(-2 * math.log(7), rel=1e-12)
 
     def test_empty_sequence_scores_end_marker_alone(self):
         rng = np.random.default_rng(8)
         params = zero_output_stage(dec.init_decoder(rng, 8, 2, 1, 5, 2))
         enc = make_enc(rng, 4, 8)
-        ll = dec.sequence_log_likelihood(enc, [], params, heads=2)
+        [ll] = dec._log_likelihoods(enc, [[]], params, heads=2)
         assert ll == pytest.approx(-math.log(7), rel=1e-12)
 
 
@@ -120,8 +120,8 @@ class TestCausality:
     def test_likelihood_depends_on_encoder_content(self):
         rng = np.random.default_rng(10)
         params = dec.init_decoder(rng, 8, 2, 1, 5, 2)
-        a = dec.sequence_log_likelihood(make_enc(rng, 4, 8), [1, 2], params, 2)
-        b = dec.sequence_log_likelihood(make_enc(rng, 4, 8), [1, 2], params, 2)
+        [a] = dec._log_likelihoods(make_enc(rng, 4, 8), [[1, 2]], params, 2)
+        [b] = dec._log_likelihoods(make_enc(rng, 4, 8), [[1, 2]], params, 2)
         assert a != b
 
 
@@ -156,7 +156,8 @@ class TestRescore:
         hyps = [((1, 2), -1.5), ((3,), -0.2), ((), -4.0)]
         best, scores = dec.rescore(enc, hyps, params, heads=2, ctc_weight=0.5)
         for (tokens, ctc_score), got in zip(hyps, scores):
-            want = dec.sequence_log_likelihood(enc, list(tokens), params, 2) + 0.5 * ctc_score
+            [ll] = dec._log_likelihoods(enc, [tokens], params, 2)
+            want = ll + 0.5 * ctc_score
             assert got == pytest.approx(want, rel=1e-12)
         assert best == int(np.argmax(scores))
 
@@ -277,14 +278,18 @@ def single_sequence_log_likelihood_reference(enc, tokens, params, heads):
     d = params.embed.value.data.shape[1]
     x = ad.gather_rows(params.embed.value, np.asarray(inputs, dtype=np.int64))
     x = ad.add_const(x, positional_table(len(inputs), d))
-    for block in params.blocks:
-        p = block.self_attn
+
+    def attention(x, p, memory=None):
         h = _norm(x, p.norm)
-        q, k, v = (ad.affine(h, w.value, b.value)
-                   for w, b in ((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv)))
-        ctx, _ = ad.attention_core(q, k, v, heads, causal=True)
-        x = ad.add(x, ad.affine(ctx, p.wo.value, p.bo.value))
-        x = ad.add(x, dec._cross_attention(x, enc.frames, block.cross_attn, heads))
+        src = h if memory is None else memory
+        q = ad.affine(h, p.wq.value, p.bq.value)
+        k, v = (ad.affine(src, w.value, b.value) for w, b in ((p.wk, p.bk), (p.wv, p.bv)))
+        ctx, _ = ad.attention_core(q, k, v, heads, causal=memory is None)
+        return ad.affine(ctx, p.wo.value, p.bo.value)
+
+    for block in params.blocks:
+        x = ad.add(x, attention(x, block.self_attn))
+        x = ad.add(x, attention(x, block.cross_attn, enc.frames))
         x = ad.add(x, _ffn_branch(x, block.ffn))
     logits = ad.affine(_norm(x, params.final_norm), params.out_w.value,
                        params.out_b.value).data

@@ -25,6 +25,13 @@ class TestBlockShapes:
         assert out.frames.data.shape == (5, 8)
         assert out.orig_index is seq.orig_index
 
+    def test_a_sequence_built_without_lengths_is_one_utterance(self):
+        rng = np.random.default_rng(0)
+        seq = make_seq(rng, 5, 8)
+        assert seq.lengths == (5,)
+        block = enc.init_block(rng, d_model=8, heads=2, kernel=3, ffn_multiple=2)
+        assert enc.conformer_block(seq, block, heads=2).lengths == (5,)
+
     @pytest.mark.parametrize("length", [1, 2, 9])
     def test_run_blocks_matches_sequential_application(self, length):
         rng = np.random.default_rng(1)
@@ -87,8 +94,8 @@ class TestAttentionBranch:
         p = enc.init_attention(rng, 8)
         x = ad.Tensor(rng.normal(size=(6, 8)))
         _, weights = enc.self_attention_branch(x, p, heads=2)
-        assert weights.shape == (2, 6, 6)
-        np.testing.assert_allclose(weights.sum(axis=2), 1.0, atol=1e-12)
+        assert weights.shape == (1, 2, 6, 6)
+        np.testing.assert_allclose(weights.sum(axis=3), 1.0, atol=1e-12)
 
 
 def attention_macs(monkeypatch):

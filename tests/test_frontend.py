@@ -181,7 +181,7 @@ class TestPackedSubsample:
         readout = np.random.default_rng(99).normal(size=out.shape)
         for utt, r in zip(feats, rows):
             one = frontend.subsample(utt, params)
-            assert one.lengths is None
+            assert one.lengths == (one.length,)
             assert np.array_equal(one.time_map, packed.time_map[r])
             assert_close(out[r], one.frames.data)
             for p in (params.conv1_w, params.conv1_b, params.conv2_w, params.conv2_b,
@@ -201,7 +201,7 @@ class TestPackedSubsample:
         params = frontend.init_frontend(rng, 16, 8)
         utt = self.batch(rng, [37])[0]
         one, lone = frontend.subsample([utt], params), frontend.subsample(utt, params)
-        assert one.lengths == (lone.length,) and lone.lengths is None
+        assert one.lengths == lone.lengths == (lone.length,)
         assert np.array_equal(one.frames.data, lone.frames.data)
 
     def test_perturbing_one_utterance_leaves_the_others_bitwise(self):
@@ -374,7 +374,7 @@ class TestTimeBlocks:
         utt = self.batch([61])[0]
         one, lone = frontend.subsample([utt], params), frontend.subsample(utt, params)
         assert len(seen) == 2 * 5
-        assert one.lengths == (lone.length,) and lone.lengths is None
+        assert one.lengths == lone.lengths == (lone.length,)
         assert np.array_equal(one.frames.data, lone.frames.data)
         assert np.array_equal(one.time_map, lone.time_map)
 

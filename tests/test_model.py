@@ -9,6 +9,7 @@ import pytest
 
 from skiprec import autodiff as ad
 from skiprec import encoder as enc_mod
+from skiprec import frontend as fe_mod
 from skiprec import model as model_mod
 from skiprec.config import LossConfig, ModelConfig
 from skiprec.encoder import EncodedSequence
@@ -69,6 +70,7 @@ class TestRecover:
             a = EncodedSequence(frames=ad.Tensor(src[a_idx]), orig_index=a_idx)
             b = EncodedSequence(frames=ad.Tensor(src[b_idx]), orig_index=b_idx)
             merged = model_mod.recover(a, b)
+            assert merged.lengths == (n,)
             np.testing.assert_array_equal(merged.orig_index, np.arange(n))
             np.testing.assert_array_equal(merged.frames.data, src)
 
@@ -199,7 +201,7 @@ class TestForwardStructure:
         report = evaluate_corpus(params, TOY, loss_cfg, [(feats, target)], compute_losses=True)
         assert not report.utterances[0]["fallback"]
         trace = model_mod.forward_utterance(feats, params, TOY, loss_cfg, target=target)
-        assert report.loss_means == model_mod.component_losses(trace, target, params, TOY,
+        assert report.loss_means == model_mod.component_losses(trace, [target], params, TOY,
                                                                loss_cfg)
 
     def test_force_all_crucial_bypasses_splitter(self):
@@ -277,8 +279,8 @@ def stubbed_total_loss(monkeypatch, loss_cfg, **values):
     monkeypatch.setattr(model_mod.dec_mod, "aed_loss",
                         lambda h, *_: ad.Tensor(np.asarray(values[h.term])))
     params = SimpleNamespace(decoder=None)
-    return (model_mod.total_loss(trace, [1], params, TOY, loss_cfg),
-            model_mod.component_losses(trace, [1], params, TOY, loss_cfg))
+    return (model_mod.total_loss(trace, [[1]], params, TOY, loss_cfg),
+            model_mod.component_losses(trace, [[1]], params, TOY, loss_cfg))
 
 
 class TestLossCombination:
@@ -309,7 +311,7 @@ class TestLossCombination:
         with ad.tape() as t:
             trace = model_mod.forward_utterance(feats, params, TOY, loss_cfg,
                                                 target=[1, 2])
-            loss = model_mod.total_loss(trace, [1, 2], params, TOY, loss_cfg)
+            loss = model_mod.total_loss(trace, [[1, 2]], params, TOY, loss_cfg)
             t.backward(loss)
         assert params.decoder.embed.grad is None
         assert params.inter_head.w.grad is not None
@@ -323,8 +325,8 @@ class TestLossCombination:
         for ctc_weight in (0.3, 0.0, 1.0):
             loss_cfg = LossConfig(ctc_weight=ctc_weight)
             trace = model_mod.forward_utterance(feats, params, TOY, loss_cfg, target=[1, 2])
-            loss = model_mod.total_loss(trace, [1, 2], params, TOY, loss_cfg)
-            terms = model_mod.component_losses(trace, [1, 2], params, TOY, loss_cfg)
+            loss = model_mod.total_loss(trace, [[1, 2]], params, TOY, loss_cfg)
+            terms = model_mod.component_losses(trace, [[1, 2]], params, TOY, loss_cfg)
             assert terms["total"] == float(loss.data)
             want = 0.0
             for pair, share in (("ctc", ctc_weight), ("dec", 1.0 - ctc_weight)):
@@ -480,7 +482,7 @@ class TestShortestInput:
         feats = toy_feats(np.random.default_rng(40), MIN_INPUT_FRAMES)
         with ad.tape() as tp:
             trace = model_mod.forward_utterance(feats, params, TOY, LossConfig(), target=[1])
-            loss = model_mod.total_loss(trace, [1], params, TOY, LossConfig())
+            loss = model_mod.total_loss(trace, [[1]], params, TOY, LossConfig())
             tp.backward(loss)
         assert trace.subsampled_len == 1 and trace.final_grid.length == 1
         assert np.isfinite(float(loss.data))
@@ -493,7 +495,35 @@ class TestShortestInput:
         feats = toy_feats(np.random.default_rng(40), MIN_INPUT_FRAMES)
         trace = model_mod.forward_utterance(feats, params, TOY, LossConfig(), target=[1, 2])
         with pytest.raises(InfeasibleAlignmentError):
-            model_mod.total_loss(trace, [1, 2], params, TOY, LossConfig())
+            model_mod.total_loss(trace, [[1, 2]], params, TOY, LossConfig())
+
+
+class TestBatchOfOne:
+    """One utterance is a packed batch of one, whichever way it is built."""
+
+    def test_probe_style_stage_one_is_the_forward_stage_one(self):
+        rng = np.random.default_rng(41)
+        params = model_mod.init_model(12, TOY)
+        feats = toy_feats(rng, 37)
+        trace = model_mod.forward_utterance(feats, params, TOY, LossConfig())
+        sub = fe_mod.subsample(feats, params.frontend)
+        x = EncodedSequence(frames=enc_mod.attach_positions(sub.frames),
+                            orig_index=np.arange(sub.length, dtype=np.int64))
+        h1 = enc_mod.run_blocks(x, params.e1, TOY.heads)
+        assert sub.lengths == x.lengths == h1.lengths == trace.h1.lengths
+        assert trace.h1.lengths == (trace.subsampled_len,)
+        assert trace.h2.lengths == (trace.output_len,)
+        assert np.array_equal(h1.frames.data, trace.h1.frames.data)
+
+    def test_the_loss_takes_one_target_per_utterance(self):
+        params = model_mod.init_model(13, TOY)
+        feats = toy_feats(np.random.default_rng(42), 31)
+        trace = model_mod.forward_utterance(feats, params, TOY, LossConfig(), target=[1, 2])
+        for targets in ([1, 2], [[1], [2]], []):
+            with pytest.raises(ContractError, match="trace of 1 utterances"):
+                model_mod.total_loss(trace, targets, params, TOY, LossConfig())
+            with pytest.raises(ContractError, match="trace of 1 utterances"):
+                model_mod.component_losses(trace, targets, params, TOY, LossConfig())
 
 
 def ragged_batch_case():
@@ -532,7 +562,7 @@ def assert_packed_matches_per_utterance(params, feats, loss_cfg, targets):
     named = model_mod.named_parameters(params)
     with ad.tape() as tp:
         batch = model_mod.forward_batch(feats, params, TOY, loss_cfg, targets=targets)
-        loss = model_mod.batch_loss(batch, targets, params, TOY, loss_cfg)
+        loss = model_mod.total_loss(batch, targets, params, TOY, loss_cfg)
         tp.backward(loss)
     packed = {name: p.grad for name, p in named}
     for _, p in named:
@@ -543,7 +573,7 @@ def assert_packed_matches_per_utterance(params, feats, loss_cfg, targets):
     for i, (f, tokens) in enumerate(zip(feats, targets)):
         with ad.tape() as tp:
             trace = model_mod.forward_utterance(f, params, TOY, loss_cfg, target=tokens)
-            one = model_mod.total_loss(trace, tokens, params, TOY, loss_cfg)
+            one = model_mod.total_loss(trace, [tokens], params, TOY, loss_cfg)
             tp.backward(one)
         want += float(one.data)
         assert trace.fallback == batch.fallbacks[i]
@@ -577,7 +607,7 @@ class TestPackedBatch:
             model_mod.forward_batch(feats, params, TOY, loss_cfg, targets=targets[:-1])
         batch = model_mod.forward_batch(feats, params, TOY, loss_cfg, targets=targets)
         with pytest.raises(ContractError):
-            model_mod.batch_loss(batch, targets[:1], params, TOY, loss_cfg)
+            model_mod.total_loss(batch, targets[:1], params, TOY, loss_cfg)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_ragged_batches_match_per_utterance_runs(self, seed):
@@ -603,7 +633,7 @@ class TestEndToEndGradient:
             feats = FeatureSequence("u0", frames)
             trace = model_mod.forward_utterance(feats, params, TOY, loss_cfg,
                                                 target=[1, 2])
-            return model_mod.total_loss(trace, [1, 2], params, TOY, loss_cfg)
+            return model_mod.total_loss(trace, [[1, 2]], params, TOY, loss_cfg)
 
         targets = [params.frontend.conv1_w.value, params.inter_head.w.value,
                    params.final_head.b.value, params.decoder.embed.value,

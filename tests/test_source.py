@@ -20,15 +20,39 @@ def test_no_nonlocal_and_no_global_but_the_tape():
     assert found == [("autodiff.py", "Global", ["_TAPE"])]
 
 
-def autodiff_names_used_by(tree: ast.Module) -> set[str]:
-    """Names a module takes from autodiff, by import or as ``<alias>.name``."""
+# Public functions that no code of the package need call, each with its reason.
+NO_CALLER_NEEDED = {
+    "autodiff.tensor": "test tool: wraps an array as a tape input",
+    "autodiff.mul": "test tool: an elementwise product for op and tape tests",
+    "autodiff.sum_all": "test tool: reduces an op's output to a scalar to differentiate",
+    "autodiff.grad_check": "test tool: the finite-difference gradient checker",
+    "encoder.zero_residual_branches": "test tool: makes a block the identity",
+    "synth.prototypes": "the generator's prototypes, read by the synth tests, criterion 09 "
+                        "and perfbench's inputs",
+    "config.save_run_config": "used by the CLI round-trip tests",
+    "config.full_scale_presets": "used by perfbench's long-encode workload",
+}
+
+
+def modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def public_functions(tree: ast.Module) -> set[str]:
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def names_used_by(tree: ast.Module, module: str) -> set[str]:
+    """Names a module takes from ``module``, by import or as ``<alias>.name``."""
     aliases, used = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".")[-1] == "autodiff":
+            if (node.module or "").split(".")[-1] == module:
                 used.update(a.name for a in node.names)
             else:
-                aliases.update(a.asname or a.name for a in node.names if a.name == "autodiff")
+                aliases.update(a.asname or a.name for a in node.names if a.name == module)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id in aliases:
@@ -36,14 +60,42 @@ def autodiff_names_used_by(tree: ast.Module) -> set[str]:
     return used
 
 
+def names_loaded_outside_their_definition(tree: ast.Module) -> set[str]:
+    """Names a module reads, leaving out a function's reads of its own name."""
+    used = set()
+    for stmt in tree.body:
+        used |= {node.id for node in ast.walk(stmt)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                 and node.id != getattr(stmt, "name", None)}
+    return used
+
+
 def test_every_public_autodiff_function_has_a_caller_in_the_package():
     # Test tools are the only functions the package itself need not call.
-    test_tools = {"tensor", "grad_check", "mul", "sum_all"}
-    tree = ast.parse((PACKAGE / "autodiff.py").read_text(encoding="utf-8"))
-    public = {node.name for node in tree.body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    trees = modules()
+    test_tools = {name.split(".")[1] for name in NO_CALLER_NEEDED
+                  if name.startswith("autodiff.")}
     used = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "autodiff.py":
-            used |= autodiff_names_used_by(ast.parse(path.read_text(encoding="utf-8")))
-    assert public - used - test_tools == set()
+    for name, tree in trees.items():
+        if name != "autodiff":
+            used |= names_used_by(tree, "autodiff")
+    assert public_functions(trees["autodiff"]) - used - test_tools == set()
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    trees = modules()
+    uncalled = set()
+    for module, tree in trees.items():
+        used = names_loaded_outside_their_definition(tree)
+        for name, other in trees.items():
+            if name != module:
+                used |= names_used_by(other, module)
+        uncalled |= {f"{module}.{name}" for name in public_functions(tree) - used}
+    assert uncalled - NO_CALLER_NEEDED.keys() == set()
+
+
+def test_every_name_on_the_allow_list_is_a_public_function():
+    trees = modules()
+    for entry in NO_CALLER_NEEDED:
+        module, name = entry.split(".")
+        assert name in public_functions(trees[module]), entry
