@@ -25,9 +25,16 @@ the logistic function as ``0.5 * (1 + tanh(x / 2))``, both branch-free.
 
 Log-space code uses the finite stand-in ``NEG_FILL`` instead of ``-inf`` so
 that the "all values finite" invariant can be checked after every op. The
-check is always on, in float32 as in float64: a non-finite op output raises
+check is always on, in float32 as in float64, and costs one ``isfinite`` and
+one ``logical_and`` reduction per op: a non-finite op output raises
 ``NumericError`` naming the op. The active tape is the module's only mutable
 state; everything else an op does depends on its arguments alone.
+
+At desk sizes an op's fixed cost rivals its arithmetic, so the ops call
+ufuncs, their reductions and array methods directly rather than numpy's
+Python-level wrappers (``np.mean``, ``np.all``, ``np.pad``, window views),
+and run elementwise tails in place on their own temporaries wherever the
+dtype allows; each result is the wrapper form's to the bit.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ContractError, DimensionError, NumericError, ParameterError
 
@@ -119,9 +127,17 @@ def _record(fn: Callable[[], None]) -> None:
 
 
 def _make(data: np.ndarray, op: str) -> Tensor:
-    if data.dtype.kind == "f" and not np.all(np.isfinite(data)):
+    if data.dtype.kind == "f" and not np.logical_and.reduce(np.isfinite(data), axis=None):
         raise NumericError(f"non-finite values produced by {op}")
     return Tensor(data)
+
+
+def _into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The buffer for ``a <op> b`` of ``a``'s shape: ``a`` itself where its
+    dtype holds the result, else a fresh array of the promoted dtype, so an
+    in-place op never rounds what the allocating expression would promote."""
+    dt = np.promote_types(a.dtype, b.dtype)
+    return a if dt == a.dtype else np.empty_like(a, dtype=dt)
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -131,10 +147,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
+            g = np.add.reduce(g, axis=ax, keepdims=True)
     return g
 
 
@@ -163,7 +179,8 @@ def _packed_lengths(lengths, total: int, what: str) -> np.ndarray:
     if lengths is None:
         return np.array([total], dtype=np.int64)
     out = np.asarray(lengths, dtype=np.int64)
-    if out.ndim != 1 or out.size == 0 or np.any(out < 0) or out.sum() != total:
+    if out.ndim != 1 or out.size == 0 or np.minimum.reduce(out) < 0 \
+            or np.add.reduce(out) != total:
         raise DimensionError(f"{what}: lengths {np.asarray(lengths).tolist()} "
                              f"must split {total} rows")
     return out
@@ -176,9 +193,9 @@ def _padded_rows(lengths: np.ndarray) -> np.ndarray | None:
     """
     if lengths.size == 1:
         return None
-    seq = np.repeat(np.arange(lengths.size), lengths)
-    starts = np.cumsum(lengths) - lengths
-    return np.arange(lengths.sum()) - starts[seq] + seq * lengths.max()
+    seq = np.arange(lengths.size).repeat(lengths)
+    starts = np.add.accumulate(lengths) - lengths
+    return np.arange(np.add.reduce(lengths)) - starts[seq] + seq * np.maximum.reduce(lengths)
 
 
 def _to_padded(a: np.ndarray, lengths: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
@@ -188,7 +205,7 @@ def _to_padded(a: np.ndarray, lengths: np.ndarray, rows: np.ndarray | None) -> n
     """
     if rows is None:
         return a.reshape(1, *a.shape)
-    out = np.zeros((lengths.size * int(lengths.max()), a.shape[1]), dtype=a.dtype)
+    out = np.zeros((lengths.size * int(np.maximum.reduce(lengths)), a.shape[1]), dtype=a.dtype)
     out[rows] = a
     return out.reshape(lengths.size, -1, a.shape[1])
 
@@ -276,7 +293,7 @@ def mul_const(x: Tensor, c) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = _make(np.asarray(x.data.sum()), "sum_all")
+    out = _make(np.asarray(np.add.reduce(x.data, axis=None)), "sum_all")
 
     def bwd():
         if out.grad is not None:
@@ -315,7 +332,8 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     Doubles as embedding lookup when ``x`` is an embedding table.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
+    if idx.size and (np.minimum.reduce(idx) < 0
+                     or np.maximum.reduce(idx) >= x.data.shape[0]):
         raise DimensionError(f"gather index out of range for axis of size {x.data.shape[0]}")
     out = Tensor(x.data[idx])
 
@@ -344,7 +362,7 @@ def concat_rows(*parts: Tensor) -> Tensor:
     rows = [a.shape[0] for a in data]
     out = Tensor(np.concatenate(data, axis=0, out=np.empty(
         (sum(rows), *data[0].shape[1:]), np.result_type(*data))))
-    ends = np.cumsum(rows)[:-1]
+    ends = np.add.accumulate(rows)[:-1]
 
     def bwd():
         g = out.grad
@@ -365,7 +383,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with b broadcast over rows: (L, K) @ (K, M) + (M,)."""
     if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[0] or b.data.shape != (w.data.shape[1],):
         raise DimensionError(f"affine {x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    out = _make(x.data @ w.data + b.data, "affine")
+    y = x.data @ w.data
+    out = _make(np.add(y, b.data, out=_into(y, b.data)), "affine")
 
     def bwd():
         g = out.grad
@@ -373,7 +392,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             return
         _accum(x, g @ w.data.T)
         _accum(w, x.data.T @ g)
-        _accum(b, g.sum(axis=0))
+        _accum(b, np.add.reduce(g, axis=0))
 
     _record(bwd)
     return out
@@ -435,22 +454,38 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) or bias.data.shape != (x.data.shape[1],):
         raise DimensionError(f"layer_norm {x.data.shape} with gain {gain.data.shape}, bias {bias.data.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
+    # A row mean is the row sum divided by the width in place, as np.mean
+    # computes it; the tails below run in place on fresh temporaries.
+    d = x.data.shape[1]
+    mu = np.add.reduce(x.data, axis=1, keepdims=True)
+    mu /= d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out = _make(xc * inv * gain.data + bias.data, "layer_norm")
+    var = np.add.reduce(xc * xc, axis=1, keepdims=True)
+    var /= d
+    var += eps
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    xc *= inv
+    y = np.multiply(xc, gain.data, out=_into(xc, gain.data))
+    out = _make(np.add(y, bias.data, out=_into(y, bias.data)), "layer_norm")
 
     def bwd():
         g = out.grad
         if g is None:
             return
-        xhat = (x.data - mu) * inv
-        _accum(gain, (g * xhat).sum(axis=0))
-        _accum(bias, g.sum(axis=0))
+        xhat = x.data - mu
+        xhat *= inv
+        _accum(gain, np.add.reduce(g * xhat, axis=0))
+        _accum(bias, np.add.reduce(g, axis=0))
         gh = g * gain.data
-        gx = inv * (gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True))
-        _accum(x, gx)
+        m1 = np.add.reduce(gh, axis=1, keepdims=True)
+        m1 /= d
+        m2 = np.add.reduce(gh * xhat, axis=1, keepdims=True)
+        m2 /= d
+        gh -= m1
+        gx = np.multiply(xhat, m2, out=_into(xhat, m2))
+        gx = np.subtract(gh, gx, out=_into(gx, gh))
+        _accum(x, np.multiply(gx, inv, out=_into(gx, inv)))
 
     _record(bwd)
     return out
@@ -459,17 +494,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def log_softmax_rows(x: Tensor) -> Tensor:
     if x.data.ndim != 2 or x.data.shape[1] == 0:
         raise DimensionError(f"log_softmax_rows needs non-empty rows, got {x.data.shape}")
-    m = x.data.max(axis=1, keepdims=True)
+    m = np.maximum.reduce(x.data, axis=1, keepdims=True)
     z = x.data - m
-    lse = np.log(np.exp(z, out=z).sum(axis=1, keepdims=True)) + m
-    out = _make(x.data - lse, "log_softmax_rows")
+    lse = np.log(np.add.reduce(np.exp(z, out=z), axis=1, keepdims=True))
+    lse += m
+    out = _make(np.subtract(x.data, lse, out=z), "log_softmax_rows")
 
     def bwd():
         g = out.grad
         if g is None:
             return
         # The softmax is needed only here, so a forward-only call never builds it.
-        _accum(x, g - np.exp(out.data) * g.sum(axis=1, keepdims=True))
+        sm = np.exp(out.data)
+        gs = np.add.reduce(g, axis=1, keepdims=True)
+        sm = np.multiply(sm, gs, out=_into(sm, gs))
+        _accum(x, np.subtract(g, sm, out=_into(sm, g)))
 
     _record(bwd)
     return out
@@ -487,17 +526,19 @@ def cross_entropy_mean(logits: Tensor, targets, lengths=None) -> Tensor:
         raise DimensionError(f"cross_entropy_mean logits {logits.data.shape} vs targets {targets.shape}")
     if n == 0:
         raise DimensionError("cross_entropy_mean needs at least one row")
-    if targets.min() < 0 or targets.max() >= v:
+    if np.minimum.reduce(targets) < 0 or np.maximum.reduce(targets) >= v:
         raise DimensionError(f"target id out of range for {v} classes")
     lengths = _packed_lengths(lengths, n, "cross_entropy_mean")
-    if np.any(lengths == 0):
+    if np.minimum.reduce(lengths) == 0:
         raise DimensionError("cross_entropy_mean needs at least one row per sequence")
-    m = logits.data.max(axis=1, keepdims=True)
-    lse = (np.log(np.exp(logits.data - m).sum(axis=1, keepdims=True)) + m)[:, 0]
+    m = np.maximum.reduce(logits.data, axis=1, keepdims=True)
+    lse = (np.log(np.add.reduce(np.exp(logits.data - m), axis=1, keepdims=True)) + m)[:, 0]
     picked = logits.data[np.arange(n), targets]
     nll = lse - picked
-    out = _make(np.asarray(np.sum([part.mean() for part in
-                                   np.split(nll, np.cumsum(lengths)[:-1])])),
+    # Each sequence's mean is its sum divided by its row count, as np.mean
+    # computes it.
+    out = _make(np.asarray(np.add.reduce([np.add.reduce(part) / part.size for part in
+                                          np.split(nll, np.add.accumulate(lengths)[:-1])])),
                 "cross_entropy_mean")
 
     def bwd():
@@ -506,7 +547,7 @@ def cross_entropy_mean(logits: Tensor, targets, lengths=None) -> Tensor:
             return
         sm = np.exp(logits.data - lse[:, None])
         sm[np.arange(n), targets] -= 1.0
-        _accum(logits, sm * np.repeat(g / lengths.astype(sm.dtype), lengths)[:, None])
+        _accum(logits, sm * (g / lengths.astype(sm.dtype)).repeat(lengths)[:, None])
 
     _record(bwd)
     return out
@@ -662,9 +703,11 @@ def conv2d_s2(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     def columns() -> np.ndarray:
         # Rows run over (ci, ky, kx), the kernel's own order: each input
         # channel is read in one pass, and one utterance's output is the
-        # (Ci, H, W) convolution's to the bit.
-        win = np.lib.stride_tricks.sliding_window_view(
-            xd.transpose(2, 0, 1), (kh, kw), axis=(1, 2))[:, ::2, ::2]
+        # (Ci, H, W) convolution's to the bit. The windows are a read-only
+        # (Ci, H', W', kh, kw) view of the input at stride 2.
+        sh, sw, sc = xd.strides
+        win = as_strided(xd, shape=(ci, ho, wo, kh, kw),
+                         strides=(sc, 2 * sh, 2 * sw, sh, sw), writeable=False)
         return win.transpose(0, 3, 4, 1, 2).reshape(ci * kh * kw, ho * wo)
 
     # The bias makes a new array rather than adding in place: freeing the
@@ -679,7 +722,7 @@ def conv2d_s2(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
             return
         g2 = g.reshape(ho * wo, co)
         _accum(w, (g2.T @ columns().T).reshape(w.data.shape))
-        _accum(b, g2.sum(axis=0))
+        _accum(b, np.add.reduce(g2, axis=0))
         if not isinstance(x, Tensor):
             return
         # Input-gradient columns over (ky, kx, ci): each kernel position's
@@ -716,20 +759,23 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
     # One shared run of ``pad`` zeros between neighbours pads both; the
     # window of packed row r of sequence s starts at padded row r + pad*s.
     sel = None if lengths.size == 1 else \
-        np.arange(L) + pad * np.repeat(np.arange(lengths.size), lengths)
+        np.arange(L) + pad * np.arange(lengths.size).repeat(lengths)
     n_win = L + pad * (lengths.size - 1)
 
     def windows() -> np.ndarray:
-        """(n_win, D, K) view of the zero-padded rows; the backward rebuilds it."""
+        """(n_win, D, K) read-only view of the zero-padded rows; the backward rebuilds it."""
+        xp = np.zeros((n_win + 2 * pad, d), dtype=x.data.dtype)
         if sel is None:
-            xp = np.pad(x.data, ((pad, pad), (0, 0)))
+            xp[pad:pad + L] = x.data
         else:
-            xp = np.zeros((n_win + 2 * pad, d), dtype=x.data.dtype)
             xp[sel + pad] = x.data
-        return np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)
+        s0, s1 = xp.strides
+        return as_strided(xp, shape=(n_win, d, k), strides=(s0, s1, s0), writeable=False)
 
     full = np.einsum("tdk,kd->td", windows(), w.data)
-    out = _make((full if sel is None else full[sel]) + b.data, "depthwise_conv1d")
+    if sel is not None:
+        full = full[sel]
+    out = _make(np.add(full, b.data, out=_into(full, b.data)), "depthwise_conv1d")
 
     def bwd():
         g = out.grad
@@ -741,7 +787,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
             gw = np.zeros((n_win, d), dtype=g.dtype)
             gw[sel] = g
         _accum(w, np.einsum("tdk,td->kd", windows(), gw))
-        _accum(b, g.sum(axis=0))
+        _accum(b, np.add.reduce(g, axis=0))
         gxp = np.zeros((n_win + 2 * pad, d), dtype=x.data.dtype)
         for kk in range(k):
             gxp[kk:kk + n_win] += gw * w.data[kk]
@@ -778,11 +824,11 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool =
     q_len = _packed_lengths(q_lengths, lq, "attention queries")
     k_len = _packed_lengths(k_lengths, lk, "attention keys")
     nq, nk = q_len.size, k_len.size
-    if nk not in (1, nq) or np.any(k_len == 0):
+    if nk not in (1, nq) or np.minimum.reduce(k_len) == 0:
         raise DimensionError(f"attention needs one non-empty key sequence per query sequence "
                              f"or one shared, got key lengths {k_len.tolist()} for "
                              f"{nq} query sequences")
-    if causal and (nk != nq or np.any(q_len != k_len)):
+    if causal and (nk != nq or np.logical_or.reduce(q_len != k_len)):
         raise DimensionError(f"causal attention needs square scores, got query lengths "
                              f"{q_len.tolist()} and key lengths {k_len.tolist()}")
     dh = d // n_heads
@@ -801,15 +847,15 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool =
     # einsum does not.
     scores = heads(q.data, q_len, q_rows) @ heads(k.data, k_len, k_rows).transpose(0, 1, 3, 2)
     scores *= inv
-    if causal:
-        hidden = ~np.tril(np.ones(scores.shape[2:], dtype=bool))
-        scores[:, :, hidden] = NEG_FILL
+    if causal:   # keys right of the query: the strict upper triangle
+        lq_max, lk_max = scores.shape[2:]
+        np.copyto(scores, NEG_FILL, where=np.arange(lk_max) > np.arange(lq_max)[:, None])
     if k_rows is not None:
         padding = np.arange(scores.shape[3]) >= k_len[:, None]
         np.copyto(scores, NEG_FILL, where=padding[:, None, None, :])
-    scores -= scores.max(axis=3, keepdims=True)
+    scores -= np.maximum.reduce(scores, axis=3, keepdims=True)
     weights = np.exp(scores, out=scores)
-    weights /= weights.sum(axis=3, keepdims=True)
+    weights /= np.add.reduce(weights, axis=3, keepdims=True)
     out = _make(packed(weights @ heads(v.data, k_len, k_rows), q_rows), "attention_core")
 
     def bwd():
@@ -823,15 +869,15 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool =
         gr = heads(g, q_len, q_rows)
         gv = weights.transpose(0, 1, 3, 2) @ gr
         gs = gr @ vh.transpose(0, 1, 3, 2)
-        gs -= (gs * weights).sum(axis=3, keepdims=True)
+        gs -= np.add.reduce(gs * weights, axis=3, keepdims=True)
         gs *= weights
         gq = gs @ kh
         gq *= inv
         gk = gs.transpose(0, 1, 3, 2) @ qh
         gk *= inv
         if nk < nq:   # the shared keys gather every query sequence's gradient
-            gk = gk.sum(axis=0, keepdims=True)
-            gv = gv.sum(axis=0, keepdims=True)
+            gk = np.add.reduce(gk, axis=0, keepdims=True)
+            gv = np.add.reduce(gv, axis=0, keepdims=True)
         _accum(q, packed(gq, q_rows))
         _accum(k, packed(gk, k_rows))
         _accum(v, packed(gv, k_rows))
@@ -880,7 +926,7 @@ def adam_step(p: Parameter, grad: np.ndarray, lr: float,
     shape = p.value.data.shape
     if grad.shape != shape:
         raise DimensionError(f"adam_step grad {grad.shape} vs value {shape}")
-    if not np.all(np.isfinite(grad)):
+    if not np.logical_and.reduce(np.isfinite(grad), axis=None):
         raise NumericError("adam_step received a non-finite gradient")
     if p.moment1 is None:
         p.moment1, p.moment2 = np.zeros(shape), np.zeros(shape)

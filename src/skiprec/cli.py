@@ -136,19 +136,31 @@ def _cmd_bench(args) -> int:
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
+    """``--blocks``: semicolon-separated positive E1,E2 depth pairs."""
     pairs = []
     for chunk in text.split(";"):
-        m, n = chunk.split(",")
-        pairs.append((int(m), int(n)))
+        parts = chunk.split(",")
+        if len(parts) != 2 or not all(p.strip().isdigit() and int(p) >= 1 for p in parts):
+            raise argparse.ArgumentTypeError(
+                f"depth pair {chunk!r} is not two positive integers E1,E2")
+        pairs.append((int(parts[0]), int(parts[1])))
     return pairs
+
+
+def _parse_modes(text: str) -> list[int]:
+    """``--modes``: comma-separated split modes, each one of 1-5."""
+    modes = []
+    for chunk in text.split(","):
+        if not chunk.strip().isdigit() or int(chunk) not in range(1, 6):
+            raise argparse.ArgumentTypeError(f"split mode {chunk!r} is not one of 1-5")
+        modes.append(int(chunk))
+    return modes
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     from .bench import rows_to_text, rows_to_tsv, sweep
-    modes = [int(x) for x in args.modes.split(",")]
-    rows = sweep(cfg, args.features, args.transcripts,
-                 _parse_pairs(args.blocks), modes,
+    rows = sweep(cfg, args.features, args.transcripts, args.blocks, args.modes,
                  repeats=args.repeats, out_dir=args.out, quiet=args.quiet)
     print(rows_to_text(rows), end="")
     if args.out:
@@ -220,9 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(s)
     s.add_argument("--features", type=Path, required=True)
     s.add_argument("--transcripts", type=Path, required=True)
-    s.add_argument("--blocks", type=str, default="2,2;1,3;3,1",
+    s.add_argument("--blocks", type=_parse_pairs, default="2,2;1,3;3,1",
                    help="semicolon-separated E1,E2 depth pairs, e.g. 2,2;1,3")
-    s.add_argument("--modes", type=str, default="1,2,3,4,5")
+    s.add_argument("--modes", type=_parse_modes, default="1,2,3,4,5",
+                   help="comma-separated split modes, each one of 1-5")
     s.add_argument("--repeats", type=int, default=3)
     s.add_argument("--quiet", action="store_true")
     s.set_defaults(func=_cmd_sweep)

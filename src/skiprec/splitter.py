@@ -123,8 +123,8 @@ def split_frames(seq: EncodedSequence, *groups: FrameGroups
         for name, rows in picked.items():
             idx = np.asarray(getattr(g, name), dtype=np.int64)
             if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise ContractError(
-                    f"group index {int(idx.max())} outside sequence of length {n}")
+                bad = idx.min() if idx.min() < 0 else idx.max()
+                raise ContractError(f"group index {int(bad)} outside sequence of length {n}")
             rows.append(start + idx)
 
     def gather(rows: list[np.ndarray]) -> EncodedSequence:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -848,3 +849,334 @@ class TestTape:
             out = ad.sum_all(ad.add(ad.mul(x, x), x))
             tp.backward(out)
         assert np.allclose(x.grad, [5.0])
+
+
+# ---------------------------------------------------------------------------
+# The ops call numpy ufuncs and array methods directly. Each reference below
+# is the form an op had when it went through numpy's Python-level wrappers
+# (np.all, np.mean, np.pad, sliding_window_view, a tril mask, x @ w + b);
+# the ops must match them to the bit, values, gradients and dtypes.
+# ---------------------------------------------------------------------------
+
+def all_finite_reference(data):
+    """The finite check as ``np.all``: True where ``_make`` must accept ``data``."""
+    return data.dtype.kind != "f" or bool(np.all(np.isfinite(data)))
+
+
+def bias_sum_affine_reference(x, w, b):
+    """``x @ w + b`` with the bias gradient as ``g.sum(axis=0)``."""
+    out = ad._make(x.data @ w.data + b.data, "affine")
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        ad._accum(x, g @ w.data.T)
+        ad._accum(w, x.data.T @ g)
+        ad._accum(b, g.sum(axis=0))
+
+    ad._record(bwd)
+    return out
+
+
+def mean_layer_norm_reference(x, gain, bias, eps=1e-5):
+    """The layer norm with ``.mean`` and ``.sum`` and an allocating tail."""
+    mu = x.data.mean(axis=1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    out = ad._make(xc * inv * gain.data + bias.data, "layer_norm")
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        xhat = (x.data - mu) * inv
+        ad._accum(gain, (g * xhat).sum(axis=0))
+        ad._accum(bias, g.sum(axis=0))
+        gh = g * gain.data
+        ad._accum(x, inv * (gh - gh.mean(axis=1, keepdims=True)
+                            - xhat * (gh * xhat).mean(axis=1, keepdims=True)))
+
+    ad._record(bwd)
+    return out
+
+
+def padded_depthwise_reference(x, w, b, lengths=None):
+    """The depthwise conv that padded with ``np.pad`` and windowed with
+    ``sliding_window_view``."""
+    L, d = x.data.shape
+    k = w.data.shape[0]
+    pad = (k - 1) // 2
+    lengths = ad._packed_lengths(lengths, L, "depthwise_conv1d")
+    sel = None if lengths.size == 1 else \
+        np.arange(L) + pad * np.repeat(np.arange(lengths.size), lengths)
+    n_win = L + pad * (lengths.size - 1)
+
+    def windows():
+        if sel is None:
+            xp = np.pad(x.data, ((pad, pad), (0, 0)))
+        else:
+            xp = np.zeros((n_win + 2 * pad, d), dtype=x.data.dtype)
+            xp[sel + pad] = x.data
+        return np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)
+
+    full = np.einsum("tdk,kd->td", windows(), w.data)
+    out = ad._make((full if sel is None else full[sel]) + b.data, "depthwise_conv1d")
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        if sel is None:
+            gw = g
+        else:
+            gw = np.zeros((n_win, d), dtype=g.dtype)
+            gw[sel] = g
+        ad._accum(w, np.einsum("tdk,td->kd", windows(), gw))
+        ad._accum(b, g.sum(axis=0))
+        gxp = np.zeros((n_win + 2 * pad, d), dtype=x.data.dtype)
+        for kk in range(k):
+            gxp[kk:kk + n_win] += gw * w.data[kk]
+        ad._accum(x, gxp[pad:pad + L] if sel is None else gxp[sel + pad])
+
+    ad._record(bwd)
+    return out
+
+
+def tril_mask_attention_reference(q, k, v, n_heads, causal=False, q_lengths=None,
+                                  k_lengths=None):
+    """The packed attention that hid keys with ``~np.tril`` and a boolean-index
+    store and took the softmax with ``.max`` and ``.sum``."""
+    lq, d = q.data.shape
+    lk = k.data.shape[0]
+    q_len = ad._packed_lengths(q_lengths, lq, "attention queries")
+    k_len = ad._packed_lengths(k_lengths, lk, "attention keys")
+    nq, nk = q_len.size, k_len.size
+    dh = d // n_heads
+    inv = 1.0 / math.sqrt(dh)
+    q_rows, k_rows = ad._padded_rows(q_len), ad._padded_rows(k_len)
+
+    def heads(a, lengths, rows):
+        return ad._to_padded(a, lengths, rows).reshape(
+            lengths.size, -1, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def packed(a, rows):
+        return ad._from_padded(a.transpose(0, 2, 1, 3).reshape(a.shape[0], -1, d), rows)
+
+    scores = heads(q.data, q_len, q_rows) @ heads(k.data, k_len, k_rows).transpose(0, 1, 3, 2)
+    scores *= inv
+    if causal:
+        hidden = ~np.tril(np.ones(scores.shape[2:], dtype=bool))
+        scores[:, :, hidden] = ad.NEG_FILL
+    if k_rows is not None:
+        padding = np.arange(scores.shape[3]) >= k_len[:, None]
+        np.copyto(scores, ad.NEG_FILL, where=padding[:, None, None, :])
+    scores -= scores.max(axis=3, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= weights.sum(axis=3, keepdims=True)
+    out = ad._make(packed(weights @ heads(v.data, k_len, k_rows), q_rows), "attention_core")
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        qh = heads(q.data, q_len, q_rows)
+        kh = heads(k.data, k_len, k_rows)
+        vh = heads(v.data, k_len, k_rows)
+        gr = heads(g, q_len, q_rows)
+        gv = weights.transpose(0, 1, 3, 2) @ gr
+        gs = gr @ vh.transpose(0, 1, 3, 2)
+        gs -= (gs * weights).sum(axis=3, keepdims=True)
+        gs *= weights
+        gq = gs @ kh
+        gq *= inv
+        gk = gs.transpose(0, 1, 3, 2) @ qh
+        gk *= inv
+        if nk < nq:
+            gk = gk.sum(axis=0, keepdims=True)
+            gv = gv.sum(axis=0, keepdims=True)
+        ad._accum(q, packed(gq, q_rows))
+        ad._accum(k, packed(gk, k_rows))
+        ad._accum(v, packed(gv, k_rows))
+
+    ad._record(bwd)
+    return out, weights
+
+
+def windowed_conv2d_reference(x, w, b):
+    """The stride-2 conv that built its im2col columns with ``sliding_window_view``."""
+    xd = x.data
+    h, wd, ci = xd.shape
+    co, _, kh, kw = w.data.shape
+    ho, wo = (h - kh) // 2 + 1, (wd - kw) // 2 + 1
+
+    def columns():
+        win = np.lib.stride_tricks.sliding_window_view(
+            xd.transpose(2, 0, 1), (kh, kw), axis=(1, 2))[:, ::2, ::2]
+        return win.transpose(0, 3, 4, 1, 2).reshape(ci * kh * kw, ho * wo)
+
+    out2d = w.data.reshape(co, ci * kh * kw) @ columns() + b.data[:, None]
+    out = ad._make(out2d.T.reshape(ho, wo, co), "conv2d_s2")
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        g2 = g.reshape(ho * wo, co)
+        ad._accum(w, (g2.T @ columns().T).reshape(w.data.shape))
+        ad._accum(b, g2.sum(axis=0))
+        wm = w.data.transpose(0, 2, 3, 1).reshape(co, kh * kw * ci)
+        gcols = (g2 @ wm).reshape(ho, wo, kh, kw, ci)
+        gx = np.zeros((h, wd, ci), dtype=xd.dtype)
+        for ky in range(kh):
+            for kx in range(kw):
+                gx[ky:ky + 2 * ho - 1:2, kx:kx + 2 * wo - 1:2] += gcols[:, :, ky, kx]
+        ad._accum(x, gx)
+
+    ad._record(bwd)
+    return out
+
+
+def mean_cross_entropy_reference(logits, targets, lengths=None):
+    """The cross-entropy that took each sequence's mean with ``.mean``."""
+    targets = np.asarray(targets, dtype=np.int64)
+    n = logits.data.shape[0]
+    lengths = ad._packed_lengths(lengths, n, "cross_entropy_mean")
+    m = logits.data.max(axis=1, keepdims=True)
+    lse = (np.log(np.exp(logits.data - m).sum(axis=1, keepdims=True)) + m)[:, 0]
+    nll = lse - logits.data[np.arange(n), targets]
+    out = ad._make(np.asarray(np.sum([part.mean() for part in
+                                      np.split(nll, np.cumsum(lengths)[:-1])])),
+                   "cross_entropy_mean")
+
+    def bwd():
+        g = out.grad
+        if g is None:
+            return
+        sm = np.exp(logits.data - lse[:, None])
+        sm[np.arange(n), targets] -= 1.0
+        ad._accum(logits, sm * np.repeat(g / lengths.astype(sm.dtype), lengths)[:, None])
+
+    ad._record(bwd)
+    return out
+
+
+PACKED = (5, 1, 7, 3)      # a ragged batch: unequal lengths, one of a single row
+
+
+def wrapper_free_cases(batch):
+    """(name, op, reference, input shapes, parameter count, keywords) per op.
+
+    Parameters are the trailing inputs; ``batch`` packs ``PACKED`` sequences
+    into the rows of every row-mixing op.
+    """
+    n = sum(PACKED) if batch else 9
+    lengths = {"lengths": PACKED} if batch else {}
+    seqs = {"q_lengths": PACKED, "k_lengths": PACKED} if batch else {}
+    cross = {"q_lengths": PACKED, "k_lengths": (2, 4, 1, 6)} if batch else {}
+    lk = 13 if batch else 6
+    return [
+        ("affine", ad.affine, bias_sum_affine_reference, [(n, 6), (6, 5), (5,)], 2, {}),
+        ("layer_norm", ad.layer_norm, mean_layer_norm_reference, [(n, 7), (7,), (7,)], 2, {}),
+        ("depthwise_k3", ad.depthwise_conv1d, padded_depthwise_reference,
+         [(n, 4), (3, 4), (4,)], 2, lengths),
+        ("depthwise_k7", ad.depthwise_conv1d, padded_depthwise_reference,
+         [(n, 4), (7, 4), (4,)], 2, lengths),
+        ("attention_causal", functools.partial(ad.attention_core, n_heads=3, causal=True),
+         functools.partial(tril_mask_attention_reference, n_heads=3, causal=True),
+         [(n, 12), (n, 12), (n, 12)], 0, seqs),
+        ("attention_cross", functools.partial(ad.attention_core, n_heads=3),
+         functools.partial(tril_mask_attention_reference, n_heads=3),
+         [(n, 12), (lk, 12), (lk, 12)], 0, cross),
+        ("attention_shared_keys", functools.partial(ad.attention_core, n_heads=2),
+         functools.partial(tril_mask_attention_reference, n_heads=2),
+         [(n, 8), (4, 8), (4, 8)], 0, {"q_lengths": PACKED} if batch else {}),
+        ("conv2d_s2", ad.conv2d_s2, windowed_conv2d_reference,
+         [(2 * n + 1, 9, 3), (4, 3, 3, 3), (4,)], 2, {}),
+    ]
+
+
+def run_case(op, arrays, act_dtype, param_dtype, n_params, kwargs, seed):
+    """The op's outputs and every input gradient under a random upstream gradient."""
+    split = len(arrays) - n_params
+    dtypes = [act_dtype] * split + [param_dtype] * n_params
+    inputs = [ad.tensor(a, dtype=dt) for a, dt in zip(arrays, dtypes)]
+    with ad.tape() as tp:
+        result = op(*inputs, **kwargs)
+        out, extra = (result[0], [result[1]]) if isinstance(result, tuple) else (result, [])
+        g = np.random.default_rng(seed).normal(size=out.data.shape).astype(out.data.dtype)
+        tp.backward(ad.sum_all(ad.mul_const(out, g)))
+    return [out.data, *extra] + [t.grad for t in inputs]
+
+
+class TestWrapperFreeOpsAgainstWrapperForms:
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "packed"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", range(8), ids=[c[0] for c in wrapper_free_cases(False)])
+    def test_outputs_and_gradients_are_bit_identical(self, case, dtype, batch):
+        name, op, reference, shapes, n_params, kwargs = wrapper_free_cases(batch)[case]
+        rng = np.random.default_rng(70 + case)
+        arrays = [rng.normal(size=s) * 3.0 for s in shapes]
+        have = run_case(op, arrays, dtype, dtype, n_params, kwargs, 71)
+        want = run_case(reference, arrays, dtype, dtype, n_params, kwargs, 71)
+        assert len(have) == len(want)
+        for h, w in zip(have, want):
+            assert h.dtype == w.dtype == dtype
+            assert h.shape == w.shape and np.array_equal(h, w), name
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "packed"])
+    @pytest.mark.parametrize("case", range(8), ids=[c[0] for c in wrapper_free_cases(False)])
+    def test_float32_activations_meet_float64_parameters(self, case, batch):
+        # An in-place tail must promote exactly where the allocating form does.
+        name, op, reference, shapes, n_params, kwargs = wrapper_free_cases(batch)[case]
+        rng = np.random.default_rng(80 + case)
+        arrays = [rng.normal(size=s) * 3.0 for s in shapes]
+        have = run_case(op, arrays, np.float32, np.float64, n_params, kwargs, 81)
+        want = run_case(reference, arrays, np.float32, np.float64, n_params, kwargs, 81)
+        for h, w in zip(have, want):
+            assert h.dtype == w.dtype, name
+            assert np.array_equal(h, w), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bias_of_float32_product_keeps_float64(self, dtype):
+        # float32 activations and weights with a float64 bias: the product is
+        # float32, the sum float64, and the in-place add must not round it.
+        rng = np.random.default_rng(82)
+        x, w = (ad.tensor(rng.normal(size=s), dtype=np.float32) for s in [(5, 4), (4, 3)])
+        b = ad.tensor(rng.normal(size=3) * 1e-3, dtype=dtype)
+        have, want = ad.affine(x, w, b), bias_sum_affine_reference(x, w, b)
+        assert have.data.dtype == want.data.dtype == dtype
+        assert np.array_equal(have.data, want.data)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "packed"])
+    def test_cross_entropy_matches_the_mean_form(self, dtype, batch):
+        rng = np.random.default_rng(83)
+        n = sum(PACKED) if batch else 9
+        logits = rng.normal(size=(n, 6)) * 4.0
+        targets = rng.integers(0, 6, size=n)
+        lengths = PACKED if batch else None
+        results = []
+        for fn in (ad.cross_entropy_mean, mean_cross_entropy_reference):
+            x = ad.tensor(logits, dtype=dtype)
+            with ad.tape() as tp:
+                out = fn(x, targets, lengths)
+                tp.backward(out)
+            results.append((out.data, x.grad))
+        for h, w in zip(*results):
+            assert h.dtype == w.dtype == dtype and np.array_equal(h, w)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_finite_check_matches_np_all(self, dtype):
+        cases = [np.zeros((0, 3)), np.array(1.5), np.array(np.nan), np.ones((4, 5)),
+                 np.array([1.0, np.inf]), np.array([[-np.inf, 0.0]]), np.arange(3)]
+        for data in cases:
+            data = data.astype(dtype) if data.dtype.kind == "f" else data
+            accepted = True
+            try:
+                with np.errstate(invalid="ignore"):
+                    ad._make(data, "probe")
+            except NumericError:
+                accepted = False
+            assert accepted == all_finite_reference(data)

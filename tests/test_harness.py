@@ -537,6 +537,21 @@ class TestCli:
                       "--transcripts", str(corpus / "transcripts.tsv"),
                       "--split-mode", "7"])
 
+    @pytest.mark.parametrize("flag, value", [("--modes", "2,7"), ("--blocks", "2")])
+    def test_sweep_rejects_a_bad_grid_before_training(self, env, monkeypatch, capsys,
+                                                       flag, value):
+        base, corpus, cfg_path, run_dir = env
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran on a rejected grid")
+
+        monkeypatch.setattr(bench_mod, "sweep", no_sweep)
+        with pytest.raises(SystemExit):
+            cli.main(["sweep", "--config", str(cfg_path),
+                      "--features", str(corpus / "features.bin"),
+                      "--transcripts", str(corpus / "transcripts.tsv"), flag, value])
+        assert f"argument {flag}" in capsys.readouterr().err
+
     def test_sweep_writes_tables(self, env, capsys):
         base, corpus, cfg_path, run_dir = env
         sweep_cfg = cfgmod.RunConfig(

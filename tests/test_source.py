@@ -99,3 +99,23 @@ def test_every_name_on_the_allow_list_is_a_public_function():
     for entry in NO_CALLER_NEEDED:
         module, name = entry.split(".")
         assert name in public_functions(trees[module]), entry
+
+
+def test_autodiff_calls_no_python_level_numpy_wrapper():
+    # Each of these adds a Python-level numpy wrapper to every op call, a fixed
+    # cost that a desk-sized op pays on top of its arithmetic; the ops call
+    # the ufunc, its reduce or the array method directly instead.
+    tree = modules()["autodiff"]
+    banned_np = {"pad", "mean", "all"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr, owner = node.func.attr, node.func.value
+            if attr == "mean" or (attr in banned_np and isinstance(owner, ast.Name)
+                                  and owner.id == "np"):
+                found.append((node.lineno, ast.unparse(node.func)))
+        if isinstance(node, ast.Attribute) and node.attr == "sliding_window_view" \
+                or isinstance(node, ast.Name) and node.id == "sliding_window_view" \
+                or isinstance(node, ast.alias) and node.name == "sliding_window_view":
+            found.append((getattr(node, "lineno", 0), "sliding_window_view"))
+    assert found == []

@@ -215,3 +215,19 @@ class TestSplitFrames:
             crucial=(0, 5), trivial=(), ignoring=(1, 2))
         with pytest.raises(ContractError):
             splitter.split_frames(seq, g)
+
+    def test_negative_index_is_named(self):
+        seq = self._seq(5)
+        g = splitter.FrameGroups(
+            sets=splitter.compute_sets([False] * 5),
+            crucial=(-1, 2), trivial=(), ignoring=(0, 1, 3, 4))
+        with pytest.raises(ContractError, match=r"group index -1 outside sequence of length 5"):
+            splitter.split_frames(seq, g)
+
+    def test_too_large_index_is_named(self):
+        seq = self._seq(5)
+        g = splitter.FrameGroups(
+            sets=splitter.compute_sets([False] * 5),
+            crucial=(1, 2), trivial=(7,), ignoring=(0, 3, 4))
+        with pytest.raises(ContractError, match=r"group index 7 outside sequence of length 5"):
+            splitter.split_frames(seq, g)
