@@ -1139,7 +1139,7 @@ class TestWrapperFreeOpsAgainstWrapperForms:
             assert np.array_equal(h, w), name
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_bias_of_float32_product_keeps_float64(self, dtype):
+    def test_bias_add_takes_the_promoted_dtype(self, dtype):
         # float32 activations and weights with a float64 bias: the product is
         # float32, the sum float64, and the in-place add must not round it.
         rng = np.random.default_rng(82)
@@ -1175,8 +1175,7 @@ class TestWrapperFreeOpsAgainstWrapperForms:
             data = data.astype(dtype) if data.dtype.kind == "f" else data
             accepted = True
             try:
-                with np.errstate(invalid="ignore"):
-                    ad._make(data, "probe")
+                ad._make(data, "probe")
             except NumericError:
                 accepted = False
             assert accepted == all_finite_reference(data)
