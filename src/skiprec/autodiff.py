@@ -1,23 +1,24 @@
 """Reverse-mode automatic differentiation over a recorded op tape.
 
 Every op computes eagerly on numpy arrays. While a tape is active, each op
-appends a closure that routes the output gradient back to its inputs;
-``Tape.backward`` replays those closures in reverse execution order, which
-is a valid topological order by construction.
+records its output with a closure that takes the output's gradient and
+routes it back to the op's inputs. ``Tape.backward`` replays the records in
+reverse execution order, which is a valid topological order by
+construction, and calls a closure only when a gradient reached its output;
+an op that got none is skipped but still counted in ``len(tape)``.
 
-The op set is what the model needs: add, scale and constant add/multiply,
-reshape and permute, gather/concat by row index, affine, strided 2-D
-convolution (channels last, one im2col GEMM), depthwise 1-D convolution,
-attention, log-softmax, layer norm, swish, GLU, cross-entropy, and the CTC
-lattice's negative log-likelihood as one op. ``tensor``, ``mul``,
-``sum_all`` and ``grad_check`` serve the tests; the model calls every other
-op. Nothing more general is provided on purpose.
+The op set is what the model needs: add and constant add/multiply, reshape
+and permute, gather/concat by row index, affine, strided 2-D convolution
+(channels last, one im2col GEMM), depthwise 1-D convolution, attention,
+log-softmax, layer norm, swish, GLU, cross-entropy, and the CTC lattice's
+negative log-likelihood as one op. ``tensor``, ``mul``, ``sum_all`` and
+``grad_check`` serve the tests; the model calls every other op. Nothing
+more general is provided on purpose.
 
-Several sequences can run as one: their rows are packed one after another
+Several sequences can run as one: their rows are packed one after another,
 and the ops that mix rows (attention, the depthwise conv, the cross-entropy
-mean, the CTC lattice) take the sequence lengths; all but the lattice read
-none as one sequence of all the rows. A single sequence takes no padding
-copy.
+mean, the CTC lattice) require the sequence lengths; one sequence is the
+lengths ``(rows,)``. A single sequence takes no padding copy.
 
 Ops keep the dtype of their operands: scalar constants are Python floats,
 so float32 inputs stay float32. Attention runs as head-batched matmuls and
@@ -81,13 +82,13 @@ def tensor(data, dtype=None) -> Tensor:
 
 
 class Tape:
-    """Execution-ordered record of backward closures.
+    """Execution-ordered record of (op output, backward closure) pairs.
 
     ``len`` counts the ops recorded, those already replayed included.
     """
 
     def __init__(self) -> None:
-        self._entries: list[Callable[[], None]] = []
+        self._entries: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._replayed = 0
 
     def __len__(self) -> int:
@@ -95,14 +96,17 @@ class Tape:
 
     def backward(self, root: Tensor) -> None:
         # Gradients seed at 1 for the scalar root and flow in reverse order.
-        # Each closure is dropped once replayed, and with it the arrays that
-        # only its op's backward needed.
+        # An op runs its closure only if a gradient reached its output. Each
+        # entry is dropped once replayed, and with it the arrays that only
+        # its op's backward needed.
         if root.data.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.data.shape}")
         root.grad = np.ones_like(root.data)
         entries = self._entries
         while entries:
-            entries.pop()()
+            result, bwd = entries.pop()
+            if result.grad is not None:
+                bwd(result.grad)
             self._replayed += 1
 
 
@@ -121,9 +125,11 @@ def tape():
         _TAPE = prev
 
 
-def _record(fn: Callable[[], None]) -> None:
+def _record(out: Tensor, bwd: Callable[[np.ndarray], None]) -> None:
+    """Record ``bwd``, which takes the gradient of ``out`` and routes it to
+    the op's inputs; without an active tape nothing is kept."""
     if _TAPE is not None:
-        _TAPE._entries.append(fn)
+        _TAPE._entries.append((out, bwd))
 
 
 def _make(data: np.ndarray, op: str) -> Tensor:
@@ -172,12 +178,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _packed_lengths(lengths, total: int, what: str) -> np.ndarray:
-    """Validated int64 lengths of the sequences packed in ``total`` rows.
-
-    ``None`` means one sequence of all the rows.
-    """
-    if lengths is None:
-        return np.array([total], dtype=np.int64)
+    """Validated int64 lengths of the sequences packed in ``total`` rows."""
     out = np.asarray(lengths, dtype=np.int64)
     if out.ndim != 1 or out.size == 0 or np.minimum.reduce(out) < 0 \
             or np.add.reduce(out) != total:
@@ -228,14 +229,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"add {a.data.shape} + {b.data.shape}")
     out = _make(data, "add")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accum(a, _reduce_to(g, a.data.shape))
         _accum(b, _reduce_to(g, b.data.shape))
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -246,25 +244,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"mul {a.data.shape} * {b.data.shape}")
     out = _make(data, "mul")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accum(a, _reduce_to(g * b.data, a.data.shape))
         _accum(b, _reduce_to(g * a.data, b.data.shape))
 
-    _record(bwd)
-    return out
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    out = _make(x.data * c, "scale")
-
-    def bwd():
-        if out.grad is not None:
-            _accum(x, out.grad * c)
-
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -272,11 +256,10 @@ def add_const(x: Tensor, c) -> Tensor:
     """Add a constant array or scalar; no gradient flows to the constant."""
     out = _make(x.data + c, "add_const")
 
-    def bwd():
-        if out.grad is not None:
-            _accum(x, _reduce_to(out.grad, x.data.shape))
+    def bwd(g):
+        _accum(x, _reduce_to(g, x.data.shape))
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -284,33 +267,30 @@ def mul_const(x: Tensor, c) -> Tensor:
     """Multiply by a constant array or scalar (dropout masks, fixed gates)."""
     out = _make(x.data * c, "mul_const")
 
-    def bwd():
-        if out.grad is not None:
-            _accum(x, _reduce_to(out.grad * c, x.data.shape))
+    def bwd(g):
+        _accum(x, _reduce_to(g * c, x.data.shape))
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = _make(np.asarray(np.add.reduce(x.data, axis=None)), "sum_all")
 
-    def bwd():
-        if out.grad is not None:
-            _accum(x, np.broadcast_to(out.grad, x.data.shape).copy())
+    def bwd(g):
+        _accum(x, np.broadcast_to(g, x.data.shape).copy())
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     out = Tensor(x.data.reshape(shape))
 
-    def bwd():
-        if out.grad is not None:
-            _accum(x, out.grad.reshape(x.data.shape))
+    def bwd(g):
+        _accum(x, g.reshape(x.data.shape))
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -318,11 +298,10 @@ def permute(x: Tensor, axes: tuple) -> Tensor:
     out = Tensor(np.transpose(x.data, axes))
     inv = np.argsort(axes)
 
-    def bwd():
-        if out.grad is not None:
-            _accum(x, np.transpose(out.grad, inv))
+    def bwd(g):
+        _accum(x, np.transpose(g, inv))
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -337,15 +316,12 @@ def gather_rows(x: Tensor, idx) -> Tensor:
         raise DimensionError(f"gather index out of range for axis of size {x.data.shape[0]}")
     out = Tensor(x.data[idx])
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, idx, g)
         _accum(x, gx)
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -364,14 +340,11 @@ def concat_rows(*parts: Tensor) -> Tensor:
         (sum(rows), *data[0].shape[1:]), np.result_type(*data))))
     ends = np.add.accumulate(rows)[:-1]
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         for p, gp in zip(parts, np.split(g, ends)):
             _accum(p, gp)
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -386,15 +359,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = x.data @ w.data
     out = _make(np.add(y, b.data, out=_into(y, b.data)), "affine")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         _accum(x, g @ w.data.T)
         _accum(w, x.data.T @ g)
         _accum(b, np.add.reduce(g, axis=0))
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -410,12 +380,11 @@ def swish(x: Tensor) -> Tensor:
     s *= x.data
     out = _make(s, "swish")
 
-    def bwd():
-        if out.grad is not None:
-            s = _sigmoid(x.data)
-            _accum(x, out.grad * (s * (1.0 + x.data * (1.0 - s))))
+    def bwd(g):
+        s = _sigmoid(x.data)
+        _accum(x, g * (s * (1.0 + x.data * (1.0 - s))))
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -432,15 +401,12 @@ def glu_halves(x: Tensor) -> Tensor:
     s *= a
     out = _make(s, "glu_halves")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         s = _sigmoid(b)
         gx = np.concatenate([g * s, g * a * s * (1.0 - s)], axis=1)
         _accum(x, gx)
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -469,10 +435,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     y = np.multiply(xc, gain.data, out=_into(xc, gain.data))
     out = _make(np.add(y, bias.data, out=_into(y, bias.data)), "layer_norm")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         xhat = x.data - mu
         xhat *= inv
         _accum(gain, np.add.reduce(g * xhat, axis=0))
@@ -487,7 +450,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gx = np.subtract(gh, gx, out=_into(gx, gh))
         _accum(x, np.multiply(gx, inv, out=_into(gx, inv)))
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -500,25 +463,22 @@ def log_softmax_rows(x: Tensor) -> Tensor:
     lse += m
     out = _make(np.subtract(x.data, lse, out=z), "log_softmax_rows")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         # The softmax is needed only here, so a forward-only call never builds it.
         sm = np.exp(out.data)
         gs = np.add.reduce(g, axis=1, keepdims=True)
         sm = np.multiply(sm, gs, out=_into(sm, gs))
         _accum(x, np.subtract(g, sm, out=_into(sm, g)))
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
-def cross_entropy_mean(logits: Tensor, targets, lengths=None) -> Tensor:
-    """Mean negative log-likelihood of integer targets under row softmax.
+def cross_entropy_mean(logits: Tensor, targets, lengths) -> Tensor:
+    """Summed per-sequence mean negative log-likelihood of integer targets.
 
-    With ``lengths`` the rows pack consecutive sequences, and the result is
-    the sum over the sequences of each one's mean.
+    The rows pack consecutive sequences of ``lengths`` rows; each sequence's
+    mean is taken under the row softmax, and the result is their sum.
     """
     targets = np.asarray(targets, dtype=np.int64)
     n, v = logits.data.shape
@@ -541,15 +501,12 @@ def cross_entropy_mean(logits: Tensor, targets, lengths=None) -> Tensor:
                                           np.split(nll, np.add.accumulate(lengths)[:-1])])),
                 "cross_entropy_mean")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         sm = np.exp(logits.data - lse[:, None])
         sm[np.arange(n), targets] -= 1.0
         _accum(logits, sm * (g / lengths.astype(sm.dtype)).repeat(lengths)[:, None])
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -641,9 +598,7 @@ def lattice_nll(log_probs: Tensor, states, allow_skip, lengths) -> Tensor:
         nll = nll + -total
     out = _make(nll, "lattice_nll")
 
-    def bwd():
-        if out.grad is None:
-            return
+    def bwd(g_out):
         # Branch weights of every step at once: stay, step from s - 1 (for
         # states 1..), skip from s - 2 (for states 2..).
         e0 = np.exp(alpha[:-1] - lse[1:])
@@ -654,7 +609,7 @@ def lattice_nll(log_probs: Tensor, states, allow_skip, lengths) -> Tensor:
         ge = np.empty_like(alpha)        # gradient reaching each emission
         for t in range(t_max - 1, -1, -1):
             for i in np.flatnonzero(ends == t):
-                g[i, finals[i]] += -out.grad * np.exp(lasts[i] - totals[i])
+                g[i, finals[i]] += -g_out * np.exp(lasts[i] - totals[i])
             ge[t] = g
             if t == 0:
                 break
@@ -670,7 +625,7 @@ def lattice_nll(log_probs: Tensor, states, allow_skip, lengths) -> Tensor:
                          np.broadcast_to(state, use.shape)[use]), ge[use])
         _accum(log_probs, grad)
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -716,10 +671,7 @@ def conv2d_s2(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     out2d = w.data.reshape(co, ci * kh * kw) @ columns() + b.data[:, None]
     out = _make(out2d.T.reshape(ho, wo, co), "conv2d_s2")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         g2 = g.reshape(ho * wo, co)
         _accum(w, (g2.T @ columns().T).reshape(w.data.shape))
         _accum(b, np.add.reduce(g2, axis=0))
@@ -735,16 +687,16 @@ def conv2d_s2(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
                 gx[ky:ky + 2 * ho - 1:2, kx:kx + 2 * wo - 1:2] += gcols[:, :, ky, kx]
         _accum(x, gx)
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
-def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
+def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor, lengths) -> Tensor:
     """Per-channel 1-D convolution along rows with same-length zero padding.
 
     x: (L, D), w: (K, D) with K odd, b: (D,). ``lengths`` lists the lengths
-    of consecutive packed sequences (None: one sequence); each is
-    zero-padded at its own ends, so no window reaches into a neighbour.
+    of consecutive packed sequences; each is zero-padded at its own ends, so
+    no window reaches into a neighbour.
     """
     if x.data.ndim != 2:
         raise DimensionError(f"depthwise_conv1d needs (L, D), got {x.data.shape}")
@@ -777,10 +729,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
         full = full[sel]
     out = _make(np.add(full, b.data, out=_into(full, b.data)), "depthwise_conv1d")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         if sel is None:
             gw = g
         else:
@@ -793,7 +742,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
             gxp[kk:kk + n_win] += gw * w.data[kk]
         _accum(x, gxp[pad:pad + L] if sel is None else gxp[sel + pad])
 
-    _record(bwd)
+    _record(out, bwd)
     return out
 
 
@@ -801,12 +750,12 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
 # attention
 # ---------------------------------------------------------------------------
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool = False,
-                   q_lengths=None, k_lengths=None) -> tuple[Tensor, np.ndarray]:
+def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool = False, *,
+                   q_lengths, k_lengths) -> tuple[Tensor, np.ndarray]:
     """Scaled dot-product attention over column-split heads and packed sequences.
 
     q: (Lq, D), k/v: (Lk, D) pack consecutive sequences of ``q_lengths`` and
-    ``k_lengths`` rows (None: one sequence). There is one key sequence per
+    ``k_lengths`` rows. There is one key sequence per
     query sequence, or a single one that every query sequence attends to.
     The sequences run as one padded (B, H, Lq_max, Lk_max) batched matmul;
     padded keys and, with ``causal`` (square sequences only), keys right of
@@ -858,10 +807,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool =
     weights /= np.add.reduce(weights, axis=3, keepdims=True)
     out = _make(packed(weights @ heads(v.data, k_len, k_rows), q_rows), "attention_core")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         # Padded heads are rebuilt rather than kept; one sequence's are views.
         qh = heads(q.data, q_len, q_rows)
         kh = heads(k.data, k_len, k_rows)
@@ -882,7 +828,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool =
         _accum(k, packed(gk, k_rows))
         _accum(v, packed(gv, k_rows))
 
-    _record(bwd)
+    _record(out, bwd)
     return out, weights
 
 

@@ -167,7 +167,7 @@ def prefix_beam_search(grid: PosteriorGrid, beam: int) -> list[tuple[tuple[int, 
         stay_blank = np.maximum(total + row[BLANK_ID], NEG_FILL)
         stay_symbol = np.maximum(p_symbol + row[last], NEG_FILL)
         ext = total[:, None] + row[1:]
-        grown = np.flatnonzero(last)
+        grown = last.nonzero()[0]
         # extending a repeat requires the blank-ended mass
         ext[grown, last[grown] - 1] = p_blank[grown] + row[last[grown]]
         np.maximum(ext, NEG_FILL, out=ext)
@@ -185,7 +185,7 @@ def prefix_beam_search(grid: PosteriorGrid, beam: int) -> list[tuple[tuple[int, 
         scores = np.concatenate([np.logaddexp(stay_blank, stay_symbol), ext.ravel()])
         cut = np.partition(scores, scores.size - beam)[scores.size - beam] \
             if scores.size > beam else NEG_FILL
-        keep = np.flatnonzero(scores >= max(cut, NEG_FILL)).tolist()
+        keep = (scores >= max(cut, NEG_FILL)).nonzero()[0].tolist()
 
         def candidate(k: int) -> tuple[int, ...]:
             if k < n:

@@ -200,7 +200,7 @@ def _ffn_branch(x: Tensor, p: FeedForwardParams) -> Tensor:
     return ad.affine(h, p.w2.value, p.b2.value)
 
 
-def self_attention_branch(x: Tensor, p: AttentionParams, heads: int, lengths=None
+def self_attention_branch(x: Tensor, p: AttentionParams, heads: int, lengths
                           ) -> tuple[Tensor, np.ndarray]:
     """Pre-norm multi-head self-attention within each packed sequence.
 
@@ -228,11 +228,11 @@ def conformer_block(seq: EncodedSequence, p: ConformerBlockParams, heads: int,
     if seq.length == 0 or 0 in seq.lengths:
         raise EmptySequenceError("conformer block requires at least one frame per sequence")
     x = seq.frames
-    x = ad.add(x, ad.scale(_dropout(_ffn_branch(x, p.ffn1), drop), 0.5))
+    x = ad.add(x, ad.mul_const(_dropout(_ffn_branch(x, p.ffn1), drop), 0.5))
     branch, _ = self_attention_branch(x, p.attn, heads, seq.lengths)
     x = ad.add(x, _dropout(branch, drop))
     x = ad.add(x, _dropout(_conv_branch(x, p.conv, seq.lengths), drop))
-    x = ad.add(x, ad.scale(_dropout(_ffn_branch(x, p.ffn2), drop), 0.5))
+    x = ad.add(x, ad.mul_const(_dropout(_ffn_branch(x, p.ffn2), drop), 0.5))
     x = ad.add(x, _norm(x, p.out_norm))
     return EncodedSequence(frames=x, orig_index=seq.orig_index, lengths=seq.lengths)
 

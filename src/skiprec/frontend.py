@@ -56,14 +56,13 @@ class FeatureSequence:
 
 @dataclass
 class SubsampledSequence:
-    """Frames after subsampling, plus the map back to input frame indices.
+    """Frames after subsampling.
 
     Packed utterances lie one after another; ``lengths`` holds their frame
-    counts and ``time_map`` counts from each one's start.
+    counts.
     """
 
     frames: Tensor            # (T, D)
-    time_map: np.ndarray      # (T,) first covered input index per output frame
     lengths: tuple[int, ...]
 
     @property
@@ -129,7 +128,7 @@ def subsample(feats: FeatureSequence | list[FeatureSequence],
     """(T_in, F) features -> (T, D) frames with T = ((T_in-1)//2 - 1)//2.
 
     A list of utterances runs as one packed batch and comes back packed, its
-    ``lengths`` and ``time_map`` per utterance. The features are stacked
+    ``lengths`` per utterance. The features are stacked
     along time, every utterance but the last zero-padded to a multiple of 4
     frames, so an utterance starts at an input frame s that is a multiple of
     4 and its output frame t, packed row s/4 + t, reads only its own inputs
@@ -182,6 +181,4 @@ def subsample(feats: FeatureSequence | list[FeatureSequence],
         h = ad.gather_rows(h, keep)
     t, c, f2 = h.data.shape
     out = ad.affine(ad.reshape(h, (t, c * f2)), params.proj_w.value, params.proj_b.value)
-    # Each output frame's window starts at input index 4t (stride 2 twice).
-    time_map = np.concatenate([np.arange(n, dtype=np.int64) * 4 for n in lengths])
-    return SubsampledSequence(frames=out, time_map=time_map, lengths=tuple(lengths))
+    return SubsampledSequence(frames=out, lengths=tuple(lengths))

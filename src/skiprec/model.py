@@ -98,7 +98,6 @@ def cast_params(params: ModelParams, dtype) -> ModelParams:
 class ForwardTrace:
     utterance_id: str
     input_len: int
-    time_map: np.ndarray
     h1: EncodedSequence
     inter_grid: ctc_mod.PosteriorGrid
     flags: np.ndarray
@@ -141,7 +140,6 @@ class BatchTrace:
     frames (``h2.lengths``). The lists hold one entry per utterance.
     """
 
-    time_maps: list[np.ndarray]
     h1: EncodedSequence
     inter_grid: ctc_mod.PosteriorGrid
     flags: list[np.ndarray]
@@ -221,7 +219,6 @@ def forward_batch(batch: list[FeatureSequence], params: ModelParams, cfg: ModelC
     h2_crucial = enc_mod.run_blocks(h1_crucial, params.e2, cfg.heads, drop)
     h2 = recover(h2_crucial, h1_trivial)
     return BatchTrace(
-        time_maps=np.split(sub.time_map, np.cumsum(lengths)[:-1]),
         h1=h1,
         inter_grid=inter_grid,
         flags=flags,
@@ -243,7 +240,6 @@ def forward_utterance(feats: FeatureSequence, params: ModelParams, cfg: ModelCon
     return ForwardTrace(
         utterance_id=feats.utterance_id,
         input_len=feats.length,
-        time_map=batch.time_maps[0],
         h1=batch.h1,
         inter_grid=batch.inter_grid,
         flags=batch.flags[0],
@@ -278,9 +274,9 @@ def _loss_and_terms(trace, token_seqs, params: ModelParams, cfg: ModelConfig,
     loss = None
     terms: dict[str, float] = {}
     for name, share, inter, final in pairs:
-        pair = ad.add(ad.scale(inter, loss_cfg.inter_weight),
-                      ad.scale(final, loss_cfg.final_weight))
-        weighted = ad.scale(pair, share)
+        pair = ad.add(ad.mul_const(inter, loss_cfg.inter_weight),
+                      ad.mul_const(final, loss_cfg.final_weight))
+        weighted = ad.mul_const(pair, share)
         loss = weighted if loss is None else ad.add(loss, weighted)
         terms[f"{name}_inter"] = float(inter.data)
         terms[f"{name}_final"] = float(final.data)

@@ -166,15 +166,15 @@ class TestElementwiseGrads:
         rng = np.random.default_rng(4)
         check(lambda a, b: ad.sum_all(ad.add(a, b)),
               rng.normal(size=(3, 4)), rng.normal(size=4))
-        check(lambda a, b: ad.sum_all(ad.add(a, ad.scale(b, -1.0))),
+        check(lambda a, b: ad.sum_all(ad.add(a, ad.mul_const(b, -1.0))),
               rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
         check(lambda a, b: ad.sum_all(ad.mul(a, b)),
               rng.normal(size=(3, 1)), rng.normal(size=(3, 4)))
 
     def test_scale_neg_const(self):
         rng = np.random.default_rng(5)
-        check(lambda x: ad.sum_all(ad.scale(x, 2.5)), rng.normal(size=(2, 3)))
-        check(lambda x: ad.sum_all(ad.scale(x, -1.0)), rng.normal(size=4))
+        check(lambda x: ad.sum_all(ad.mul_const(x, 2.5)), rng.normal(size=(2, 3)))
+        check(lambda x: ad.sum_all(ad.mul_const(x, -1.0)), rng.normal(size=4))
         check(lambda x: ad.sum_all(ad.add_const(x, 3.0)), rng.normal(size=4))
         check(lambda x: ad.sum_all(ad.mul_const(x, -1.5)), rng.normal(size=4))
 
@@ -250,8 +250,8 @@ class TestElementwiseGrads:
     def test_cross_entropy(self):
         rng = np.random.default_rng(14)
         targets = np.array([0, 2, 1])
-        check(lambda z: ad.cross_entropy_mean(z, targets), rng.normal(size=(3, 4)))
-        uniform = ad.cross_entropy_mean(ad.tensor(np.zeros((2, 5))), [1, 3])
+        check(lambda z: ad.cross_entropy_mean(z, targets, [3]), rng.normal(size=(3, 4)))
+        uniform = ad.cross_entropy_mean(ad.tensor(np.zeros((2, 5))), [1, 3], [2])
         assert np.isclose(float(uniform.data), np.log(5.0))
 
     def test_conv2d(self):
@@ -272,11 +272,11 @@ class TestElementwiseGrads:
 
     def test_depthwise_conv(self):
         rng = np.random.default_rng(16)
-        check(lambda x, w, b: ad.sum_all(ad.depthwise_conv1d(x, w, b)),
+        check(lambda x, w, b: ad.sum_all(ad.depthwise_conv1d(x, w, b, [6])),
               rng.normal(size=(6, 4)), rng.normal(size=(3, 4)), rng.normal(size=4))
         with pytest.raises(ParameterError):
             ad.depthwise_conv1d(ad.tensor(np.ones((4, 2))),
-                                ad.tensor(np.ones((2, 2))), ad.tensor(np.zeros(2)))
+                                ad.tensor(np.ones((2, 2))), ad.tensor(np.zeros(2)), [4])
 
     def test_cross_entropy_sums_packed_sequence_means(self):
         rng = np.random.default_rng(26)
@@ -286,22 +286,19 @@ class TestElementwiseGrads:
         zt = ad.tensor(z)
         with ad.tape() as tp:
             out = ad.cross_entropy_mean(zt, targets, lengths)
-            tp.backward(ad.scale(out, 1.7))
+            tp.backward(ad.mul_const(out, 1.7))
         want, grads, start = 0.0, [], 0
         for n in lengths:
             part = ad.tensor(z[start:start + n])
             with ad.tape() as tp:
-                loss = ad.cross_entropy_mean(part, targets[start:start + n])
-                tp.backward(ad.scale(loss, 1.7))
+                loss = ad.cross_entropy_mean(part, targets[start:start + n], [n])
+                tp.backward(ad.mul_const(loss, 1.7))
             want += float(loss.data)
             grads.append(part.grad)
             start += n
         assert abs(float(out.data) - want) <= 1e-12 * abs(want)
         assert np.max(np.abs(zt.grad - np.concatenate(grads))) <= 1e-12
         check(lambda x: ad.cross_entropy_mean(x, targets, lengths), z)
-        # One sequence is the plain mean, to the bit.
-        one = ad.cross_entropy_mean(ad.tensor(z), targets, [8])
-        assert one.data == ad.cross_entropy_mean(ad.tensor(z), targets).data
         for bad in ([3, 4], [8, 0], [9, -1]):
             with pytest.raises(DimensionError):
                 ad.cross_entropy_mean(ad.tensor(z), targets, bad)
@@ -321,7 +318,7 @@ class TestElementwiseGrads:
             rows = slice(start, start + n)
             parts = [ad.tensor(x[rows]), ad.tensor(w), ad.tensor(b)]
             with ad.tape() as tp:
-                want = ad.depthwise_conv1d(*parts)
+                want = ad.depthwise_conv1d(*parts, [n])
                 tp.backward(ad.sum_all(ad.mul_const(want, g[rows])))
             assert np.max(np.abs(out.data[rows] - want.data)) <= 1e-12
             assert np.max(np.abs(xt.grad[rows] - parts[0].grad)) <= 1e-12
@@ -338,7 +335,7 @@ class TestElementwiseGrads:
         rng = np.random.default_rng(29)
         x, w, b = (ad.tensor(rng.normal(size=s)) for s in ((9, 4), (5, 4), (4,)))
         assert np.array_equal(ad.depthwise_conv1d(x, w, b, [9]).data,
-                              ad.depthwise_conv1d(x, w, b).data)
+                              single_sequence_depthwise_reference(x, w, b, [9]).data)
         for bad in ([4, 4], [10, -1]):
             with pytest.raises(DimensionError):
                 ad.depthwise_conv1d(x, w, b, bad)
@@ -347,7 +344,7 @@ class TestElementwiseGrads:
         x = np.arange(12.0).reshape(4, 3)
         w = np.zeros((3, 3))
         w[1] = 1.0  # center tap passes the signal through
-        out = ad.depthwise_conv1d(ad.tensor(x), ad.tensor(w), ad.tensor(np.zeros(3)))
+        out = ad.depthwise_conv1d(ad.tensor(x), ad.tensor(w), ad.tensor(np.zeros(3)), [4])
         assert np.array_equal(out.data, x)
 
 
@@ -357,7 +354,7 @@ class TestAttention:
         q = ad.tensor(rng.normal(size=(5, 8)))
         k = ad.tensor(rng.normal(size=(7, 8)))
         v = ad.tensor(rng.normal(size=(7, 8)))
-        _, w = ad.attention_core(q, k, v, n_heads=2)
+        _, w = ad.attention_core(q, k, v, n_heads=2, q_lengths=[5], k_lengths=[7])
         assert w.shape == (1, 2, 5, 7)
         assert np.all(np.abs(w.sum(axis=3) - 1.0) <= 1e-9)
 
@@ -365,7 +362,7 @@ class TestAttention:
         rng = np.random.default_rng(19)
         x = rng.normal(size=(5, 4))
         _, w = ad.attention_core(ad.tensor(x), ad.tensor(x), ad.tensor(x),
-                                 n_heads=2, causal=True)
+                                 n_heads=2, causal=True, q_lengths=[5], k_lengths=[5])
         upper = ~np.tril(np.ones((5, 5), dtype=bool))
         assert np.all(w[0][:, upper] == 0.0)
 
@@ -374,7 +371,8 @@ class TestAttention:
         rng = np.random.default_rng(20 + causal)
 
         def f(q, k, v):
-            ctx, _ = ad.attention_core(q, k, v, n_heads=2, causal=causal)
+            ctx, _ = ad.attention_core(q, k, v, n_heads=2, causal=causal, q_lengths=[4],
+                                       k_lengths=[4])
             return ad.sum_all(ad.mul(ctx, ctx))
 
         check(f, rng.normal(size=(4, 6)), rng.normal(size=(4, 6)),
@@ -447,11 +445,10 @@ def stored_sigmoid_swish_reference(x: ad.Tensor) -> ad.Tensor:
     s = ad._sigmoid(x.data)
     out = ad._make(x.data * s, "swish")
 
-    def bwd():
-        if out.grad is not None:
-            ad._accum(x, out.grad * (s * (1.0 + x.data * (1.0 - s))))
+    def bwd(g):
+        ad._accum(x, g * (s * (1.0 + x.data * (1.0 - s))))
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
@@ -462,12 +459,10 @@ def stored_sigmoid_glu_reference(x: ad.Tensor) -> ad.Tensor:
     s = ad._sigmoid(b)
     out = ad._make(a * s, "glu_halves")
 
-    def bwd():
-        g = out.grad
-        if g is not None:
-            ad._accum(x, np.concatenate([g * s, g * a * s * (1.0 - s)], axis=1))
+    def bwd(g):
+        ad._accum(x, np.concatenate([g * s, g * a * s * (1.0 - s)], axis=1))
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
@@ -480,30 +475,26 @@ def stored_xhat_layer_norm_reference(x, gain, bias, eps=1e-5):
     xhat = xc * inv
     out = ad._make(xhat * gain.data + bias.data, "layer_norm")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         ad._accum(gain, (g * xhat).sum(axis=0))
         ad._accum(bias, g.sum(axis=0))
         gh = g * gain.data
         ad._accum(x, inv * (gh - gh.mean(axis=1, keepdims=True)
                             - xhat * (gh * xhat).mean(axis=1, keepdims=True)))
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
-def single_sequence_attention_reference(q, k, v, n_heads, causal=False,
-                                        q_lengths=None, k_lengths=None):
+def single_sequence_attention_reference(q, k, v, n_heads, causal=False, *,
+                                        q_lengths, k_lengths):
     """The one-sequence (H, L, dh) attention op the padded batched form replaced.
 
     Takes the packed form's keywords but runs one query and one key sequence.
     """
     lq, d = q.data.shape
     lk = k.data.shape[0]
-    assert q_lengths is None or len(q_lengths) == 1
-    assert k_lengths is None or len(k_lengths) == 1
+    assert len(q_lengths) == len(k_lengths) == 1
     dh = d // n_heads
     inv = 1.0 / math.sqrt(dh)
     qh = q.data.reshape(lq, n_heads, dh).transpose(1, 0, 2)
@@ -518,10 +509,7 @@ def single_sequence_attention_reference(q, k, v, n_heads, causal=False,
     weights /= weights.sum(axis=2, keepdims=True)
     out = ad._make((weights @ vh).transpose(1, 0, 2).reshape(lq, d), "attention_core")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         gr = g.reshape(lq, n_heads, dh).transpose(1, 0, 2)
         gv = weights.transpose(0, 2, 1) @ gr
         gs = gr @ vh.transpose(0, 2, 1)
@@ -535,13 +523,13 @@ def single_sequence_attention_reference(q, k, v, n_heads, causal=False,
         ad._accum(k, gk.transpose(1, 0, 2).reshape(lk, d))
         ad._accum(v, gv.transpose(1, 0, 2).reshape(lk, d))
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out, weights
 
 
-def single_sequence_depthwise_reference(x, w, b, lengths=None):
+def single_sequence_depthwise_reference(x, w, b, lengths):
     """The one-sequence depthwise conv op the packed form replaced."""
-    assert lengths is None or len(lengths) == 1
+    assert len(lengths) == 1
     L, d = x.data.shape
     k = w.data.shape[0]
     pad = (k - 1) // 2
@@ -549,10 +537,7 @@ def single_sequence_depthwise_reference(x, w, b, lengths=None):
     win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)
     out = ad._make(np.einsum("tdk,kd->td", win, w.data) + b.data, "depthwise_conv1d")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         ad._accum(w, np.einsum("tdk,td->kd", win, g))
         ad._accum(b, g.sum(axis=0))
         gxp = np.zeros_like(xp)
@@ -560,7 +545,7 @@ def single_sequence_depthwise_reference(x, w, b, lengths=None):
             gxp[kk:kk + L] += g * w.data[kk]
         ad._accum(x, gxp[pad:pad + L])
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
@@ -691,7 +676,8 @@ class TestAgainstReference:
         want_ctx, want_w, want_grads = einsum_attention_reference(q, k, v, 3, causal=causal)
         qt, kt, vt = ad.tensor(q), ad.tensor(k), ad.tensor(v)
         with ad.tape() as tp:
-            ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal)
+            ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal, q_lengths=[lq],
+                                       k_lengths=[lk])
             tp.backward(ad.sum_all(ad.mul_const(ctx, g)))
         assert w.shape == (1, 3, lq, lk)
         got = [ctx.data, w[0], qt.grad, kt.grad, vt.grad]
@@ -707,7 +693,11 @@ class TestSegmentedAttention:
 
     @staticmethod
     def packed_against_per_sequence(q_lengths, k_lengths, causal, seed):
-        """Run packed attention and per-sequence calls; return the largest difference."""
+        """Run packed attention and per-sequence calls; return the largest difference.
+
+        ``k_lengths`` None: one key sequence of as many rows as the queries,
+        which every query sequence attends to.
+        """
         rng = np.random.default_rng(seed)
         nq = sum(q_lengths)
         nk = nq if k_lengths is None else sum(k_lengths)
@@ -716,7 +706,7 @@ class TestSegmentedAttention:
         qt, kt, vt = ad.tensor(q), ad.tensor(k), ad.tensor(v)
         with ad.tape() as tp:
             ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal, q_lengths=q_lengths,
-                                       k_lengths=k_lengths)
+                                       k_lengths=[nk] if k_lengths is None else k_lengths)
             tp.backward(ad.sum_all(ad.mul_const(ctx, g)))
         assert w.shape[:2] == (len(q_lengths), 3)
         worst = 0.0
@@ -727,7 +717,8 @@ class TestSegmentedAttention:
             rows, keys = slice(q_start, q_start + n), slice(k_start, k_start + m)
             parts = [ad.tensor(q[rows]), ad.tensor(k[keys]), ad.tensor(v[keys])]
             with ad.tape() as tp:
-                want_ctx, want_w = ad.attention_core(*parts, 3, causal=causal)
+                want_ctx, want_w = ad.attention_core(*parts, 3, causal=causal, q_lengths=[n],
+                                                     k_lengths=[m])
                 tp.backward(ad.sum_all(ad.mul_const(want_ctx, g[rows])))
             got = [ctx.data[rows], w[i, :, :n, :m], qt.grad[rows]]
             for have, ref in zip(got, [want_ctx.data, want_w[0], parts[0].grad]):
@@ -760,8 +751,9 @@ class TestSegmentedAttention:
         rng = np.random.default_rng(52)
         q, k, v = (ad.tensor(rng.normal(size=(6, 8))) for _ in range(3))
         ctx, w = ad.attention_core(q, k, v, 2, causal=True, q_lengths=[6], k_lengths=[6])
-        want_ctx, want_w = ad.attention_core(q, k, v, 2, causal=True)
-        assert np.array_equal(ctx.data, want_ctx.data) and np.array_equal(w, want_w)
+        want_ctx, want_w = single_sequence_attention_reference(q, k, v, 2, causal=True,
+                                                               q_lengths=[6], k_lengths=[6])
+        assert np.array_equal(ctx.data, want_ctx.data) and np.array_equal(w[0], want_w)
 
     def test_grad(self):
         rng = np.random.default_rng(53)
@@ -794,7 +786,7 @@ class TestSegmentedAttention:
         ([2, 3], [1, 1, 3], False),     # neither one key sequence per query nor one shared
         ([2, 3], [5, 0], False),        # a query sequence with no keys
         ([2, 3], [3, 2], True),         # causal scores must be square
-        ([2, 3], None, True),
+        ([2, 3], [5], True),
     ])
     def test_key_sequences_must_fit_the_queries(self, q_lengths, k_lengths, causal):
         rng = np.random.default_rng(57)
@@ -831,15 +823,31 @@ class TestTape:
             recorded = len(tp)
             tp.backward(out)
             assert recorded == 3 and len(tp) == recorded
-            ad.scale(out, 2.0)
+            ad.mul_const(out, 2.0)
             assert len(tp) == recorded + 1
+
+    def test_an_op_whose_output_gets_no_gradient_runs_no_backward(self):
+        # The tape calls a closure only when a gradient reached its output;
+        # the spies record on the same outputs as the ops before them.
+        x, y = ad.tensor([1.0, 2.0]), ad.tensor([3.0, 4.0])
+        seen = []
+        with ad.tape() as tp:
+            dead = ad.mul(y, y)                     # never reaches the root
+            ad._record(dead, lambda g: seen.append("dead"))
+            live = ad.mul_const(x, 2.0)
+            ad._record(live, lambda g: seen.append(g.copy()))
+            tp.backward(ad.sum_all(live))
+            assert len(tp) == 5
+        assert len(seen) == 1 and np.array_equal(seen[0], [1.0, 1.0])
+        assert dead.grad is None and y.grad is None
+        assert np.array_equal(x.grad, [2.0, 2.0])
 
     def test_scalar_results_keep_their_dtype(self):
         assert ad.Tensor(np.float32(1.5)).data.dtype == np.float32
         assert ad.Tensor(1.5).data.dtype == np.float64
         x = ad.tensor(np.array(2.0, dtype=np.float32), dtype=np.float32)
         with ad.tape() as tp:
-            out = ad.scale(x, 3.0)
+            out = ad.mul_const(x, 3.0)
             tp.backward(out)
         assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
 
@@ -867,15 +875,12 @@ def bias_sum_affine_reference(x, w, b):
     """``x @ w + b`` with the bias gradient as ``g.sum(axis=0)``."""
     out = ad._make(x.data @ w.data + b.data, "affine")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         ad._accum(x, g @ w.data.T)
         ad._accum(w, x.data.T @ g)
         ad._accum(b, g.sum(axis=0))
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
@@ -887,10 +892,7 @@ def mean_layer_norm_reference(x, gain, bias, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     out = ad._make(xc * inv * gain.data + bias.data, "layer_norm")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         xhat = (x.data - mu) * inv
         ad._accum(gain, (g * xhat).sum(axis=0))
         ad._accum(bias, g.sum(axis=0))
@@ -898,11 +900,11 @@ def mean_layer_norm_reference(x, gain, bias, eps=1e-5):
         ad._accum(x, inv * (gh - gh.mean(axis=1, keepdims=True)
                             - xhat * (gh * xhat).mean(axis=1, keepdims=True)))
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
-def padded_depthwise_reference(x, w, b, lengths=None):
+def padded_depthwise_reference(x, w, b, lengths):
     """The depthwise conv that padded with ``np.pad`` and windowed with
     ``sliding_window_view``."""
     L, d = x.data.shape
@@ -924,10 +926,7 @@ def padded_depthwise_reference(x, w, b, lengths=None):
     full = np.einsum("tdk,kd->td", windows(), w.data)
     out = ad._make((full if sel is None else full[sel]) + b.data, "depthwise_conv1d")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         if sel is None:
             gw = g
         else:
@@ -940,12 +939,11 @@ def padded_depthwise_reference(x, w, b, lengths=None):
             gxp[kk:kk + n_win] += gw * w.data[kk]
         ad._accum(x, gxp[pad:pad + L] if sel is None else gxp[sel + pad])
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
-def tril_mask_attention_reference(q, k, v, n_heads, causal=False, q_lengths=None,
-                                  k_lengths=None):
+def tril_mask_attention_reference(q, k, v, n_heads, causal=False, *, q_lengths, k_lengths):
     """The packed attention that hid keys with ``~np.tril`` and a boolean-index
     store and took the softmax with ``.max`` and ``.sum``."""
     lq, d = q.data.shape
@@ -977,10 +975,7 @@ def tril_mask_attention_reference(q, k, v, n_heads, causal=False, q_lengths=None
     weights /= weights.sum(axis=3, keepdims=True)
     out = ad._make(packed(weights @ heads(v.data, k_len, k_rows), q_rows), "attention_core")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         qh = heads(q.data, q_len, q_rows)
         kh = heads(k.data, k_len, k_rows)
         vh = heads(v.data, k_len, k_rows)
@@ -1000,7 +995,7 @@ def tril_mask_attention_reference(q, k, v, n_heads, causal=False, q_lengths=None
         ad._accum(k, packed(gk, k_rows))
         ad._accum(v, packed(gv, k_rows))
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out, weights
 
 
@@ -1019,10 +1014,7 @@ def windowed_conv2d_reference(x, w, b):
     out2d = w.data.reshape(co, ci * kh * kw) @ columns() + b.data[:, None]
     out = ad._make(out2d.T.reshape(ho, wo, co), "conv2d_s2")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         g2 = g.reshape(ho * wo, co)
         ad._accum(w, (g2.T @ columns().T).reshape(w.data.shape))
         ad._accum(b, g2.sum(axis=0))
@@ -1034,11 +1026,11 @@ def windowed_conv2d_reference(x, w, b):
                 gx[ky:ky + 2 * ho - 1:2, kx:kx + 2 * wo - 1:2] += gcols[:, :, ky, kx]
         ad._accum(x, gx)
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
-def mean_cross_entropy_reference(logits, targets, lengths=None):
+def mean_cross_entropy_reference(logits, targets, lengths):
     """The cross-entropy that took each sequence's mean with ``.mean``."""
     targets = np.asarray(targets, dtype=np.int64)
     n = logits.data.shape[0]
@@ -1050,15 +1042,12 @@ def mean_cross_entropy_reference(logits, targets, lengths=None):
                                       np.split(nll, np.cumsum(lengths)[:-1])])),
                    "cross_entropy_mean")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         sm = np.exp(logits.data - lse[:, None])
         sm[np.arange(n), targets] -= 1.0
         ad._accum(logits, sm * np.repeat(g / lengths.astype(sm.dtype), lengths)[:, None])
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
@@ -1072,17 +1061,17 @@ def wrapper_free_cases(batch):
     into the rows of every row-mixing op.
     """
     n = sum(PACKED) if batch else 9
-    lengths = {"lengths": PACKED} if batch else {}
-    seqs = {"q_lengths": PACKED, "k_lengths": PACKED} if batch else {}
-    cross = {"q_lengths": PACKED, "k_lengths": (2, 4, 1, 6)} if batch else {}
+    lengths = PACKED if batch else (n,)
     lk = 13 if batch else 6
+    seqs = {"q_lengths": lengths, "k_lengths": lengths}
+    cross = {"q_lengths": lengths, "k_lengths": (2, 4, 1, 6) if batch else (lk,)}
     return [
         ("affine", ad.affine, bias_sum_affine_reference, [(n, 6), (6, 5), (5,)], 2, {}),
         ("layer_norm", ad.layer_norm, mean_layer_norm_reference, [(n, 7), (7,), (7,)], 2, {}),
         ("depthwise_k3", ad.depthwise_conv1d, padded_depthwise_reference,
-         [(n, 4), (3, 4), (4,)], 2, lengths),
+         [(n, 4), (3, 4), (4,)], 2, {"lengths": lengths}),
         ("depthwise_k7", ad.depthwise_conv1d, padded_depthwise_reference,
-         [(n, 4), (7, 4), (4,)], 2, lengths),
+         [(n, 4), (7, 4), (4,)], 2, {"lengths": lengths}),
         ("attention_causal", functools.partial(ad.attention_core, n_heads=3, causal=True),
          functools.partial(tril_mask_attention_reference, n_heads=3, causal=True),
          [(n, 12), (n, 12), (n, 12)], 0, seqs),
@@ -1091,7 +1080,7 @@ def wrapper_free_cases(batch):
          [(n, 12), (lk, 12), (lk, 12)], 0, cross),
         ("attention_shared_keys", functools.partial(ad.attention_core, n_heads=2),
          functools.partial(tril_mask_attention_reference, n_heads=2),
-         [(n, 8), (4, 8), (4, 8)], 0, {"q_lengths": PACKED} if batch else {}),
+         [(n, 8), (4, 8), (4, 8)], 0, {"q_lengths": lengths, "k_lengths": (4,)}),
         ("conv2d_s2", ad.conv2d_s2, windowed_conv2d_reference,
          [(2 * n + 1, 9, 3), (4, 3, 3, 3), (4,)], 2, {}),
     ]
@@ -1156,7 +1145,7 @@ class TestWrapperFreeOpsAgainstWrapperForms:
         n = sum(PACKED) if batch else 9
         logits = rng.normal(size=(n, 6)) * 4.0
         targets = rng.integers(0, 6, size=n)
-        lengths = PACKED if batch else None
+        lengths = PACKED if batch else (n,)
         results = []
         for fn in (ad.cross_entropy_mean, mean_cross_entropy_reference):
             x = ad.tensor(logits, dtype=dtype)

@@ -338,13 +338,12 @@ class TestPrefixBeamAgainstReference:
 def _ref_gather_cells(x, rows, cols):
     out = ad.Tensor(x.data[rows, cols])
 
-    def bwd():
-        if out.grad is not None:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (rows, cols), out.grad)
-            ad._accum(x, gx)
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, (rows, cols), g)
+        ad._accum(x, gx)
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
@@ -353,11 +352,10 @@ def _ref_masked_keep(x, keep):
     filled[~keep] = ad.NEG_FILL
     out = ad._make(filled, "masked_keep")
 
-    def bwd():
-        if out.grad is not None:
-            ad._accum(x, out.grad * keep)
+    def bwd(g):
+        ad._accum(x, g * keep)
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
@@ -371,16 +369,14 @@ def _ref_shifted_logsumexp3(x, allow_skip):
     m = np.maximum(np.maximum(b0, b1), b2)
     out = ad._make(m + np.log(np.exp(b0 - m) + np.exp(b1 - m) + np.exp(b2 - m)), "step")
 
-    def bwd():
-        g = out.grad
-        if g is not None:
-            gx = g * np.exp(b0 - out.data)
-            gx[:-1] += (g * np.exp(b1 - out.data))[1:]
-            if n >= 2:
-                gx[:-2] += (g * np.exp(b2 - out.data) * allow_skip)[2:]
-            ad._accum(x, gx)
+    def bwd(g):
+        gx = g * np.exp(b0 - out.data)
+        gx[:-1] += (g * np.exp(b1 - out.data))[1:]
+        if n >= 2:
+            gx[:-2] += (g * np.exp(b2 - out.data) * allow_skip)[2:]
+        ad._accum(x, gx)
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
@@ -388,11 +384,10 @@ def _ref_logsumexp_all(x):
     m = float(x.data.max())
     out = ad._make(np.asarray(m + np.log(np.exp(x.data - m).sum())), "logsumexp_all")
 
-    def bwd():
-        if out.grad is not None:
-            ad._accum(x, out.grad * np.exp(x.data - out.data))
+    def bwd(g):
+        ad._accum(x, g * np.exp(x.data - out.data))
 
-    ad._record(bwd)
+    ad._record(out, bwd)
     return out
 
 
@@ -412,7 +407,7 @@ def composed_ctc_loss_reference(grid, tokens):
         emit = _ref_gather_cells(lp, np.full(s, t, dtype=np.int64), ext)
         alpha = ad.add(_ref_shifted_logsumexp3(alpha, allow_skip), emit)
     final_states = [s - 1] if s == 1 else [s - 2, s - 1]
-    return ad.scale(_ref_logsumexp_all(ad.gather_rows(alpha, final_states)), -1.0)
+    return ad.mul_const(_ref_logsumexp_all(ad.gather_rows(alpha, final_states)), -1.0)
 
 
 def ctc_loss_of_one(grid, tokens):
@@ -430,7 +425,7 @@ def loss_and_grads(loss_fn, logits, tokens, extra=None):
     with ad.tape() as tp:
         grid = ctc.PosteriorGrid(log_probs=ad.log_softmax_rows(x))
         loss = loss_fn(grid, tokens)
-        root = ad.scale(loss, 0.7)
+        root = ad.mul_const(loss, 0.7)
         if extra is not None:
             root = ad.add(root, ad.sum_all(ad.mul_const(grid.log_probs, extra)))
         tp.backward(root)
@@ -518,15 +513,16 @@ def per_utterance_loss_and_grads(logits, token_seqs, lengths, extra=None):
         grid = ad.log_softmax_rows(x)
         parts = [ad.Tensor(block) for block in np.split(grid.data, np.cumsum(lengths)[:-1])]
 
-        def stack_grads():
+        def stack_grads(_):
             ad._accum(grid, np.concatenate([p.grad for p in parts]))
 
-        ad._record(stack_grads)
+        # Every part feeds a loss, so the last part's gradient means all are in.
+        ad._record(parts[-1], stack_grads)
         total = None
         for part, tokens in zip(parts, token_seqs):
             loss = ctc.ctc_loss(ctc.PosteriorGrid(part), [tokens], [part.data.shape[0]])
             total = loss if total is None else ad.add(total, loss)
-        root = ad.scale(total, 0.7)
+        root = ad.mul_const(total, 0.7)
         if extra is not None:
             root = ad.add(root, ad.sum_all(ad.mul_const(grid, extra)))
         tp.backward(root)
@@ -538,7 +534,7 @@ def packed_loss_and_grads(logits, token_seqs, lengths, extra=None):
     with ad.tape() as tp:
         grid = ad.log_softmax_rows(x)
         loss = ctc.ctc_loss(ctc.PosteriorGrid(grid), token_seqs, lengths)
-        root = ad.scale(loss, 0.7)
+        root = ad.mul_const(loss, 0.7)
         if extra is not None:
             root = ad.add(root, ad.sum_all(ad.mul_const(grid, extra)))
         tp.backward(root)

@@ -284,7 +284,8 @@ def single_sequence_log_likelihood_reference(enc, tokens, params, heads):
         src = h if memory is None else memory
         q = ad.affine(h, p.wq.value, p.bq.value)
         k, v = (ad.affine(src, w.value, b.value) for w, b in ((p.wk, p.bk), (p.wv, p.bv)))
-        ctx, _ = ad.attention_core(q, k, v, heads, causal=memory is None)
+        ctx, _ = ad.attention_core(q, k, v, heads, causal=memory is None,
+                                   q_lengths=[q.data.shape[0]], k_lengths=[k.data.shape[0]])
         return ad.affine(ctx, p.wo.value, p.bo.value)
 
     for block in params.blocks:

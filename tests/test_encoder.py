@@ -93,7 +93,7 @@ class TestAttentionBranch:
         rng = np.random.default_rng(8)
         p = enc.init_attention(rng, 8)
         x = ad.Tensor(rng.normal(size=(6, 8)))
-        _, weights = enc.self_attention_branch(x, p, heads=2)
+        _, weights = enc.self_attention_branch(x, p, heads=2, lengths=(6,))
         assert weights.shape == (1, 2, 6, 6)
         np.testing.assert_allclose(weights.sum(axis=3), 1.0, atol=1e-12)
 

@@ -151,7 +151,6 @@ class TestForwardStructure:
         assert trace.input_len == 31
         assert trace.subsampled_len == len(g.crucial) + len(g.trivial) + len(g.ignoring)
         assert trace.output_len == len(g.crucial) + len(g.trivial)
-        assert trace.time_map.shape == (trace.subsampled_len,)
         assert trace.utterance_id == "u0"
         assert trace.reduction_factor == trace.input_len / trace.output_len
         np.testing.assert_array_equal(trace.h2.orig_index,

@@ -119,3 +119,40 @@ def test_autodiff_calls_no_python_level_numpy_wrapper():
                 or isinstance(node, ast.alias) and node.name == "sliding_window_view":
             found.append((getattr(node, "lineno", 0), "sliding_window_view"))
     assert found == []
+
+
+def test_only_the_tape_asks_whether_a_gradient_reached_an_op():
+    # Tape.backward calls an op's closure only when the op's output got a
+    # gradient, and hands it that gradient: no function reads ``out.grad``,
+    # and no closure (a function nested in an op) reads a ``.grad`` at all.
+    tree = modules()["autodiff"]
+
+    def grad_reads(node, owner=None):
+        return [(n.lineno, ast.unparse(n)) for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "grad"
+                and isinstance(n.ctx, ast.Load)
+                and (owner is None or isinstance(n.value, ast.Name) and n.value.id == owner)]
+
+    found = grad_reads(tree, "out")
+    for op in tree.body:
+        if isinstance(op, ast.FunctionDef):
+            for closure in ast.walk(op):
+                if isinstance(closure, ast.FunctionDef) and closure is not op:
+                    found += grad_reads(closure)
+    assert found == []
+
+
+def test_no_autodiff_op_reads_missing_lengths_as_one_sequence():
+    # The row-mixing ops take the packed form only: one sequence is (rows,).
+    found = []
+    for node in modules()["autodiff"].body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        found += [f"{node.name}({arg.arg}=None)" for arg, default in pairs
+                  if arg.arg.endswith("lengths") and isinstance(default, ast.Constant)
+                  and default.value is None]
+    assert found == []
