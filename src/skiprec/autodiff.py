@@ -10,10 +10,10 @@ an op that got none is skipped but still counted in ``len(tape)``.
 The op set is what the model needs: add and constant add/multiply, reshape
 and permute, gather/concat by row index, affine, strided 2-D convolution
 (channels last, one im2col GEMM), depthwise 1-D convolution, attention,
-log-softmax, layer norm, swish, GLU, cross-entropy, and the CTC lattice's
-negative log-likelihood as one op. ``tensor``, ``mul``, ``sum_all`` and
-``grad_check`` serve the tests; the model calls every other op. Nothing
-more general is provided on purpose.
+log-softmax, layer norm (with the fixed variance floor ``LAYER_NORM_EPS``),
+swish, GLU, cross-entropy, and the CTC lattice's negative log-likelihood as
+one op. ``tensor``, ``mul``, ``sum_all`` and ``grad_check`` serve the tests;
+the model calls every other op. Nothing more general is provided on purpose.
 
 Several sequences can run as one: their rows are packed one after another,
 and the ops that mix rows (attention, the depthwise conv, the cross-entropy
@@ -51,6 +51,7 @@ from .errors import ContractError, DimensionError, NumericError, ParameterError
 
 # Effectively -inf for log-space math while staying finite in float32/float64.
 NEG_FILL = -1.0e30
+LAYER_NORM_EPS = 1e-5   # added to each row's variance by every layer norm
 
 
 class Tensor:
@@ -410,14 +411,12 @@ def glu_halves(x: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then scale and shift.
 
     The backward recomputes the normalized rows from the input and the
     per-row mean and scale, so the tape keeps no (L, D) array of its own.
     """
-    if eps <= 0:
-        raise ParameterError(f"layer_norm eps must be positive, got {eps}")
     if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) or bias.data.shape != (x.data.shape[1],):
         raise DimensionError(f"layer_norm {x.data.shape} with gain {gain.data.shape}, bias {bias.data.shape}")
     # A row mean is the row sum divided by the width in place, as np.mean
@@ -428,7 +427,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xc = x.data - mu
     var = np.add.reduce(xc * xc, axis=1, keepdims=True)
     var /= d
-    var += eps
+    var += LAYER_NORM_EPS
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
     xc *= inv

@@ -31,6 +31,7 @@ from .train import load_corpus, train_run
 TIMING_WINDOW = 0.05     # seconds every timed window spans at least
 ALTERNATIONS = 3         # windows of each function per repeat
 MAX_BATCH = 4096
+MIN_REPEATS = 3          # rounds a median needs
 
 
 @dataclass
@@ -87,8 +88,8 @@ def bench_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig, corpus,
     prefix beam and decoder rescoring. Statistics (lengths, crucial fraction,
     analytic ratio) come from an untimed pass so the clock only sees work.
     """
-    if repeats < 3:
-        raise ParameterError(f"bench needs at least 3 repeats, got {repeats}")
+    if repeats < MIN_REPEATS:
+        raise ParameterError(f"bench needs at least {MIN_REPEATS} repeats, got {repeats}")
     if not corpus:
         raise ParameterError("bench needs a non-empty corpus")
 

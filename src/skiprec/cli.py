@@ -1,7 +1,7 @@
 """Command line interface: gen, train, eval, bench, sweep.
 
 BLAS thread counts are pinned before numpy loads so timing and determinism
-hold; every numpy-touching import happens lazily inside a command handler.
+hold; every numpy-touching import happens lazily, after the pin.
 """
 
 from __future__ import annotations
@@ -22,29 +22,27 @@ def _pin_threads() -> None:
 def _add_shared(p: argparse.ArgumentParser, checkpoint: bool = False) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="JSON run config; defaults apply when omitted")
-    p.add_argument("--split-mode", type=int, default=None, choices=range(1, 6),
+    p.add_argument("--split-mode", type=int, default=argparse.SUPPRESS, choices=range(1, 6),
                    help="override the frame-routing mode (1..5)")
-    p.add_argument("--blank-threshold", type=float, default=None,
+    p.add_argument("--blank-threshold", type=float, default=argparse.SUPPRESS,
                    help="override the blank-confidence cutoff in (0, 1)")
-    p.add_argument("--seed", type=int, default=None, help="override the run seed")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override the run seed")
     if checkpoint:
         p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None, help="output directory or file")
 
 
+def _given(args, *names: str) -> dict:
+    """The options among ``names`` that the user gave; the library owns each default."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
 def _load_config(args) -> "RunConfig":
     from .config import RunConfig, load_run_config, validate_run_config
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    if args.split_mode is not None:
-        cfg = dataclasses.replace(cfg, loss=dataclasses.replace(
-            cfg.loss, split_mode=args.split_mode))
-    if args.blank_threshold is not None:
-        cfg = dataclasses.replace(cfg, loss=dataclasses.replace(
-            cfg.loss, blank_threshold=args.blank_threshold))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, training=dataclasses.replace(
-            cfg.training, seed=args.seed))
-    return validate_run_config(cfg)
+    return validate_run_config(dataclasses.replace(
+        cfg, loss=dataclasses.replace(cfg.loss, **_given(args, "split_mode", "blank_threshold")),
+        training=dataclasses.replace(cfg.training, **_given(args, "seed"))))
 
 
 def _load_model(args, cfg):
@@ -56,15 +54,8 @@ def _load_model(args, cfg):
 
 def _cmd_gen(args) -> int:
     from .synth import SynthSpec, write_corpus
-    spec = SynthSpec(
-        vocab_size=args.vocab, utterances=args.utterances,
-        tokens_min=args.tokens_min, tokens_max=args.tokens_max,
-        frames_per_token_min=args.frames_min, frames_per_token_max=args.frames_max,
-        gap_min=args.gap_min, gap_max=args.gap_max,
-        feature_dim=args.feature_dim, noise=args.noise,
-        seed=args.seed if args.seed is not None else 0)
-    out = args.out if args.out else Path("corpus")
-    feats, trans = write_corpus(spec, out)
+    spec = SynthSpec(**_given(args, *(f.name for f in dataclasses.fields(SynthSpec))))
+    feats, trans = write_corpus(spec, args.out)
     print(f"wrote {feats} and {trans}")
     return 0
 
@@ -90,8 +81,7 @@ def _cmd_eval(args) -> int:
     from .train import load_corpus
     corpus = load_corpus(args.features, args.transcripts, cfg.model.vocab_size)
     report = evaluate_corpus(params, cfg.model, cfg.loss, corpus,
-                             decode=args.decode, beam=args.beam,
-                             force_all_crucial=args.no_skip)
+                             force_all_crucial=args.no_skip, **_given(args, "decode", "beam"))
     summary = {
         "error_rate": report.error_rate,
         "edits": report.substitutions_plus,
@@ -125,8 +115,7 @@ def _cmd_bench(args) -> int:
         corpus = [(FeatureSequence(f.utterance_id, f.frames.astype(np.float32)), tokens)
                   for f, tokens in corpus]
     row = bench_corpus(params, cfg.model, cfg.loss, corpus,
-                       repeats=args.repeats, beam=args.beam,
-                       time_full_path=not args.encoder_only)
+                       time_full_path=not args.encoder_only, **_given(args, "repeats", "beam"))
     print(rows_to_text([row]), end="")
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -157,11 +146,20 @@ def _parse_modes(text: str) -> list[int]:
     return modes
 
 
+def _count_at_least(low: int, what: str):
+    """An argument type: an integer of at least ``low`` (``--beam``, ``--repeats``)."""
+    def parse(text: str) -> int:
+        if not text.strip().isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"{what} {text!r} is not an integer >= {low}")
+        return int(text)
+    return parse
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     from .bench import rows_to_text, rows_to_tsv, sweep
     rows = sweep(cfg, args.features, args.transcripts, args.blocks, args.modes,
-                 repeats=args.repeats, out_dir=args.out, quiet=args.quiet)
+                 out_dir=args.out, quiet=args.quiet, **_given(args, "repeats"))
     print(rows_to_text(rows), end="")
     if args.out:
         out = Path(args.out)
@@ -173,25 +171,28 @@ def _cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .bench import MIN_REPEATS
+    beam, repeats = _count_at_least(1, "beam"), _count_at_least(MIN_REPEATS, "repeats")
     parser = argparse.ArgumentParser(
         prog="skiprec",
         description="Frame-skipping encoder harness: corpus generation, "
                     "training, evaluation, and benchmarking.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a synthetic corpus")
-    g.add_argument("--vocab", type=int, default=20)
-    g.add_argument("--utterances", type=int, default=200)
-    g.add_argument("--tokens-min", type=int, default=3)
-    g.add_argument("--tokens-max", type=int, default=6)
-    g.add_argument("--frames-min", type=int, default=6)
-    g.add_argument("--frames-max", type=int, default=10)
-    g.add_argument("--gap-min", type=int, default=18)
-    g.add_argument("--gap-max", type=int, default=26)
-    g.add_argument("--feature-dim", type=int, default=16)
-    g.add_argument("--noise", type=float, default=0.1)
-    g.add_argument("--seed", type=int, default=None)
-    g.add_argument("--out", type=Path, default=None)
+    g = sub.add_parser("gen", help="generate a synthetic corpus",
+                       argument_default=argparse.SUPPRESS)   # dests are SynthSpec fields
+    g.add_argument("--vocab", dest="vocab_size", type=int)
+    g.add_argument("--utterances", type=int)
+    g.add_argument("--tokens-min", type=int)
+    g.add_argument("--tokens-max", type=int)
+    g.add_argument("--frames-min", dest="frames_per_token_min", type=int)
+    g.add_argument("--frames-max", dest="frames_per_token_max", type=int)
+    g.add_argument("--gap-min", type=int)
+    g.add_argument("--gap-max", type=int)
+    g.add_argument("--feature-dim", type=int)
+    g.add_argument("--noise", type=float)
+    g.add_argument("--seed", type=int)
+    g.add_argument("--out", type=Path, default=Path("corpus"))
     g.set_defaults(func=_cmd_gen)
 
     t = sub.add_parser("train", help="train a model on a corpus")
@@ -210,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(e, checkpoint=True)
     e.add_argument("--features", type=Path, required=True)
     e.add_argument("--transcripts", type=Path, required=True)
-    e.add_argument("--decode", choices=("greedy", "rescoring"), default="greedy")
-    e.add_argument("--beam", type=int, default=8)
+    e.add_argument("--decode", choices=("greedy", "rescoring"), default=argparse.SUPPRESS)
+    e.add_argument("--beam", type=beam, default=argparse.SUPPRESS)
     e.add_argument("--no-skip", action="store_true",
                    help="route every frame through both encoder stacks")
     e.set_defaults(func=_cmd_eval)
@@ -220,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(b, checkpoint=True)
     b.add_argument("--features", type=Path, required=True)
     b.add_argument("--transcripts", type=Path, required=True)
-    b.add_argument("--repeats", type=int, default=5)
-    b.add_argument("--beam", type=int, default=4)
+    b.add_argument("--repeats", type=repeats, default=argparse.SUPPRESS)
+    b.add_argument("--beam", type=beam, default=argparse.SUPPRESS)
     b.add_argument("--encoder-only", action="store_true",
                    help="skip timing the beam + rescoring path")
     b.add_argument("--dtype", choices=("f64", "f32"), default="f64",
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated E1,E2 depth pairs, e.g. 2,2;1,3")
     s.add_argument("--modes", type=_parse_modes, default="1,2,3,4,5",
                    help="comma-separated split modes, each one of 1-5")
-    s.add_argument("--repeats", type=int, default=3)
+    s.add_argument("--repeats", type=repeats, default=argparse.SUPPRESS)
     s.add_argument("--quiet", action="store_true")
     s.set_defaults(func=_cmd_sweep)
     return parser

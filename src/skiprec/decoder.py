@@ -28,6 +28,8 @@ from .encoder import (AttentionParams, Dropout, EncodedSequence, FeedForwardPara
 from .errors import EmptySequenceError, ParameterError
 from .ctc import check_tokens
 
+CTC_WEIGHT = 0.5
+
 
 @dataclass
 class DecoderBlockParams:
@@ -127,12 +129,11 @@ def aed_loss(enc: EncodedSequence, token_seqs, params: DecoderParams, heads: int
     """Teacher-forced cross-entropy over tokens plus end-of-sequence.
 
     ``token_seqs`` holds one token sequence per utterance packed in ``enc``.
-    Each utterance's loss is its mean per position; the result is their sum,
-    from one packed decoder pass.
+    Each utterance's loss is its mean per position, so an empty sequence
+    scores its end-of-sequence term alone; the result is their sum, from one
+    packed decoder pass.
     """
     token_seqs = [check_tokens(tokens, params.vocab_size) for tokens in token_seqs]
-    if not token_seqs or not all(token_seqs):
-        raise EmptySequenceError("aed_loss requires non-empty token sequences")
     inputs = [[params.sos_id] + tokens for tokens in token_seqs]
     targets = [t for tokens in token_seqs for t in tokens + [params.eos_id]]
     logits = decoder_logits(enc, inputs, params, heads, drop)
@@ -152,8 +153,8 @@ def _log_likelihoods(enc: EncodedSequence, sequences, params: DecoderParams,
 
 
 def rescore(enc: EncodedSequence, hypotheses: list[tuple[tuple[int, ...], float]],
-            params: DecoderParams, heads: int, ctc_weight: float = 0.5) -> tuple[int, list[float]]:
-    """Rank alignment-free hypotheses by decoder likelihood plus weighted CTC score.
+            params: DecoderParams, heads: int) -> tuple[int, list[float]]:
+    """Rank alignment-free hypotheses by decoder likelihood plus ``CTC_WEIGHT`` times CTC score.
 
     All hypotheses are scored in one packed decoder pass. Returns (index of
     the best hypothesis, combined score per hypothesis); ties break toward
@@ -162,6 +163,6 @@ def rescore(enc: EncodedSequence, hypotheses: list[tuple[tuple[int, ...], float]
     if not hypotheses:
         raise EmptySequenceError("rescore requires at least one hypothesis")
     lls = _log_likelihoods(enc, [tokens for tokens, _ in hypotheses], params, heads)
-    scores = [ll + ctc_weight * ctc_score for ll, (_, ctc_score) in zip(lls, hypotheses)]
+    scores = [ll + CTC_WEIGHT * ctc_score for ll, (_, ctc_score) in zip(lls, hypotheses)]
     best = max(range(len(scores)), key=scores.__getitem__)
     return best, scores

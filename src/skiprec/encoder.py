@@ -244,23 +244,22 @@ def run_blocks(seq: EncodedSequence, blocks: list[ConformerBlockParams], heads: 
     return seq
 
 
-_POS_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_POS_CACHE: dict[int, np.ndarray] = {}   # d_model -> the longest table built
 
 
 def positional_table(length: int, d_model: int) -> np.ndarray:
-    """Interleaved sine/cosine absolute position table, (length, d_model)."""
-    key = (length, d_model)
-    cached = _POS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    pos = np.arange(length)[:, None]
-    idx = np.arange(d_model)[None, :]
-    angle = pos / np.power(10000.0, (2 * (idx // 2)) / d_model)
-    table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
-    if len(_POS_CACHE) > 64:
-        _POS_CACHE.clear()
-    _POS_CACHE[key] = table
-    return table
+    """Interleaved sine/cosine absolute position table, (length, d_model).
+
+    One table per width is kept, rebuilt only for a longer length; a shorter
+    one is its first rows, bit-identical to a table built at that length.
+    """
+    table = _POS_CACHE.get(d_model)
+    if table is None or len(table) < length:
+        pos = np.arange(length)[:, None]
+        idx = np.arange(d_model)[None, :]
+        angle = pos / np.power(10000.0, (2 * (idx // 2)) / d_model)
+        table = _POS_CACHE[d_model] = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
+    return table[:length]
 
 
 def packed_positions(lengths, d_model: int) -> np.ndarray:

@@ -132,7 +132,7 @@ def write_features(path, utterances: list[tuple[str, np.ndarray]]) -> None:
         fh.write(b"".join(parts))
 
 
-def read_features(path, dtype=np.float64) -> list[tuple[str, np.ndarray]]:
+def read_features(path) -> list[tuple[str, np.ndarray]]:
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
     magic = rd.take(len(FEATURE_MAGIC), "magic")
@@ -154,7 +154,7 @@ def read_features(path, dtype=np.float64) -> list[tuple[str, np.ndarray]]:
         t_in = rd.u32("frame count")
         feat_dim = rd.u32("feature dim")
         raw = rd.take(4 * t_in * feat_dim, f"frames of {utt_id}")
-        frames = np.frombuffer(raw, dtype="<f4").reshape(t_in, feat_dim).astype(dtype)
+        frames = np.frombuffer(raw, dtype="<f4").reshape(t_in, feat_dim).astype(np.float64)
         out.append((utt_id, frames))
     if rd.off != len(rd.buf):
         raise FormatError(f"trailing bytes after last utterance at byte {rd.off}")

@@ -96,7 +96,6 @@ def cast_params(params: ModelParams, dtype) -> ModelParams:
 
 @dataclass
 class ForwardTrace:
-    utterance_id: str
     input_len: int
     h1: EncodedSequence
     inter_grid: ctc_mod.PosteriorGrid
@@ -231,14 +230,12 @@ def forward_batch(batch: list[FeatureSequence], params: ModelParams, cfg: ModelC
 
 def forward_utterance(feats: FeatureSequence, params: ModelParams, cfg: ModelConfig,
                       loss_cfg: LossConfig, target=None,
-                      force_all_crucial: bool = False,
-                      dropout_rng: np.random.Generator | None = None) -> ForwardTrace:
+                      force_all_crucial: bool = False) -> ForwardTrace:
     """Run the full encoder path for one utterance: ``forward_batch`` on a batch of one."""
     batch = forward_batch([feats], params, cfg, loss_cfg,
                           targets=None if target is None else [target],
-                          force_all_crucial=force_all_crucial, dropout_rng=dropout_rng)
+                          force_all_crucial=force_all_crucial)
     return ForwardTrace(
-        utterance_id=feats.utterance_id,
         input_len=feats.length,
         h1=batch.h1,
         inter_grid=batch.inter_grid,

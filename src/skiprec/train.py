@@ -26,7 +26,7 @@ def learning_rate(step: int, peak: float, warmup: int) -> float:
     return peak * min(step / warmup, (warmup / step) ** 0.5)
 
 
-def load_corpus(features_path, transcripts_path, vocab_size: int | None = None
+def load_corpus(features_path, transcripts_path, vocab_size: int
                 ) -> list[tuple[FeatureSequence, list[int]]]:
     """Pair feature utterances with transcripts by id, in feature-file order."""
     feats = fileio.read_features(features_path)
@@ -36,11 +36,10 @@ def load_corpus(features_path, transcripts_path, vocab_size: int | None = None
         if utt_id not in trans:
             raise ConfigError(f"utterance {utt_id!r} has features but no transcript")
         tokens = trans[utt_id]
-        if vocab_size is not None:
-            for t in tokens:
-                if not (1 <= t < vocab_size):
-                    raise ConfigError(
-                        f"utterance {utt_id!r} token {t} outside vocab of size {vocab_size}")
+        for t in tokens:
+            if not (1 <= t < vocab_size):
+                raise ConfigError(
+                    f"utterance {utt_id!r} token {t} outside vocab of size {vocab_size}")
         corpus.append((FeatureSequence(utterance_id=utt_id, frames=frames), tokens))
     return corpus
 

@@ -134,11 +134,14 @@ class TestTokenValidation:
         with pytest.raises(ContractError):
             dec.aed_loss(enc, [[1, bad]], params, heads=2)
 
-    def test_empty_target_rejected_for_loss(self):
+    def test_empty_target_loss_is_the_end_marker_term_alone(self):
         rng = np.random.default_rng(12)
         params = dec.init_decoder(rng, 8, 2, 1, 5, 2)
-        with pytest.raises(EmptySequenceError):
-            dec.aed_loss(make_enc(rng, 3, 8), [[]], params, heads=2)
+        enc = make_enc(rng, 3, 8)
+        empty_ll, ll = dec._log_likelihoods(enc, [[], [1, 2]], params, heads=2)
+        assert dec.aed_loss(enc, [[]], params, heads=2).data == pytest.approx(-empty_ll, rel=1e-12)
+        packed = dec.aed_loss(enc, [[], [1, 2]], params, heads=2).data
+        assert packed == pytest.approx(-empty_ll - ll / 3, rel=1e-12)
 
 
 class TestRescore:
@@ -154,22 +157,25 @@ class TestRescore:
         params = dec.init_decoder(rng, 8, 2, 1, 5, 2)
         enc = make_enc(rng, 4, 8)
         hyps = [((1, 2), -1.5), ((3,), -0.2), ((), -4.0)]
-        best, scores = dec.rescore(enc, hyps, params, heads=2, ctc_weight=0.5)
+        best, scores = dec.rescore(enc, hyps, params, heads=2)
         for (tokens, ctc_score), got in zip(hyps, scores):
             [ll] = dec._log_likelihoods(enc, [tokens], params, 2)
-            want = ll + 0.5 * ctc_score
+            want = ll + dec.CTC_WEIGHT * ctc_score
             assert got == pytest.approx(want, rel=1e-12)
         assert best == int(np.argmax(scores))
 
     def test_zero_weight_ignores_alignment_scores(self):
+        # Less the CTC share, the scores are the decoder's alone.
         rng = np.random.default_rng(15)
         params = dec.init_decoder(rng, 8, 2, 1, 5, 2)
         enc = make_enc(rng, 4, 8)
         hyps_a = [((1,), -100.0), ((2,), 0.0)]
         hyps_b = [((1,), 0.0), ((2,), -100.0)]
-        _, scores_a = dec.rescore(enc, hyps_a, params, 2, ctc_weight=0.0)
-        _, scores_b = dec.rescore(enc, hyps_b, params, 2, ctc_weight=0.0)
-        assert scores_a == scores_b
+        _, scores_a = dec.rescore(enc, hyps_a, params, 2)
+        _, scores_b = dec.rescore(enc, hyps_b, params, 2)
+        decoder_only = [[s - dec.CTC_WEIGHT * c for s, (_, c) in zip(scores, hyps)]
+                        for scores, hyps in ((scores_a, hyps_a), (scores_b, hyps_b))]
+        assert decoder_only[0] == pytest.approx(decoder_only[1], rel=0.0, abs=1e-12)
 
     def test_permuting_hypotheses_permutes_scores(self):
         rng = np.random.default_rng(16)

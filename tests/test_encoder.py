@@ -154,6 +154,19 @@ class TestPositionalTable:
         b = enc.positional_table(5, 4)
         np.testing.assert_array_equal(a, b)
 
+    def test_shorter_request_reads_the_longer_table_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(enc, "_POS_CACHE", {})
+        fresh = {}
+        for n in (1, 7, 38, 265, 278):
+            enc._POS_CACHE.clear()
+            fresh[n] = enc.positional_table(n, 64).copy()
+        enc._POS_CACHE.clear()
+        enc.positional_table(300, 64)
+        enc.positional_table(300, 8)
+        for n, table in fresh.items():
+            assert np.array_equal(enc.positional_table(n, 64), table)
+        assert sorted((d, len(t)) for d, t in enc._POS_CACHE.items()) == [(8, 300), (64, 300)]
+
 
 class TestDropout:
     def test_dropout_perturbs_and_disabling_restores(self):

@@ -117,7 +117,7 @@ class TestLoadCorpus:
         fileio.write_features(tmp_path / "f.bin", [("a", np.zeros((4, 3)))])
         fileio.write_transcripts(tmp_path / "t.tsv", [("b", [1])])
         with pytest.raises(ConfigError):
-            train_mod.load_corpus(tmp_path / "f.bin", tmp_path / "t.tsv")
+            train_mod.load_corpus(tmp_path / "f.bin", tmp_path / "t.tsv", 6)
 
     def test_out_of_vocab_token_rejected(self, tmp_path):
         fileio.write_features(tmp_path / "f.bin", [("a", np.zeros((4, 3)))])
@@ -152,6 +152,18 @@ class TestTrainRun:
                 m = tensors[name + key]
                 assert m.dtype == np.float64 and m.shape == p.value.data.shape
                 assert not m.any()
+
+    def test_an_empty_transcript_trains(self, tmp_path):
+        # The CTC loss, the fallback test and the decoder all score an empty
+        # target; the decoder's loss is then its end-of-sequence term alone.
+        utts = synth.generate(dataclasses.replace(TINY_SPEC, utterances=2))
+        fp, tp = tmp_path / "f.bin", tmp_path / "t.tsv"
+        fileio.write_features(fp, [(uid, frames) for uid, frames, _ in utts])
+        fileio.write_transcripts(tp, [(utts[0][0], []), (utts[1][0], utts[1][2])])
+        result = train_mod.train_run(TINY_CFG, fp, tp, tmp_path / "run")
+        records = [json.loads(line) for line in result.metrics_path.read_text().splitlines()]
+        assert result.steps == 2   # 2 epochs of one batch
+        assert all(np.isfinite(r["loss_dec_final"]) for r in records)
 
     def test_metrics_log_structure(self, tiny_model):
         _, _, result = tiny_model
@@ -253,7 +265,7 @@ class TestTrainRun:
         cfg = dataclasses.replace(
             TINY_CFG, model=dataclasses.replace(TINY_CFG.model, dropout=0.3))
         params = model_mod.init_model(0, cfg.model)
-        feats, _ = train_mod.load_corpus(fp, tp)[0]
+        feats, _ = train_mod.load_corpus(fp, tp, cfg.model.vocab_size)[0]
         before = model_mod.forward_utterance(feats, params, cfg.model, cfg.loss)
 
         def full_disk(*_args, **_kwargs):
@@ -570,3 +582,89 @@ class TestCli:
         tsv_lines = (out / "sweep.tsv").read_text().strip().split("\n")
         assert len(tsv_lines) == 3
         assert (out / "sweep.txt").exists()
+
+    @staticmethod
+    def command_line(env, command):
+        base, corpus, cfg_path, run_dir = env
+        line = [command, "--config", str(cfg_path),
+                "--features", str(corpus / "features.bin"),
+                "--transcripts", str(corpus / "transcripts.tsv")]
+        return line + (["--checkpoint", str(run_dir / "last.ckpt")]
+                       if command in ("eval", "bench") else [])
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("eval", "--beam", "0"), ("bench", "--beam", "0"), ("bench", "--beam", "-2"),
+        ("bench", "--repeats", str(bench_mod.MIN_REPEATS - 1)), ("sweep", "--repeats", "2"),
+        ("sweep", "--repeats", "three")])
+    def test_a_bad_count_is_rejected_before_anything_runs(self, env, monkeypatch, capsys,
+                                                          command, flag, value):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{command} ran on a rejected {flag}")
+
+        for owner, name in ((ev, "evaluate_corpus"), (bench_mod, "bench_corpus"),
+                            (bench_mod, "sweep"), (train_mod, "load_corpus")):
+            monkeypatch.setattr(owner, name, must_not_run)
+        with pytest.raises(SystemExit):
+            cli.main(self.command_line(env, command) + [flag, value])
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, owner, name, flags, given", [
+        ("eval", ev, "evaluate_corpus", [], {}),
+        ("eval", ev, "evaluate_corpus", ["--decode", "rescoring", "--beam", "1"],
+         {"decode": "rescoring", "beam": 1}),
+        ("bench", bench_mod, "bench_corpus", [], {}),
+        ("bench", bench_mod, "bench_corpus", ["--repeats", "7", "--beam", "2"],
+         {"repeats": 7, "beam": 2}),
+        ("sweep", bench_mod, "sweep", [], {}),
+        ("sweep", bench_mod, "sweep", ["--repeats", "4"], {"repeats": 4}),
+    ])
+    def test_only_the_counts_given_reach_the_library(self, env, monkeypatch, capsys,
+                                                     command, owner, name, flags, given):
+        # An omitted flag leaves the library function's own default in force.
+        returns = {"evaluate_corpus": ev.EvalReport(0.0, 0, 0, 0.0, 0.0, 0.0),
+                   "bench_corpus": bench_mod.BenchRow(
+                       *[0] * len(dataclasses.fields(bench_mod.BenchRow))),
+                   "sweep": []}
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(kwargs)
+            return returns[name]
+
+        monkeypatch.setattr(owner, name, record)
+        assert cli.main(self.command_line(env, command) + flags) == 0
+        capsys.readouterr()
+        [kwargs] = seen
+        assert {k: kwargs[k] for k in ("decode", "beam", "repeats") if k in kwargs} == given
+
+    def test_config_overrides_land_on_their_fields(self, env):
+        line = self.command_line(env, "train")
+        assert cli._load_config(cli.build_parser().parse_args(line)) == TINY_CFG
+        args = cli.build_parser().parse_args(
+            line + ["--split-mode", "3", "--blank-threshold", "0.7", "--seed", "4"])
+        assert cli._load_config(args) == dataclasses.replace(
+            TINY_CFG, loss=dataclasses.replace(TINY_CFG.loss, split_mode=3, blank_threshold=0.7),
+            training=dataclasses.replace(TINY_CFG.training, seed=4))
+
+    def test_gen_without_flags_writes_the_default_spec(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gen"]) == 0
+        capsys.readouterr()
+        want = synth.write_corpus(synth.SynthSpec(), tmp_path / "want")
+        got = (tmp_path / "corpus" / "features.bin", tmp_path / "corpus" / "transcripts.tsv")
+        assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+
+    def test_each_gen_flag_lands_on_its_spec_field(self, tmp_path, monkeypatch, capsys):
+        specs = []
+        monkeypatch.setattr(synth, "write_corpus",
+                            lambda spec, out: specs.append((spec, out)) or (out, out))
+        flags = {"--vocab": 7, "--utterances": 9, "--tokens-min": 2, "--tokens-max": 4,
+                 "--frames-min": 3, "--frames-max": 5, "--gap-min": 11, "--gap-max": 13,
+                 "--feature-dim": 6, "--noise": 0.25, "--seed": 8}
+        line = [text for flag, value in flags.items() for text in (flag, str(value))]
+        assert cli.main(["gen", *line, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert specs == [(synth.SynthSpec(
+            vocab_size=7, utterances=9, tokens_min=2, tokens_max=4,
+            frames_per_token_min=3, frames_per_token_max=5, gap_min=11, gap_max=13,
+            feature_dim=6, noise=0.25, seed=8), tmp_path)]

@@ -101,6 +101,66 @@ def test_every_name_on_the_allow_list_is_a_public_function():
         assert name in public_functions(trees[module]), entry
 
 
+# Defaulted parameters that no call in the package need set, each with its reason.
+NO_SETTER_NEEDED = {
+    "autodiff.tensor(dtype)": "test tool: the float32 tests build float32 inputs",
+    "autodiff.grad_check(h)": "test tool: the finite-difference step",
+    "autodiff.grad_check(scale_floor)": "test tool: the relative-error floor",
+    "cli.main(argv)": "entry point: the console script passes none, the CLI tests a list",
+}
+
+
+def defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, or None when keyword-only, and name) of each parameter with a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            + [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def arguments_passed(call: ast.Call) -> tuple[float, set[str]]:
+    """How many positions and which names a call sets.
+
+    A ``*`` argument may fill every position. A ``**`` argument sets each
+    name that it spells out as a string, as ``**given(args, "beam")`` does.
+    """
+    positions = float("inf") if any(isinstance(a, ast.Starred) for a in call.args) \
+        else len(call.args)
+    names = set()
+    for kw in call.keywords:
+        if kw.arg is not None:
+            names.add(kw.arg)
+        else:
+            names |= {n.value for n in ast.walk(kw.value)
+                      if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return positions, names
+
+
+def test_every_defaulted_parameter_is_set_by_a_call_in_the_package():
+    # A default that no call overrides is a constant in disguise. Public
+    # function names are unique across the package, so a call is matched to
+    # its function by name, whether it reads ``f(...)`` or ``module.f(...)``.
+    trees = modules()
+    calls: dict[str, list[tuple[float, set[str]]]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(arguments_passed(node))
+    unset = set()
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            for position, name in defaulted_parameters(fn):
+                if not any(position is not None and position < passed or name in names
+                           for passed, names in calls.get(fn.name, [])):
+                    unset.add(f"{module}.{fn.name}({name})")
+    assert sorted(unset ^ NO_SETTER_NEEDED.keys()) == []
+
+
 def test_autodiff_calls_no_python_level_numpy_wrapper():
     # Each of these adds a Python-level numpy wrapper to every op call, a fixed
     # cost that a desk-sized op pays on top of its arithmetic; the ops call
