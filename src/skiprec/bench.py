@@ -31,7 +31,7 @@ from .train import load_corpus, train_run
 TIMING_WINDOW = 0.05     # seconds every timed window spans at least
 ALTERNATIONS = 3         # windows of each function per repeat
 MAX_BATCH = 4096
-MIN_REPEATS = 3          # rounds a median needs
+MIN_REPEATS = 3          # fewest timing rounds bench_corpus accepts
 
 
 @dataclass

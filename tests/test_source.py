@@ -110,13 +110,14 @@ NO_SETTER_NEEDED = {
 }
 
 
-def defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
-    """(position, or None when keyword-only, and name) of each parameter with a default."""
+def defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[int | None, str, ast.expr]]:
+    """(position, or None when keyword-only, name, default) of each parameter with a default."""
     args = fn.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
-    return ([(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
-            + [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+    return ([(first + i, arg.arg, default)
+             for i, (arg, default) in enumerate(zip(positional[first:], args.defaults))]
+            + [(None, arg.arg, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                if default is not None])
 
 
@@ -154,7 +155,7 @@ def test_every_defaulted_parameter_is_set_by_a_call_in_the_package():
         for fn in tree.body:
             if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
                 continue
-            for position, name in defaulted_parameters(fn):
+            for position, name, _ in defaulted_parameters(fn):
                 if not any(position is not None and position < passed or name in names
                            for passed, names in calls.get(fn.name, [])):
                     unset.add(f"{module}.{fn.name}({name})")
@@ -208,11 +209,7 @@ def test_no_autodiff_op_reads_missing_lengths_as_one_sequence():
     for node in modules()["autodiff"].body:
         if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
             continue
-        args = node.args
-        positional = args.posonlyargs + args.args
-        pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
-        pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-        found += [f"{node.name}({arg.arg}=None)" for arg, default in pairs
-                  if arg.arg.endswith("lengths") and isinstance(default, ast.Constant)
+        found += [f"{node.name}({name}=None)" for _, name, default in defaulted_parameters(node)
+                  if name.endswith("lengths") and isinstance(default, ast.Constant)
                   and default.value is None]
     assert found == []
