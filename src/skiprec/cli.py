@@ -63,8 +63,7 @@ def _cmd_gen(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     from .train import train_run
-    out = args.out if args.out else Path("run")
-    result = train_run(cfg, args.features, args.transcripts, out,
+    result = train_run(cfg, args.features, args.transcripts, args.out,
                        resume_path=args.resume,
                        dev_features=args.dev_features,
                        dev_transcripts=args.dev_transcripts,
@@ -205,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dev-features", type=Path, default=None)
     t.add_argument("--dev-transcripts", type=Path, default=None)
     t.add_argument("--quiet", action="store_true")
-    t.set_defaults(func=_cmd_train)
+    t.set_defaults(func=_cmd_train, out=Path("run"))
 
     e = sub.add_parser("eval", help="decode a corpus and report error rate")
     _add_shared(e, checkpoint=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NEG_FILL, Parameter, Tensor
-from .encoder import EncodedSequence
+from .encoder import EncodedSequence, _glorot
 from .errors import (ContractError, DimensionError, InfeasibleAlignmentError,
                      ParameterError)
 
@@ -52,9 +52,8 @@ class HeadParams:
 def init_head(rng: np.random.Generator, d_model: int, vocab_size: int) -> HeadParams:
     if vocab_size < 2:
         raise ParameterError(f"vocab must hold blank plus at least one token, got {vocab_size}")
-    lim = np.sqrt(6.0 / (d_model + vocab_size))
     return HeadParams(
-        w=Parameter(rng.uniform(-lim, lim, size=(d_model, vocab_size))),
+        w=Parameter(_glorot(rng, d_model, vocab_size)),
         b=Parameter(np.zeros(vocab_size)),
     )
 

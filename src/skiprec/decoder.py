@@ -23,8 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .encoder import (AttentionParams, Dropout, EncodedSequence, FeedForwardParams,
-                      NormParams, _dropout, _ffn_branch, _init_ffn, _init_norm, _norm,
-                      init_attention, packed_positions)
+                      NormParams, _dropout, _ffn_branch, _glorot, _init_ffn, _init_norm,
+                      _norm, init_attention, packed_positions)
 from .errors import EmptySequenceError, ParameterError
 from .ctc import check_tokens
 
@@ -67,7 +67,6 @@ def init_decoder(rng: np.random.Generator, d_model: int, heads: int, depth: int,
     if vocab_size < 2:
         raise ParameterError(f"vocab must hold blank plus at least one token, got {vocab_size}")
     v_out = vocab_size + 2
-    lim = np.sqrt(6.0 / (v_out + d_model))
     blocks = [
         DecoderBlockParams(
             self_attn=init_attention(rng, d_model),
@@ -77,10 +76,10 @@ def init_decoder(rng: np.random.Generator, d_model: int, heads: int, depth: int,
         for _ in range(depth)
     ]
     return DecoderParams(
-        embed=Parameter(rng.uniform(-lim, lim, size=(v_out, d_model))),
+        embed=Parameter(_glorot(rng, v_out, d_model)),
         blocks=blocks,
         final_norm=_init_norm(d_model),
-        out_w=Parameter(rng.uniform(-lim, lim, size=(d_model, v_out))),
+        out_w=Parameter(_glorot(rng, d_model, v_out)),
         out_b=Parameter(np.zeros(v_out)),
     )
 

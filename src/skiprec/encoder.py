@@ -25,6 +25,7 @@ and frames.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -56,10 +57,13 @@ def _dropout(x: Tensor, drop: Dropout | None) -> Tensor:
 
 @dataclass
 class EncodedSequence:
-    """Encoder frames plus each row's index in its utterance's pre-split frame order.
+    """Frames plus each row's index in its utterance's pre-split frame order.
 
-    ``lengths`` lists the row counts of the utterances packed one after
-    another; built without it, the rows are one utterance: ``(length,)``.
+    The one packed-sequence type from the frontend on: ``lengths`` lists the
+    row counts of the utterances packed one after another; built without
+    it, the rows are one utterance: ``(length,)``. The frontend numbers each
+    utterance's frames from 0; a split keeps each row's number, so recover
+    can merge rows back in time order.
     """
 
     frames: Tensor            # (L, D)
@@ -124,9 +128,10 @@ class ConformerBlockParams:
     out_norm: NormParams
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    lim = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-lim, lim, size=(fan_in, fan_out))
+def _glorot(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Glorot-uniform draws; the fans are the rows and the product of the other axes."""
+    lim = np.sqrt(6.0 / (shape[0] + math.prod(shape[1:])))
+    return rng.uniform(-lim, lim, size=shape)
 
 
 def _init_norm(d: int) -> NormParams:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
+from .encoder import EncodedSequence, _glorot
 from .errors import DimensionError, InputTooShortError
 
 KERNEL = 3
@@ -52,22 +53,6 @@ class FeatureSequence:
     @property
     def feature_dim(self) -> int:
         return self.frames.shape[1]
-
-
-@dataclass
-class SubsampledSequence:
-    """Frames after subsampling.
-
-    Packed utterances lie one after another; ``lengths`` holds their frame
-    counts.
-    """
-
-    frames: Tensor            # (T, D)
-    lengths: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return self.frames.data.shape[0]
 
 
 @dataclass
@@ -99,18 +84,12 @@ def init_frontend(rng: np.random.Generator, feature_dim: int, d_model: int) -> F
     c = d_model
     f2 = reduced_feature_dim(feature_dim)
 
-    def glorot(*shape):
-        fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
-        fan_out = shape[0]
-        lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=shape)
-
     return FrontendParams(
-        conv1_w=Parameter(glorot(c, 1, KERNEL, KERNEL)),
+        conv1_w=Parameter(_glorot(rng, c, 1, KERNEL, KERNEL)),
         conv1_b=Parameter(np.zeros(c)),
-        conv2_w=Parameter(glorot(c, c, KERNEL, KERNEL)),
+        conv2_w=Parameter(_glorot(rng, c, c, KERNEL, KERNEL)),
         conv2_b=Parameter(np.zeros(c)),
-        proj_w=Parameter(glorot(c * f2, d_model)),
+        proj_w=Parameter(_glorot(rng, c * f2, d_model)),
         proj_b=Parameter(np.zeros(d_model)),
     )
 
@@ -124,11 +103,12 @@ def _convolve(x: np.ndarray, params: FrontendParams) -> Tensor:
 
 
 def subsample(feats: FeatureSequence | list[FeatureSequence],
-              params: FrontendParams) -> SubsampledSequence:
+              params: FrontendParams) -> EncodedSequence:
     """(T_in, F) features -> (T, D) frames with T = ((T_in-1)//2 - 1)//2.
 
     A list of utterances runs as one packed batch and comes back packed, its
-    ``lengths`` per utterance. The features are stacked
+    ``lengths`` per utterance and its ``orig_index`` numbering each
+    utterance's frames from 0. The features are stacked
     along time, every utterance but the last zero-padded to a multiple of 4
     frames, so an utterance starts at an input frame s that is a multiple of
     4 and its output frame t, packed row s/4 + t, reads only its own inputs
@@ -181,4 +161,6 @@ def subsample(feats: FeatureSequence | list[FeatureSequence],
         h = ad.gather_rows(h, keep)
     t, c, f2 = h.data.shape
     out = ad.affine(ad.reshape(h, (t, c * f2)), params.proj_w.value, params.proj_b.value)
-    return SubsampledSequence(frames=out, lengths=tuple(lengths))
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return EncodedSequence(frames=out, orig_index=np.arange(out.data.shape[0]) - starts,
+                           lengths=tuple(lengths))

@@ -7,20 +7,23 @@ in original time order for the final head and the decoder losses.
 
 A batch runs packed: ``forward_batch`` subsamples the whole batch in one
 frontend pass into one (sum of lengths, D) matrix and runs every later
-stage once for the whole batch, the split and recover on packed row
-indices, so only crucial frames enter the second stage. ``forward_utterance``
+stage once for the whole batch, so only crucial frames enter the second
+stage. Its ``ForwardTrace`` keeps every per-frame record packed by row:
+the flags, one set of frame groups over packed rows, built once for the
+batch, and the split and recover as one gather each. ``forward_utterance``
 is a batch of one, and a batch of one makes no padding copy.
 
 Fallbacks: an empty crucial group, or (given a target) a merged sequence
 too short to spell it, bypasses the splitter and treats every frame as
-crucial for that utterance (``too_short_for`` is the target rule).
+crucial for that utterance (``too_short_for`` is the target rule). The
+groups are then built once more with that utterance's flags cleared.
 
 The forward and the loss are functions of their arguments: weights,
 features, configs and, in training, the dropout generator. One loss path,
 the sum of a trace's utterances' objectives, has two views: ``total_loss``,
 the training objective on the tape, and ``component_losses``, its terms as
-floats for logging. Either takes a ForwardTrace (a batch of one) or a
-BatchTrace, with one target per utterance.
+floats for logging. Either takes a ForwardTrace and one target per
+utterance.
 """
 
 from __future__ import annotations
@@ -96,6 +99,16 @@ def cast_params(params: ModelParams, dtype) -> ModelParams:
 
 @dataclass
 class ForwardTrace:
+    """A batch's forward, packed: every per-frame record lies by row in batch order.
+
+    ``h1`` and ``inter_grid`` hold each utterance's subsampled frames
+    (``h1.lengths``), ``h2`` and ``final_grid`` its recovered frames
+    (``h2.lengths``). ``flags`` is per ``h1`` row, and ``groups`` indexes
+    ``h1`` rows, so for a batch of one they are the utterance's frame
+    indices. ``input_len`` and the lengths below are batch totals;
+    ``fallbacks`` holds one entry per utterance.
+    """
+
     input_len: int
     h1: EncodedSequence
     inter_grid: ctc_mod.PosteriorGrid
@@ -103,7 +116,11 @@ class ForwardTrace:
     groups: sp_mod.FrameGroups
     h2: EncodedSequence
     final_grid: ctc_mod.PosteriorGrid
-    fallback: bool
+    fallbacks: tuple[bool, ...]
+
+    @property
+    def fallback(self) -> bool:
+        return any(self.fallbacks)
 
     @property
     def subsampled_len(self) -> int:
@@ -120,32 +137,6 @@ class ForwardTrace:
     @property
     def reduction_factor(self) -> float:
         return self.input_len / self.output_len
-
-
-def _all_crucial_groups(n: int) -> sp_mod.FrameGroups:
-    everything = tuple(range(n))
-    return sp_mod.FrameGroups(
-        sets=sp_mod.BoundarySets(non_blank=everything, blank=(),
-                                 left_adjacent=(), right_adjacent=()),
-        crucial=everything, trivial=(), ignoring=())
-
-
-@dataclass
-class BatchTrace:
-    """A packed batch's forward: packed stage outputs and grids, per-utterance splits.
-
-    ``h1`` and ``inter_grid`` hold each utterance's subsampled frames in
-    batch order (``h1.lengths``); ``h2`` and ``final_grid`` its recovered
-    frames (``h2.lengths``). The lists hold one entry per utterance.
-    """
-
-    h1: EncodedSequence
-    inter_grid: ctc_mod.PosteriorGrid
-    flags: list[np.ndarray]
-    groups: list[sp_mod.FrameGroups]
-    h2: EncodedSequence
-    final_grid: ctc_mod.PosteriorGrid
-    fallbacks: list[bool]
 
 
 def recover(crucial: EncodedSequence, trivial: EncodedSequence) -> EncodedSequence:
@@ -182,42 +173,45 @@ def too_short_for(target, kept_frames: int) -> bool:
 
 def forward_batch(batch: list[FeatureSequence], params: ModelParams, cfg: ModelConfig,
                   loss_cfg: LossConfig, targets=None, force_all_crucial: bool = False,
-                  dropout_rng: np.random.Generator | None = None) -> BatchTrace:
+                  dropout_rng: np.random.Generator | None = None) -> ForwardTrace:
     """Run the full encoder path for a batch of utterances, packed.
 
     ``targets`` (one per utterance) enables the length-feasibility fallback
     used in training; ``force_all_crucial`` bypasses the splitter outright
-    (no-skip baseline). With ``dropout_rng`` (training), encoder branch
-    outputs are dropped at rate ``cfg.dropout``; without it the forward is
-    deterministic.
+    (no-skip baseline). An utterance that bypasses it has its flags cleared
+    for the grouping, so all its frames are crucial. With ``dropout_rng``
+    (training), encoder branch outputs are dropped at rate ``cfg.dropout``;
+    without it the forward is deterministic.
     """
     if targets is not None and len(targets) != len(batch):
         raise ContractError(f"{len(targets)} targets for a batch of {len(batch)}")
     sub = fe_mod.subsample(batch, params.frontend)
     lengths = sub.lengths
-    x = EncodedSequence(
-        frames=enc_mod.attach_positions(sub.frames, lengths),
-        orig_index=np.concatenate([np.arange(n, dtype=np.int64) for n in lengths]),
-        lengths=lengths,
-    )
+    x = dataclasses.replace(sub, frames=enc_mod.attach_positions(sub.frames, lengths))
     drop = enc_mod.make_dropout(cfg.dropout, dropout_rng)
     h1 = enc_mod.run_blocks(x, params.e1, cfg.heads, drop)
     inter_grid = ctc_mod.posterior_grid(h1, params.inter_head)
-    flags = np.split(ctc_mod.blank_flags(inter_grid, loss_cfg.blank_threshold),
-                     np.cumsum(lengths)[:-1])
+    flags = ctc_mod.blank_flags(inter_grid, loss_cfg.blank_threshold)
 
-    groups, fallbacks = [], []
-    for n, utt_flags, target in zip(lengths, flags, targets or [None] * len(batch)):
-        g = sp_mod.assign_groups(sp_mod.compute_sets(utt_flags), loss_cfg.split_mode)
-        fallback = not force_all_crucial and (
-            not g.crucial or too_short_for(target, len(g.crucial) + len(g.trivial)))
-        groups.append(_all_crucial_groups(n) if force_all_crucial or fallback else g)
-        fallbacks.append(fallback)
+    def group(row_flags: np.ndarray) -> sp_mod.FrameGroups:
+        return sp_mod.assign_groups(sp_mod.compute_sets(row_flags, lengths),
+                                    loss_cfg.split_mode)
 
-    h1_crucial, h1_trivial = sp_mod.split_frames(h1, *groups)
+    groups = group(flags)
+    utt = np.repeat(np.arange(len(lengths)), lengths)   # each h1 row's utterance
+    crucial = np.bincount(utt[list(groups.crucial)], minlength=len(lengths))
+    kept = crucial + np.bincount(utt[list(groups.trivial)], minlength=len(lengths))
+    fallbacks = tuple(not force_all_crucial and bool(c == 0 or too_short_for(target, k))
+                      for c, k, target in zip(crucial, kept, targets or [None] * len(batch)))
+    bypass = np.asarray(fallbacks) | force_all_crucial
+    if bypass.any():
+        groups = group(flags & ~bypass[utt])
+
+    h1_crucial, h1_trivial = sp_mod.split_frames(h1, groups)
     h2_crucial = enc_mod.run_blocks(h1_crucial, params.e2, cfg.heads, drop)
     h2 = recover(h2_crucial, h1_trivial)
-    return BatchTrace(
+    return ForwardTrace(
+        input_len=sum(f.length for f in batch),
         h1=h1,
         inter_grid=inter_grid,
         flags=flags,
@@ -232,19 +226,9 @@ def forward_utterance(feats: FeatureSequence, params: ModelParams, cfg: ModelCon
                       loss_cfg: LossConfig, target=None,
                       force_all_crucial: bool = False) -> ForwardTrace:
     """Run the full encoder path for one utterance: ``forward_batch`` on a batch of one."""
-    batch = forward_batch([feats], params, cfg, loss_cfg,
-                          targets=None if target is None else [target],
-                          force_all_crucial=force_all_crucial)
-    return ForwardTrace(
-        input_len=feats.length,
-        h1=batch.h1,
-        inter_grid=batch.inter_grid,
-        flags=batch.flags[0],
-        groups=batch.groups[0],
-        h2=batch.h2,
-        final_grid=batch.final_grid,
-        fallback=batch.fallbacks[0],
-    )
+    return forward_batch([feats], params, cfg, loss_cfg,
+                         targets=None if target is None else [target],
+                         force_all_crucial=force_all_crucial)
 
 
 def _loss_and_terms(trace, token_seqs, params: ModelParams, cfg: ModelConfig,
@@ -252,8 +236,7 @@ def _loss_and_terms(trace, token_seqs, params: ModelParams, cfg: ModelConfig,
                     ) -> tuple[Tensor, dict[str, float]]:
     """The summed objective of the utterances of ``trace`` and its terms.
 
-    ``trace`` is a ForwardTrace or BatchTrace; ``token_seqs`` holds one
-    target per utterance, in trace order.
+    ``token_seqs`` holds one target per utterance, in trace order.
     """
     if len(token_seqs) != len(trace.h1.lengths):
         raise ContractError(f"{len(token_seqs)} targets for a trace of "
@@ -281,7 +264,7 @@ def _loss_and_terms(trace, token_seqs, params: ModelParams, cfg: ModelConfig,
     return loss, terms
 
 
-def total_loss(trace: ForwardTrace | BatchTrace, token_seqs, params: ModelParams,
+def total_loss(trace: ForwardTrace, token_seqs, params: ModelParams,
                cfg: ModelConfig, loss_cfg: LossConfig,
                dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Joint objective, summed over the trace's utterances, on one tape.
@@ -289,7 +272,7 @@ def total_loss(trace: ForwardTrace | BatchTrace, token_seqs, params: ModelParams
     ctc_weight * (alignment pair) + (1 - ctc_weight) * (decoder pair), each
     pair mixed by inter_weight / final_weight. A pair with zero weight is
     never evaluated and receives no gradient. ``token_seqs`` holds one
-    target per utterance: ``[tokens]`` for a ForwardTrace. Each CTC loss is
+    target per utterance: ``[tokens]`` for a batch of one. Each CTC loss is
     one lattice op over its packed grid, and each decoder pair one packed
     pass over the utterances' own encoder frames. With ``dropout_rng``
     (training), the decoder's feed-forward outputs are dropped at rate
@@ -299,7 +282,7 @@ def total_loss(trace: ForwardTrace | BatchTrace, token_seqs, params: ModelParams
     return _loss_and_terms(trace, token_seqs, params, cfg, loss_cfg, drop)[0]
 
 
-def component_losses(trace: ForwardTrace | BatchTrace, token_seqs, params: ModelParams,
+def component_losses(trace: ForwardTrace, token_seqs, params: ModelParams,
                      cfg: ModelConfig, loss_cfg: LossConfig) -> dict[str, float]:
     """The terms of ``total_loss``, without dropout, as floats for logging.
 

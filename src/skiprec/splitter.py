@@ -7,6 +7,11 @@ dropped. The five grouping modes differ in how blank frames adjacent to
 non-blank runs are treated; "adjacent" means the nearest blank on each side
 of every non-blank frame, with edges contributing nothing when no blank
 exists on that side. All index containers are ascending tuples.
+
+A batch is grouped packed: its flags lie one utterance after another, an
+index is a packed row, and no adjacency crosses an utterance boundary, so
+one pass groups the whole batch and each utterance's slice of the groups,
+shifted to its first row, is what its flags alone give.
 """
 
 from __future__ import annotations
@@ -47,34 +52,29 @@ class FrameGroups:
     ignoring: tuple[int, ...]
 
 
-def compute_sets(flags) -> BoundarySets:
-    """Derive the four index sets from per-frame blank flags."""
+def compute_sets(flags, lengths=None) -> BoundarySets:
+    """Derive the four index sets from per-frame blank flags.
+
+    ``lengths`` splits packed flags into utterances, one after another; no
+    set reaches across an utterance boundary. The nearest blank left of a
+    non-blank frame is the blank just before a run of non-blank frames, so
+    the left-adjacent blanks are those followed by a non-blank frame and the
+    right-adjacent ones those preceded by one.
+    """
     flags = np.asarray(flags, dtype=bool)
     n = flags.shape[0]
-    non_blank = tuple(int(i) for i in np.flatnonzero(~flags))
-    blank = tuple(int(i) for i in np.flatnonzero(flags))
-
-    # prev_blank[i] / next_blank[i]: nearest blank strictly before / after i.
-    prev_blank = np.full(n, -1, dtype=np.int64)
-    last = -1
-    for i in range(n):
-        prev_blank[i] = last
-        if flags[i]:
-            last = i
-    next_blank = np.full(n, -1, dtype=np.int64)
-    nxt = -1
-    for i in range(n - 1, -1, -1):
-        next_blank[i] = nxt
-        if flags[i]:
-            nxt = i
-
-    left = {int(prev_blank[c]) for c in non_blank if prev_blank[c] >= 0}
-    right = {int(next_blank[c]) for c in non_blank if next_blank[c] >= 0}
+    same = np.ones(max(n - 1, 0), dtype=bool)   # frames i and i + 1 share an utterance
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.sum() != n or np.any(lengths <= 0):
+            raise ContractError(f"lengths {tuple(lengths.tolist())} do not split {n} flags")
+        same[np.cumsum(lengths)[:-1] - 1] = False
+    step = same & (flags[:-1] != flags[1:])
     return BoundarySets(
-        non_blank=non_blank,
-        blank=blank,
-        left_adjacent=tuple(sorted(left)),
-        right_adjacent=tuple(sorted(right)),
+        non_blank=tuple(np.flatnonzero(~flags).tolist()),
+        blank=tuple(np.flatnonzero(flags).tolist()),
+        left_adjacent=tuple(np.flatnonzero(step & flags[:-1]).tolist()),
+        right_adjacent=tuple((np.flatnonzero(step & flags[1:]) + 1).tolist()),
     )
 
 
@@ -106,33 +106,26 @@ def assign_groups(sets: BoundarySets, mode: SplitMode | int) -> FrameGroups:
     )
 
 
-def split_frames(seq: EncodedSequence, *groups: FrameGroups
+def split_frames(seq: EncodedSequence, groups: FrameGroups
                  ) -> tuple[EncodedSequence, EncodedSequence]:
     """Gather crucial and trivial rows into two sequences; ignoring rows drop out.
 
-    ``groups`` holds one FrameGroups per utterance packed in ``seq``, with
-    indices local to that utterance. Each output packs the utterances'
-    rows in the same order, as one gather each.
+    ``groups`` indexes the rows of ``seq``, which may pack several
+    utterances. Each output packs the gathered rows in the same order, as
+    one gather each, and its lengths count the rows of each utterance.
     """
-    lengths = seq.lengths
-    if len(groups) != len(lengths):
-        raise ContractError(f"{len(groups)} frame groups for {len(lengths)} packed sequences")
-    starts = np.cumsum(lengths) - np.asarray(lengths)
-    picked = {"crucial": [], "trivial": []}
-    for start, n, g in zip(starts, lengths, groups):
-        for name, rows in picked.items():
-            idx = np.asarray(getattr(g, name), dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                bad = idx.min() if idx.min() < 0 else idx.max()
-                raise ContractError(f"group index {int(bad)} outside sequence of length {n}")
-            rows.append(start + idx)
+    rows = [np.asarray(g, dtype=np.int64) for g in (groups.crucial, groups.trivial)]
+    for idx in rows:
+        if idx.size and (idx.min() < 0 or idx.max() >= seq.length):
+            bad = idx.min() if idx.min() < 0 else idx.max()
+            raise ContractError(f"group index {int(bad)} outside sequence of length {seq.length}")
+    utt = np.repeat(np.arange(len(seq.lengths)), seq.lengths)
 
-    def gather(rows: list[np.ndarray]) -> EncodedSequence:
-        idx = np.concatenate(rows)
+    def gather(idx: np.ndarray) -> EncodedSequence:
         return EncodedSequence(
             frames=ad.gather_rows(seq.frames, idx),
             orig_index=seq.orig_index[idx],
-            lengths=tuple(r.size for r in rows),
+            lengths=tuple(np.bincount(utt[idx], minlength=len(seq.lengths)).tolist()),
         )
 
-    return gather(picked["crucial"]), gather(picked["trivial"])
+    return gather(rows[0]), gather(rows[1])

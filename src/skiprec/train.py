@@ -71,6 +71,8 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
     this call trains.
     """
     validate_run_config(cfg)
+    if (dev_features is None) != (dev_transcripts is None):
+        raise ConfigError("a dev set needs both its features and its transcripts")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = load_corpus(features_path, transcripts_path, cfg.model.vocab_size)

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ class TestTrainRun:
         records = [json.loads(line) for line in result.metrics_path.read_text().splitlines()]
         assert result.steps == 2   # 2 epochs of one batch
         assert all(np.isfinite(r["loss_dec_final"]) for r in records)
+
+    @pytest.mark.parametrize("half", ["dev_features", "dev_transcripts"])
+    def test_a_dev_set_without_its_other_half_is_rejected_before_any_read(
+            self, tiny_corpus, tmp_path, monkeypatch, half):
+        fp, tp = tiny_corpus
+
+        def no_read(*_):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(fileio, "read_features", no_read)
+        monkeypatch.setattr(fileio, "read_transcripts", no_read)
+        given = {"dev_features": fp, "dev_transcripts": tp}
+        with pytest.raises(ConfigError, match="both its features and its transcripts"):
+            train_mod.train_run(TINY_CFG, fp, tp, tmp_path / "run", **{half: given[half]})
+        assert not (tmp_path / "run").exists()
 
     def test_metrics_log_structure(self, tiny_model):
         _, _, result = tiny_model
@@ -636,6 +652,20 @@ class TestCli:
         capsys.readouterr()
         [kwargs] = seen
         assert {k: kwargs[k] for k in ("decode", "beam", "repeats") if k in kwargs} == given
+
+    def test_train_out_defaults_to_run_in_the_parser(self, env, monkeypatch, capsys):
+        seen = []
+
+        def fake_train_run(cfg, features, transcripts, out_dir, **_):
+            seen.append(out_dir)
+            return SimpleNamespace(steps=0, best_error_rate=0.0, best_checkpoint=None)
+
+        monkeypatch.setattr(train_mod, "train_run", fake_train_run)
+        line = self.command_line(env, "train")
+        assert cli.build_parser().parse_args(line).out == Path("run")
+        assert cli.main(line) == 0
+        assert seen == [Path("run")]
+        capsys.readouterr()
 
     def test_config_overrides_land_on_their_fields(self, env):
         line = self.command_line(env, "train")

@@ -11,6 +11,7 @@ from skiprec import autodiff as ad
 from skiprec import encoder as enc_mod
 from skiprec import frontend as fe_mod
 from skiprec import model as model_mod
+from skiprec import splitter
 from skiprec.config import LossConfig, ModelConfig
 from skiprec.encoder import EncodedSequence
 from skiprec.errors import ConfigError, ContractError, InfeasibleAlignmentError
@@ -543,8 +544,8 @@ def ragged_batch_case():
         beta = float(blank[1].min()) * (1.0 - 1e-9)
         loss_cfg = LossConfig(blank_threshold=beta, split_mode=2)
         trace = model_mod.forward_batch(feats, params, TOY, loss_cfg)
-        kept = [len(g.crucial) + len(g.trivial) for g in trace.groups]
-        if trace.fallbacks != [False, True] + [False] * 4:
+        kept = trace.h2.lengths
+        if trace.fallbacks != (False, True) + (False,) * 4:
             continue
         if not all(0 < k < t for k, t in zip(kept[2:], trace.h1.lengths[2:])):
             continue
@@ -553,6 +554,22 @@ def ragged_batch_case():
                     for i in range(3, len(lengths))]
         return params, feats, loss_cfg, targets
     pytest.fail("no seed gave the wanted splits")
+
+
+def utterance_groups(trace, i):
+    """Utterance ``i``'s slice of a packed trace's groups, in its own frame indices."""
+    start = sum(trace.h1.lengths[:i])
+    stop = start + trace.h1.lengths[i]
+
+    def local(rows):
+        return tuple(r - start for r in rows if start <= r < stop)
+
+    g, s = trace.groups, trace.groups.sets
+    return splitter.FrameGroups(
+        sets=splitter.BoundarySets(non_blank=local(s.non_blank), blank=local(s.blank),
+                                   left_adjacent=local(s.left_adjacent),
+                                   right_adjacent=local(s.right_adjacent)),
+        crucial=local(g.crucial), trivial=local(g.trivial), ignoring=local(g.ignoring))
 
 
 def assert_packed_matches_per_utterance(params, feats, loss_cfg, targets):
@@ -575,8 +592,8 @@ def assert_packed_matches_per_utterance(params, feats, loss_cfg, targets):
             tp.backward(one)
         want += float(one.data)
         assert trace.fallback == batch.fallbacks[i]
-        assert trace.groups == batch.groups[i]
-        np.testing.assert_array_equal(trace.flags, batch.flags[i])
+        assert trace.groups == utterance_groups(batch, i)
+        np.testing.assert_array_equal(trace.flags, batch.flags[rows1[i]])
         np.testing.assert_array_equal(trace.h2.orig_index, batch.h2.orig_index[rows2[i]])
         for have, ref, rows in ((batch.inter_grid, trace.inter_grid, rows1[i]),
                                 (batch.final_grid, trace.final_grid, rows2[i])):
@@ -596,8 +613,8 @@ class TestPackedBatch:
     def test_every_split_path_matches_per_utterance_runs(self):
         params, feats, loss_cfg, targets = ragged_batch_case()
         batch = assert_packed_matches_per_utterance(params, feats, loss_cfg, targets)
-        assert batch.fallbacks == [False, True, True, False, False, False]
-        assert batch.h1.lengths[0] == 1 and batch.flags[1].all()
+        assert batch.fallbacks == (False, True, True, False, False, False)
+        assert batch.h1.lengths[0] == 1 and batch.flags[1:1 + batch.h1.lengths[1]].all()
 
     def test_targets_must_match_the_batch(self):
         params, feats, loss_cfg, targets = ragged_batch_case()
@@ -606,6 +623,32 @@ class TestPackedBatch:
         batch = model_mod.forward_batch(feats, params, TOY, loss_cfg, targets=targets)
         with pytest.raises(ContractError):
             model_mod.total_loss(batch, targets[:1], params, TOY, loss_cfg)
+
+    def test_groups_are_built_once_per_batch_and_once_more_for_a_bypass(self, monkeypatch):
+        params, feats, loss_cfg, targets = ragged_batch_case()
+        calls = []
+        compute_sets = splitter.compute_sets
+
+        def counting(flags, lengths=None):
+            calls.append(lengths)
+            return compute_sets(flags, lengths)
+
+        monkeypatch.setattr(splitter, "compute_sets", counting)
+        model_mod.forward_batch(feats[2:], params, TOY, loss_cfg)
+        assert calls == [tuple(model_mod.fe_mod.subsampled_length(f.length) for f in feats[2:])]
+        model_mod.forward_batch(feats, params, TOY, loss_cfg, targets=targets)
+        assert len(calls) == 3 and calls[1] == calls[2]
+
+    def test_force_all_crucial_makes_every_row_crucial(self):
+        params, feats, loss_cfg, targets = ragged_batch_case()
+        trace = model_mod.forward_batch(feats, params, TOY, loss_cfg, targets=targets,
+                                        force_all_crucial=True)
+        assert trace.fallbacks == (False,) * len(feats)
+        assert trace.groups.crucial == tuple(range(trace.h1.length))
+        assert trace.groups.trivial == trace.groups.ignoring == ()
+        assert trace.h2.lengths == trace.h1.lengths
+        np.testing.assert_array_equal(trace.h2.orig_index, trace.h1.orig_index)
+        assert trace.flags[trace.h1.lengths[0]:][:trace.h1.lengths[1]].all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_ragged_batches_match_per_utterance_runs(self, seed):

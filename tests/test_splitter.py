@@ -153,6 +153,36 @@ class TestPartitionProperties:
             assert c[2] <= c[4] <= c[5]
 
 
+class TestPackedSets:
+    """Packed flags give each utterance's own sets, shifted to its first row."""
+
+    @staticmethod
+    def shifted(flags, lengths):
+        starts = np.cumsum(lengths) - np.asarray(lengths)
+        pieces = [splitter.compute_sets(flags[s:s + n]) for s, n in zip(starts, lengths)]
+        return splitter.BoundarySets(*(
+            tuple(int(s) + i for s, p in zip(starts, pieces) for i in getattr(p, name))
+            for name in ("non_blank", "blank", "left_adjacent", "right_adjacent")))
+
+    def test_random_ragged_batches_match_per_utterance_sets(self):
+        rng = np.random.default_rng(11)
+        crossings = set()   # (last flag of an utterance, first flag of the next)
+        for _ in range(300):
+            lengths = tuple(int(n) for n in rng.integers(1, 9, size=int(rng.integers(1, 6))))
+            flags = rng.random(sum(lengths)) < 0.5
+            assert splitter.compute_sets(flags, lengths) == self.shifted(flags, lengths)
+            ends = np.cumsum(lengths)[:-1]
+            crossings |= set(zip(flags[ends - 1].tolist(), flags[ends].tolist()))
+        # A blank ending one utterance before a non-blank starting the next,
+        # and the reverse, both of which an unsplit scan would call adjacent.
+        assert {(True, False), (False, True)} <= crossings
+
+    @pytest.mark.parametrize("lengths", [(3, 3), (2, 1), (3, 0, 2), (6, -1), ()])
+    def test_lengths_that_do_not_split_the_flags_are_rejected(self, lengths):
+        with pytest.raises(ContractError):
+            splitter.compute_sets([True, False, True, False, True], lengths)
+
+
 class TestSplitFrames:
     def _seq(self, n, d=4, seed=0):
         rng = np.random.default_rng(seed)
@@ -193,20 +223,21 @@ class TestSplitFrames:
         seq = EncodedSequence(frames=ad.tensor(rng.normal(size=(sum(lengths), 4))),
                               orig_index=np.concatenate([np.arange(n) for n in lengths]),
                               lengths=lengths)
-        groups = [splitter.assign_groups(splitter.compute_sets(f), SplitMode.CARRY_RIGHT)
-                  for f in flags]
+        groups = splitter.assign_groups(splitter.compute_sets(np.concatenate(flags), lengths),
+                                        SplitMode.CARRY_RIGHT)
         with ad.tape() as tp:
-            crucial, trivial = splitter.split_frames(seq, *groups)
+            crucial, trivial = splitter.split_frames(seq, groups)
             assert len(tp) == 2
         starts = np.cumsum(lengths) - np.asarray(lengths)
         for out, name in ((crucial, "crucial"), (trivial, "trivial")):
-            local = [np.asarray(getattr(g, name), dtype=np.int64) for g in groups]
-            assert out.lengths == tuple(idx.size for idx in local)
+            local = [np.asarray(getattr(splitter.assign_groups(splitter.compute_sets(f),
+                                                               SplitMode.CARRY_RIGHT), name),
+                                dtype=np.int64) for f in flags]
             rows = np.concatenate([s + idx for s, idx in zip(starts, local)])
+            assert getattr(groups, name) == tuple(rows.tolist())
+            assert out.lengths == tuple(idx.size for idx in local)
             assert np.array_equal(out.frames.data, seq.frames.data[rows])
             assert np.array_equal(out.orig_index, np.concatenate(local))
-        with pytest.raises(ContractError):
-            splitter.split_frames(seq, *groups[:2])
 
     def test_out_of_range_rejected(self):
         seq = self._seq(3)
