@@ -105,8 +105,9 @@ class ForwardTrace:
     (``h1.lengths``), ``h2`` and ``final_grid`` its recovered frames
     (``h2.lengths``). ``flags`` is per ``h1`` row, and ``groups`` indexes
     ``h1`` rows, so for a batch of one they are the utterance's frame
-    indices. ``input_len`` and the lengths below are batch totals;
-    ``fallbacks`` holds one entry per utterance.
+    indices. ``input_len``, ``subsampled_len``, ``crucial_len`` and
+    ``output_len`` are batch totals; ``fallbacks`` holds one entry per
+    utterance.
     """
 
     input_len: int

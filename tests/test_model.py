@@ -635,7 +635,7 @@ class TestPackedBatch:
 
         monkeypatch.setattr(splitter, "compute_sets", counting)
         model_mod.forward_batch(feats[2:], params, TOY, loss_cfg)
-        assert calls == [tuple(model_mod.fe_mod.subsampled_length(f.length) for f in feats[2:])]
+        assert calls == [tuple(fe_mod.subsampled_length(f.length) for f in feats[2:])]
         model_mod.forward_batch(feats, params, TOY, loss_cfg, targets=targets)
         assert len(calls) == 3 and calls[1] == calls[2]
 
@@ -648,7 +648,9 @@ class TestPackedBatch:
         assert trace.groups.trivial == trace.groups.ignoring == ()
         assert trace.h2.lengths == trace.h1.lengths
         np.testing.assert_array_equal(trace.h2.orig_index, trace.h1.orig_index)
-        assert trace.flags[trace.h1.lengths[0]:][:trace.h1.lengths[1]].all()
+        # The trace keeps the flags as the head set them: utterance 1 is all blank.
+        start = trace.h1.lengths[0]
+        assert trace.flags[start:start + trace.h1.lengths[1]].all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_ragged_batches_match_per_utterance_runs(self, seed):
