@@ -7,22 +7,24 @@ reverse execution order, which is a valid topological order by
 construction, and calls a closure only when a gradient reached its output;
 an op that got none is skipped but still counted in ``len(tape)``.
 
-The op set is what the model needs: add and constant add/multiply, reshape
-and permute, gather/concat by row index, affine, strided 2-D convolution
-(channels last, one im2col GEMM), depthwise 1-D convolution, attention,
-log-softmax, layer norm (with the fixed variance floor ``LAYER_NORM_EPS``),
-swish, GLU, cross-entropy, and the CTC lattice's negative log-likelihood as
-one op. ``tensor``, ``mul``, ``sum_all`` and ``grad_check`` serve the tests;
-the model calls every other op. Nothing more general is provided on purpose.
+The op set is what the model needs: add and multiply, reshape and permute,
+gather/concat by row index, affine, strided 2-D convolution (channels last,
+one im2col GEMM), depthwise 1-D convolution, attention, log-softmax, layer
+norm (with the fixed variance floor ``LAYER_NORM_EPS``), swish, GLU,
+cross-entropy, and the CTC lattice's negative log-likelihood as one op.
+``tensor``, ``sum_all`` and ``grad_check`` serve the tests; the model calls
+every other op. Nothing more general is provided on purpose.
 
 Several sequences can run as one: their rows are packed one after another,
 and the ops that mix rows (attention, the depthwise conv, the cross-entropy
 mean, the CTC lattice) require the sequence lengths; one sequence is the
 lengths ``(rows,)``. A single sequence takes no padding copy.
 
-Ops keep the dtype of their operands: scalar constants are Python floats,
-so float32 inputs stay float32. Attention runs as head-batched matmuls and
-the logistic function as ``0.5 * (1 + tanh(x / 2))``, both branch-free.
+A plain-array or scalar operand is a constant with no gradient: the second
+operand of ``add`` and ``mul`` (of the first's shape, or 0-d) and the input
+of ``conv2d_s2``. Nothing broadcasts. Ops keep their operands' dtype, and
+scalar constants are Python floats, so float32 stays float32. Attention runs
+as head-batched matmuls and the logistic as ``0.5 * (1 + tanh(x / 2))``.
 
 Log-space code uses the finite stand-in ``NEG_FILL`` instead of ``-inf`` so
 that the "all values finite" invariant can be checked after every op. The
@@ -151,16 +153,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    while g.ndim > len(shape):
-        g = np.add.reduce(g, axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = np.add.reduce(g, axis=ax, keepdims=True)
-    return g
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function as 0.5 * (1 + tanh(x / 2)).
 
@@ -222,54 +214,40 @@ def _from_padded(a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
 # elementwise and structural ops
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; broadcasting limited to numpy-compatible shapes."""
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise DimensionError(f"add {a.data.shape} + {b.data.shape}")
-    out = _make(data, "add")
+def _operand(a: Tensor, b, op: str) -> np.ndarray:
+    """``b``'s array in ``a <op> b``, under the operand rule of the module docstring."""
+    if isinstance(b, Tensor):
+        if b.data.shape == a.data.shape:
+            return b.data
+        raise DimensionError(f"{op} {a.data.shape} with tensor {b.data.shape}")
+    if np.shape(b) not in (a.data.shape, ()):
+        raise DimensionError(f"{op} {a.data.shape} with constant {np.shape(b)}")
+    return b
+
+
+def add(a: Tensor, b) -> Tensor:
+    """Elementwise a + b; a constant ``b`` gets no gradient."""
+    bd = _operand(a, b, "add")
+    out = _make(a.data + bd, "add")
 
     def bwd(g):
-        _accum(a, _reduce_to(g, a.data.shape))
-        _accum(b, _reduce_to(g, b.data.shape))
+        _accum(a, g)
+        if isinstance(b, Tensor):
+            _accum(b, g)
 
     _record(out, bwd)
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise DimensionError(f"mul {a.data.shape} * {b.data.shape}")
-    out = _make(data, "mul")
+def mul(a: Tensor, b) -> Tensor:
+    """Elementwise a * b; a constant ``b`` gets no gradient."""
+    bd = _operand(a, b, "mul")
+    out = _make(a.data * bd, "mul")
 
     def bwd(g):
-        _accum(a, _reduce_to(g * b.data, a.data.shape))
-        _accum(b, _reduce_to(g * a.data, b.data.shape))
-
-    _record(out, bwd)
-    return out
-
-
-def add_const(x: Tensor, c) -> Tensor:
-    """Add a constant array or scalar; no gradient flows to the constant."""
-    out = _make(x.data + c, "add_const")
-
-    def bwd(g):
-        _accum(x, _reduce_to(g, x.data.shape))
-
-    _record(out, bwd)
-    return out
-
-
-def mul_const(x: Tensor, c) -> Tensor:
-    """Multiply by a constant array or scalar (dropout masks, fixed gates)."""
-    out = _make(x.data * c, "mul_const")
-
-    def bwd(g):
-        _accum(x, _reduce_to(g * c, x.data.shape))
+        _accum(a, g * bd)
+        if isinstance(b, Tensor):
+            _accum(b, g * a.data)
 
     _record(out, bwd)
     return out
@@ -642,8 +620,8 @@ def conv2d_s2(x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     input gradient with one GEMM each, and adds the input gradient back with
     one strided slice-add per kernel position over whole channel rows.
 
-    ``x`` may be a plain array, a constant like ``add_const``'s ``c``: it
-    gets no gradient, and the backward skips the input-gradient GEMM.
+    ``x`` may be a plain array, a constant like a plain operand of ``add``:
+    it gets no gradient, and the backward skips the input-gradient GEMM.
     """
     xd = x.data if isinstance(x, Tensor) else np.asarray(x)
     h, wd, ci = xd.shape

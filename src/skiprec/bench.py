@@ -186,7 +186,7 @@ def sweep(base_cfg: RunConfig, features_path, transcripts_path,
     pair trains in ``out_dir/m{M}n{N}``, or under a temporary directory that is
     removed on return when ``out_dir`` is None.
     """
-    corpus = load_corpus(features_path, transcripts_path, base_cfg.model.vocab_size)
+    corpus = load_corpus(features_path, transcripts_path, base_cfg.model)
     rows: list[BenchRow] = []
     with nullcontext(out_dir) if out_dir is not None else TemporaryDirectory() as root:
         for m, n in block_pairs:

@@ -78,7 +78,7 @@ def _cmd_eval(args) -> int:
     params = _load_model(args, cfg)
     from .evaluate import evaluate_corpus
     from .train import load_corpus
-    corpus = load_corpus(args.features, args.transcripts, cfg.model.vocab_size)
+    corpus = load_corpus(args.features, args.transcripts, cfg.model)
     report = evaluate_corpus(params, cfg.model, cfg.loss, corpus,
                              force_all_crucial=args.no_skip, **_given(args, "decode", "beam"))
     summary = {
@@ -106,7 +106,7 @@ def _cmd_bench(args) -> int:
     from .bench import bench_corpus, rows_to_text, rows_to_tsv
     from .frontend import FeatureSequence
     from .train import load_corpus
-    corpus = load_corpus(args.features, args.transcripts, cfg.model.vocab_size)
+    corpus = load_corpus(args.features, args.transcripts, cfg.model)
     if args.dtype == "f32":
         # With both parameters and features in float32 every op stays float32.
         import numpy as np

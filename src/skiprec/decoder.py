@@ -114,7 +114,7 @@ def decoder_logits(enc: EncodedSequence, inputs: list[list[int]], params: Decode
     lengths = [len(seq) for seq in inputs]
     d = params.embed.value.data.shape[1]
     x = ad.gather_rows(params.embed.value, [t for seq in inputs for t in seq])
-    x = ad.add_const(x, packed_positions(lengths, d).astype(x.data.dtype))
+    x = ad.add(x, packed_positions(lengths, d).astype(x.data.dtype))
     for block in params.blocks:
         x = ad.add(x, _attention(x, block.self_attn, heads, lengths))
         x = ad.add(x, _attention(x, block.cross_attn, heads, lengths, enc))

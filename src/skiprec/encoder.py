@@ -47,7 +47,7 @@ def make_dropout(rate: float, rng: np.random.Generator | None) -> Dropout | None
         return None
 
     def drop(x: Tensor) -> Tensor:
-        return ad.mul_const(x, (rng.random(x.data.shape) >= rate) / (1.0 - rate))
+        return ad.mul(x, (rng.random(x.data.shape) >= rate) / (1.0 - rate))
     return drop
 
 
@@ -233,11 +233,11 @@ def conformer_block(seq: EncodedSequence, p: ConformerBlockParams, heads: int,
     if seq.length == 0 or 0 in seq.lengths:
         raise EmptySequenceError("conformer block requires at least one frame per sequence")
     x = seq.frames
-    x = ad.add(x, ad.mul_const(_dropout(_ffn_branch(x, p.ffn1), drop), 0.5))
+    x = ad.add(x, ad.mul(_dropout(_ffn_branch(x, p.ffn1), drop), 0.5))
     branch, _ = self_attention_branch(x, p.attn, heads, seq.lengths)
     x = ad.add(x, _dropout(branch, drop))
     x = ad.add(x, _dropout(_conv_branch(x, p.conv, seq.lengths), drop))
-    x = ad.add(x, ad.mul_const(_dropout(_ffn_branch(x, p.ffn2), drop), 0.5))
+    x = ad.add(x, ad.mul(_dropout(_ffn_branch(x, p.ffn2), drop), 0.5))
     x = ad.add(x, _norm(x, p.out_norm))
     return EncodedSequence(frames=x, orig_index=seq.orig_index, lengths=seq.lengths)
 
@@ -284,4 +284,4 @@ def attach_positions(frames: Tensor, lengths=None) -> Tensor:
     """
     n, d = frames.data.shape
     positions = packed_positions((n,) if lengths is None else lengths, d)
-    return ad.add_const(frames, positions.astype(frames.data.dtype))
+    return ad.add(frames, positions.astype(frames.data.dtype))

@@ -11,6 +11,11 @@ Feature container layout:
     float32 values row-major.
 
 Transcripts are text lines: utterance id, a tab, space-separated token ids.
+
+Before anything is written, the writers reject two things the readers
+reject: a non-finite feature value (checked after the cast to float32) and
+a transcript id holding a tab, LF or CR raise ``FormatError`` naming the
+utterance. Repeated ids are not checked on write.
 """
 
 from __future__ import annotations
@@ -120,9 +125,12 @@ def write_features(path, utterances: list[tuple[str, np.ndarray]]) -> None:
     """Write (utterance id, (T_in, F) frames) pairs; values stored as float32."""
     parts = [FEATURE_MAGIC, struct.pack("<II", FORMAT_VERSION, len(utterances))]
     for utt_id, frames in utterances:
-        frames = np.ascontiguousarray(frames, dtype="<f4")
+        with np.errstate(over="ignore"):   # an overflow to inf is reported below
+            frames = np.ascontiguousarray(frames, dtype="<f4")
         if frames.ndim != 2:
             raise FormatError(f"utterance {utt_id!r} frames must be 2-D, got shape {frames.shape}")
+        if not np.isfinite(frames).all():
+            raise FormatError(f"utterance {utt_id!r} has non-finite frame values as float32")
         raw = utt_id.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
@@ -153,8 +161,11 @@ def read_features(path) -> list[tuple[str, np.ndarray]]:
         seen.add(utt_id)
         t_in = rd.u32("frame count")
         feat_dim = rd.u32("feature dim")
-        raw = rd.take(4 * t_in * feat_dim, f"frames of {utt_id}")
-        frames = np.frombuffer(raw, dtype="<f4").reshape(t_in, feat_dim).astype(np.float64)
+        frames_at = rd.off
+        raw = np.frombuffer(rd.take(4 * t_in * feat_dim, f"frames of {utt_id}"), dtype="<f4")
+        if not np.isfinite(raw).all():
+            raise FormatError(f"frames of {utt_id!r} at byte {frames_at} hold non-finite values")
+        frames = raw.reshape(t_in, feat_dim).astype(np.float64)
         out.append((utt_id, frames))
     if rd.off != len(rd.buf):
         raise FormatError(f"trailing bytes after last utterance at byte {rd.off}")
@@ -162,6 +173,9 @@ def read_features(path) -> list[tuple[str, np.ndarray]]:
 
 
 def write_transcripts(path, items: list[tuple[str, list[int]]]) -> None:
+    for utt_id, _ in items:
+        if "\t" in utt_id or "\n" in utt_id or "\r" in utt_id:
+            raise FormatError(f"utterance id {utt_id!r} holds a tab, LF or CR")
     with open(path, "w", encoding="utf-8") as fh:
         for utt_id, tokens in items:
             fh.write(utt_id + "\t" + " ".join(str(t) for t in tokens) + "\n")

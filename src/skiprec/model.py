@@ -255,9 +255,9 @@ def _loss_and_terms(trace, token_seqs, params: ModelParams, cfg: ModelConfig,
     loss = None
     terms: dict[str, float] = {}
     for name, share, inter, final in pairs:
-        pair = ad.add(ad.mul_const(inter, loss_cfg.inter_weight),
-                      ad.mul_const(final, loss_cfg.final_weight))
-        weighted = ad.mul_const(pair, share)
+        pair = ad.add(ad.mul(inter, loss_cfg.inter_weight),
+                      ad.mul(final, loss_cfg.final_weight))
+        weighted = ad.mul(pair, share)
         loss = weighted if loss is None else ad.add(loss, weighted)
         terms[f"{name}_inter"] = float(inter.data)
         terms[f"{name}_final"] = float(final.data)

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fileio
 from . import model as model_mod
-from .config import RunConfig, validate_run_config
+from .config import ModelConfig, RunConfig, validate_run_config
 from .errors import ConfigError
 from .evaluate import evaluate_corpus
 from .frontend import FeatureSequence
@@ -26,20 +26,24 @@ def learning_rate(step: int, peak: float, warmup: int) -> float:
     return peak * min(step / warmup, (warmup / step) ** 0.5)
 
 
-def load_corpus(features_path, transcripts_path, vocab_size: int
+def load_corpus(features_path, transcripts_path, cfg: ModelConfig
                 ) -> list[tuple[FeatureSequence, list[int]]]:
-    """Pair feature utterances with transcripts by id, in feature-file order."""
+    """Pair feature utterances with transcripts by id, in feature-file order,
+    each checked against ``cfg``'s vocabulary and feature width."""
     feats = fileio.read_features(features_path)
     trans = fileio.read_transcripts(transcripts_path)
     corpus = []
     for utt_id, frames in feats:
         if utt_id not in trans:
             raise ConfigError(f"utterance {utt_id!r} has features but no transcript")
+        if frames.shape[1] != cfg.feature_dim:
+            raise ConfigError(f"utterance {utt_id!r} has {frames.shape[1]}-dim features; "
+                              f"the model takes feature_dim {cfg.feature_dim}")
         tokens = trans[utt_id]
         for t in tokens:
-            if not (1 <= t < vocab_size):
+            if not (1 <= t < cfg.vocab_size):
                 raise ConfigError(
-                    f"utterance {utt_id!r} token {t} outside vocab of size {vocab_size}")
+                    f"utterance {utt_id!r} token {t} outside vocab of size {cfg.vocab_size}")
         corpus.append((FeatureSequence(utterance_id=utt_id, frames=frames), tokens))
     return corpus
 
@@ -73,13 +77,13 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
     validate_run_config(cfg)
     if (dev_features is None) != (dev_transcripts is None):
         raise ConfigError("a dev set needs both its features and its transcripts")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = load_corpus(features_path, transcripts_path, cfg.model.vocab_size)
+    corpus = load_corpus(features_path, transcripts_path, cfg.model)
     if dev_features is not None:
-        eval_corpus = load_corpus(dev_features, dev_transcripts, cfg.model.vocab_size)
+        eval_corpus = load_corpus(dev_features, dev_transcripts, cfg.model)
     else:
         eval_corpus = corpus
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     params = model_mod.init_model(cfg.training.seed, cfg.model)
     step = start = 0

@@ -318,7 +318,7 @@ def test_criterion_07_length_reduction_reproduction(tmp_path):
     params = model_mod.init_model(cfg.training.seed, cfg.model)
     model_mod.load_params_from_tensors(params,
                                        fileio.load_checkpoint(result.last_checkpoint))
-    corpus = train_mod.load_corpus(features, transcripts, cfg.model.vocab_size)
+    corpus = train_mod.load_corpus(features, transcripts, cfg.model)
     report = ev.evaluate_corpus(params, cfg.model, cfg.loss, corpus)
 
     traces_path = tmp_path / "traces.jsonl"
@@ -357,7 +357,7 @@ def test_criterion_08_speedup_direction(tmp_path):
     params = model_mod.init_model(cfg.training.seed, cfg.model)
     model_mod.load_params_from_tensors(params,
                                        fileio.load_checkpoint(result.last_checkpoint))
-    corpus = train_mod.load_corpus(features, transcripts, cfg.model.vocab_size)
+    corpus = train_mod.load_corpus(features, transcripts, cfg.model)
     row = bench_mod.bench_corpus(params, cfg.model, cfg.loss, corpus,
                                  repeats=3, time_full_path=False)
     checks = {

@@ -147,7 +147,7 @@ class TestGradCheck:
 
     def test_constant(self):
         x = ad.tensor([1.0, 2.0])
-        err = ad.grad_check(lambda t: ad.sum_all(ad.mul_const(t, 0.0)), [x])
+        err = ad.grad_check(lambda t: ad.sum_all(ad.mul(t, 0.0)), [x])
         assert err == 0.0
 
     def test_nonscalar_rejected(self):
@@ -162,21 +162,40 @@ class TestGradCheck:
 class TestElementwiseGrads:
     """Every differentiable op passes a finite-difference check at 64-bit."""
 
-    def test_add_sub_mul_broadcast(self):
+    def test_add_sub_mul(self):
         rng = np.random.default_rng(4)
         check(lambda a, b: ad.sum_all(ad.add(a, b)),
-              rng.normal(size=(3, 4)), rng.normal(size=4))
-        check(lambda a, b: ad.sum_all(ad.add(a, ad.mul_const(b, -1.0))),
+              rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
+        check(lambda a, b: ad.sum_all(ad.add(a, ad.mul(b, -1.0))),
               rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
         check(lambda a, b: ad.sum_all(ad.mul(a, b)),
-              rng.normal(size=(3, 1)), rng.normal(size=(3, 4)))
+              rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
+
+    def test_constant_operand_rule(self):
+        # A Tensor operand has exactly the other's shape; a constant has it
+        # or is 0-d, and gets no gradient. Nothing broadcasts.
+        a, row, scalar = ad.tensor(np.ones((3, 4))), ad.tensor(np.ones(4)), ad.tensor(2.0)
+        for op in (ad.add, ad.mul):
+            for bad in (row, scalar, np.ones(4), np.ones((3, 1)), np.ones((1, 3, 4))):
+                with pytest.raises(DimensionError, match=r"\(3, 4\) with .*\(") as err:
+                    op(a, bad)
+                assert str(np.shape(getattr(bad, "data", bad))) in str(err.value)
+        const = np.arange(12.0).reshape(3, 4)
+        x = ad.tensor(np.full((3, 4), 2.0))
+        with ad.tape() as tp:
+            out = ad.add(ad.mul(x, const), ad.mul(x, 1.5))
+            out = ad.add(ad.add(out, const), 0.25)
+            tp.backward(ad.sum_all(out))
+        assert np.array_equal(out.data, 2.0 * const + 3.0 + const + 0.25)
+        assert np.array_equal(x.grad, const + 1.5)
+        assert np.array_equal(const, np.arange(12.0).reshape(3, 4))
 
     def test_scale_neg_const(self):
         rng = np.random.default_rng(5)
-        check(lambda x: ad.sum_all(ad.mul_const(x, 2.5)), rng.normal(size=(2, 3)))
-        check(lambda x: ad.sum_all(ad.mul_const(x, -1.0)), rng.normal(size=4))
-        check(lambda x: ad.sum_all(ad.add_const(x, 3.0)), rng.normal(size=4))
-        check(lambda x: ad.sum_all(ad.mul_const(x, -1.5)), rng.normal(size=4))
+        check(lambda x: ad.sum_all(ad.mul(x, 2.5)), rng.normal(size=(2, 3)))
+        check(lambda x: ad.sum_all(ad.mul(x, -1.0)), rng.normal(size=4))
+        check(lambda x: ad.sum_all(ad.add(x, 3.0)), rng.normal(size=4))
+        check(lambda x: ad.sum_all(ad.mul(x, -1.5)), rng.normal(size=4))
 
     def test_swish(self):
         rng = np.random.default_rng(6)
@@ -286,13 +305,13 @@ class TestElementwiseGrads:
         zt = ad.tensor(z)
         with ad.tape() as tp:
             out = ad.cross_entropy_mean(zt, targets, lengths)
-            tp.backward(ad.mul_const(out, 1.7))
+            tp.backward(ad.mul(out, 1.7))
         want, grads, start = 0.0, [], 0
         for n in lengths:
             part = ad.tensor(z[start:start + n])
             with ad.tape() as tp:
                 loss = ad.cross_entropy_mean(part, targets[start:start + n], [n])
-                tp.backward(ad.mul_const(loss, 1.7))
+                tp.backward(ad.mul(loss, 1.7))
             want += float(loss.data)
             grads.append(part.grad)
             start += n
@@ -312,14 +331,14 @@ class TestElementwiseGrads:
         xt, wt, bt = ad.tensor(x), ad.tensor(w), ad.tensor(b)
         with ad.tape() as tp:
             out = ad.depthwise_conv1d(xt, wt, bt, lengths)
-            tp.backward(ad.sum_all(ad.mul_const(out, g)))
+            tp.backward(ad.sum_all(ad.mul(out, g)))
         gw, gb, start = np.zeros_like(w), np.zeros_like(b), 0
         for n in lengths:
             rows = slice(start, start + n)
             parts = [ad.tensor(x[rows]), ad.tensor(w), ad.tensor(b)]
             with ad.tape() as tp:
                 want = ad.depthwise_conv1d(*parts, [n])
-                tp.backward(ad.sum_all(ad.mul_const(want, g[rows])))
+                tp.backward(ad.sum_all(ad.mul(want, g[rows])))
             assert np.max(np.abs(out.data[rows] - want.data)) <= 1e-12
             assert np.max(np.abs(xt.grad[rows] - parts[0].grad)) <= 1e-12
             gw += parts[1].grad
@@ -624,7 +643,7 @@ class TestAgainstReference:
         xt = ad.tensor(x, dtype=dtype)
         with ad.tape() as tp:
             out = ad.log_softmax_rows(xt)
-            tp.backward(ad.sum_all(ad.mul_const(out, g)))
+            tp.backward(ad.sum_all(ad.mul(out, g)))
         assert out.data.dtype == dtype and xt.grad.dtype == dtype
         assert np.array_equal(out.data, want)
         assert np.array_equal(xt.grad, want_grad(g))
@@ -646,7 +665,7 @@ class TestAgainstReference:
             inputs = [ad.tensor(a, dtype=dtype) for a in arrays]
             with ad.tape() as tp:
                 out = fn(*inputs)
-                tp.backward(ad.sum_all(ad.mul_const(out, g)))
+                tp.backward(ad.sum_all(ad.mul(out, g)))
             results.append([out.data] + [t.grad for t in inputs])
         for have, want in zip(*results):
             assert have.dtype == dtype and np.array_equal(have, want)
@@ -678,7 +697,7 @@ class TestAgainstReference:
         with ad.tape() as tp:
             ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal, q_lengths=[lq],
                                        k_lengths=[lk])
-            tp.backward(ad.sum_all(ad.mul_const(ctx, g)))
+            tp.backward(ad.sum_all(ad.mul(ctx, g)))
         assert w.shape == (1, 3, lq, lk)
         got = [ctx.data, w[0], qt.grad, kt.grad, vt.grad]
         for have, want in zip(got, [want_ctx, want_w, *want_grads(g)]):
@@ -707,7 +726,7 @@ class TestSegmentedAttention:
         with ad.tape() as tp:
             ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal, q_lengths=q_lengths,
                                        k_lengths=[nk] if k_lengths is None else k_lengths)
-            tp.backward(ad.sum_all(ad.mul_const(ctx, g)))
+            tp.backward(ad.sum_all(ad.mul(ctx, g)))
         assert w.shape[:2] == (len(q_lengths), 3)
         worst = 0.0
         gk, gv = np.zeros_like(k), np.zeros_like(v)
@@ -719,7 +738,7 @@ class TestSegmentedAttention:
             with ad.tape() as tp:
                 want_ctx, want_w = ad.attention_core(*parts, 3, causal=causal, q_lengths=[n],
                                                      k_lengths=[m])
-                tp.backward(ad.sum_all(ad.mul_const(want_ctx, g[rows])))
+                tp.backward(ad.sum_all(ad.mul(want_ctx, g[rows])))
             got = [ctx.data[rows], w[i, :, :n, :m], qt.grad[rows]]
             for have, ref in zip(got, [want_ctx.data, want_w[0], parts[0].grad]):
                 worst = max(worst, float(np.max(np.abs(have - ref), initial=0.0)))
@@ -823,7 +842,7 @@ class TestTape:
             recorded = len(tp)
             tp.backward(out)
             assert recorded == 3 and len(tp) == recorded
-            ad.mul_const(out, 2.0)
+            ad.mul(out, 2.0)
             assert len(tp) == recorded + 1
 
     def test_an_op_whose_output_gets_no_gradient_runs_no_backward(self):
@@ -834,7 +853,7 @@ class TestTape:
         with ad.tape() as tp:
             dead = ad.mul(y, y)                     # never reaches the root
             ad._record(dead, lambda g: seen.append("dead"))
-            live = ad.mul_const(x, 2.0)
+            live = ad.mul(x, 2.0)
             ad._record(live, lambda g: seen.append(g.copy()))
             tp.backward(ad.sum_all(live))
             assert len(tp) == 5
@@ -847,7 +866,7 @@ class TestTape:
         assert ad.Tensor(1.5).data.dtype == np.float64
         x = ad.tensor(np.array(2.0, dtype=np.float32), dtype=np.float32)
         with ad.tape() as tp:
-            out = ad.mul_const(x, 3.0)
+            out = ad.mul(x, 3.0)
             tp.backward(out)
         assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
 
@@ -1095,7 +1114,7 @@ def run_case(op, arrays, act_dtype, param_dtype, n_params, kwargs, seed):
         result = op(*inputs, **kwargs)
         out, extra = (result[0], [result[1]]) if isinstance(result, tuple) else (result, [])
         g = np.random.default_rng(seed).normal(size=out.data.shape).astype(out.data.dtype)
-        tp.backward(ad.sum_all(ad.mul_const(out, g)))
+        tp.backward(ad.sum_all(ad.mul(out, g)))
     return [out.data, *extra] + [t.grad for t in inputs]
 
 

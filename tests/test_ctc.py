@@ -407,7 +407,7 @@ def composed_ctc_loss_reference(grid, tokens):
         emit = _ref_gather_cells(lp, np.full(s, t, dtype=np.int64), ext)
         alpha = ad.add(_ref_shifted_logsumexp3(alpha, allow_skip), emit)
     final_states = [s - 1] if s == 1 else [s - 2, s - 1]
-    return ad.mul_const(_ref_logsumexp_all(ad.gather_rows(alpha, final_states)), -1.0)
+    return ad.mul(_ref_logsumexp_all(ad.gather_rows(alpha, final_states)), -1.0)
 
 
 def ctc_loss_of_one(grid, tokens):
@@ -425,9 +425,9 @@ def loss_and_grads(loss_fn, logits, tokens, extra=None):
     with ad.tape() as tp:
         grid = ctc.PosteriorGrid(log_probs=ad.log_softmax_rows(x))
         loss = loss_fn(grid, tokens)
-        root = ad.mul_const(loss, 0.7)
+        root = ad.mul(loss, 0.7)
         if extra is not None:
-            root = ad.add(root, ad.sum_all(ad.mul_const(grid.log_probs, extra)))
+            root = ad.add(root, ad.sum_all(ad.mul(grid.log_probs, extra)))
         tp.backward(root)
     return loss.data, grid.log_probs.grad, x.grad
 
@@ -522,9 +522,9 @@ def per_utterance_loss_and_grads(logits, token_seqs, lengths, extra=None):
         for part, tokens in zip(parts, token_seqs):
             loss = ctc.ctc_loss(ctc.PosteriorGrid(part), [tokens], [part.data.shape[0]])
             total = loss if total is None else ad.add(total, loss)
-        root = ad.mul_const(total, 0.7)
+        root = ad.mul(total, 0.7)
         if extra is not None:
-            root = ad.add(root, ad.sum_all(ad.mul_const(grid, extra)))
+            root = ad.add(root, ad.sum_all(ad.mul(grid, extra)))
         tp.backward(root)
     return total.data, grid.grad, x.grad
 
@@ -534,9 +534,9 @@ def packed_loss_and_grads(logits, token_seqs, lengths, extra=None):
     with ad.tape() as tp:
         grid = ad.log_softmax_rows(x)
         loss = ctc.ctc_loss(ctc.PosteriorGrid(grid), token_seqs, lengths)
-        root = ad.mul_const(loss, 0.7)
+        root = ad.mul(loss, 0.7)
         if extra is not None:
-            root = ad.add(root, ad.sum_all(ad.mul_const(grid, extra)))
+            root = ad.add(root, ad.sum_all(ad.mul(grid, extra)))
         tp.backward(root)
     return loss.data, grid.grad, x.grad
 

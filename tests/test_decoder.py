@@ -283,7 +283,7 @@ def single_sequence_log_likelihood_reference(enc, tokens, params, heads):
     targets = np.asarray(list(tokens) + [params.eos_id], dtype=np.int64)
     d = params.embed.value.data.shape[1]
     x = ad.gather_rows(params.embed.value, np.asarray(inputs, dtype=np.int64))
-    x = ad.add_const(x, positional_table(len(inputs), d))
+    x = ad.add(x, positional_table(len(inputs), d))
 
     def attention(x, p, memory=None):
         h = _norm(x, p.norm)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,27 @@ class TestFeatures:
         with pytest.raises(FormatError, match=f"duplicate utterance id 'u0' at byte {at}"):
             fileio.read_features(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    def test_writer_rejects_values_not_finite_as_float32(self, tmp_path, bad):
+        # 1e300 is finite in float64 but overflows the stored float32.
+        path = tmp_path / "features.bin"
+        frames = np.ones((4, 3))
+        frames[2, 1] = bad
+        with pytest.raises(FormatError, match="utterance 'u1' has non-finite"):
+            fileio.write_features(path, [("u0", np.ones((4, 3))), ("u1", frames)])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_reader_rejects_non_finite_values_with_their_offset(self, tmp_path, bad):
+        path = tmp_path / "features.bin"
+        fileio.write_features(path, [("u0", np.ones((4, 3))), ("u1", np.full((4, 3), 2.0))])
+        blob = bytearray(path.read_bytes())
+        at = blob.index(b"u1") + 2 + 8           # past the id, T_in and F
+        blob[at + 4 * 5:at + 4 * 6] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"frames of 'u1' at byte {at} hold non-finite"):
+            fileio.read_features(path)
+
 
 class TestTranscripts:
     def test_round_trip(self, tmp_path):
@@ -188,6 +211,17 @@ class TestTranscripts:
         fileio.write_transcripts(path, [("u0", [1, 2, 3]), ("u1", [7])])
         back = fileio.read_transcripts(path)
         assert back == {"u0": [1, 2, 3], "u1": [7]}
+
+    def test_ids_round_trip_and_unreadable_ids_are_rejected(self, tmp_path):
+        path = tmp_path / "transcripts.tsv"
+        items = [("u 0", [1]), ("ü-1", [2, 3]), ("", [])]
+        fileio.write_transcripts(path, items)
+        assert fileio.read_transcripts(path) == dict(items)
+        for bad in ("a\tb", "a\nb", "a\rb"):
+            message = f"utterance id {bad!r} holds a tab, LF or CR"
+            with pytest.raises(FormatError, match=re.escape(message)):
+                fileio.write_transcripts(tmp_path / "bad.tsv", [("u0", [1]), (bad, [1, 2])])
+            assert not (tmp_path / "bad.tsv").exists()
 
     def test_empty_token_list(self, tmp_path):
         path = tmp_path / "transcripts.tsv"

@@ -121,7 +121,7 @@ def frontend_grads(params, run):
     with ad.tape() as tp:
         out = run()
         readout = np.random.default_rng(99).normal(size=out.data.shape)
-        tp.backward(ad.sum_all(ad.mul_const(out, readout)))
+        tp.backward(ad.sum_all(ad.mul(out, readout)))
     return out.data, {name: p.grad for name, p in named}
 
 
@@ -143,7 +143,7 @@ class TestChannelsLastConv:
                     out = conv(xt, kt, bt)
                     if conv is reference_conv2d_s2:
                         out = ad.permute(out, (1, 2, 0))
-                    tp.backward(ad.sum_all(ad.mul_const(out, g)))
+                    tp.backward(ad.sum_all(ad.mul(out, g)))
                 gx = xt.grad if conv is ad.conv2d_s2 else xt.grad.transpose(1, 2, 0)
                 results.append((out.data, gx, kt.grad, bt.grad))
             for have, want in zip(*results):
@@ -182,7 +182,7 @@ class TestPackedSubsample:
                 p.zero_grad()
             with ad.tape() as tp:
                 ref = reference_subsample(utt, params)
-                tp.backward(ad.sum_all(ad.mul_const(ref, readout[r])))
+                tp.backward(ad.sum_all(ad.mul(ref, readout[r])))
             assert_close(out[r], ref.data)
             for name in want:
                 want[name] = want[name] + getattr(params, name).grad
@@ -240,7 +240,7 @@ class TestConstantFeatures:
             kt, bt = ad.tensor(kernel), ad.tensor(bias)
             with ad.tape() as tp:
                 out = ad.conv2d_s2(xin, kt, bt)
-                tp.backward(ad.sum_all(ad.mul_const(out, g)))
+                tp.backward(ad.sum_all(ad.mul(out, g)))
             results.append((out.data, kt.grad, bt.grad))
         for have, want in zip(*results):
             assert np.array_equal(have, want)

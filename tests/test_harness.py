@@ -45,7 +45,7 @@ def tiny_model(tiny_corpus, tmp_path_factory):
     result = train_mod.train_run(TINY_CFG, fp, tp, out)
     params = model_mod.init_model(TINY_CFG.training.seed, TINY_CFG.model)
     model_mod.load_params_from_tensors(params, fileio.load_checkpoint(result.last_checkpoint))
-    corpus = train_mod.load_corpus(fp, tp, TINY_CFG.model.vocab_size)
+    corpus = train_mod.load_corpus(fp, tp, TINY_CFG.model)
     return params, corpus, result
 
 
@@ -108,23 +108,43 @@ class TestEditDistance:
 class TestLoadCorpus:
     def test_pairs_features_with_transcripts(self, tiny_corpus):
         fp, tp = tiny_corpus
-        corpus = train_mod.load_corpus(fp, tp, 6)
+        corpus = train_mod.load_corpus(fp, tp, TINY_CFG.model)
         assert len(corpus) == 3
         for feats, tokens in corpus:
             assert feats.frames.shape[1] == 8
             assert all(1 <= t < 6 for t in tokens)
 
     def test_missing_transcript_rejected(self, tmp_path):
-        fileio.write_features(tmp_path / "f.bin", [("a", np.zeros((4, 3)))])
+        fileio.write_features(tmp_path / "f.bin", [("a", np.zeros((4, 8)))])
         fileio.write_transcripts(tmp_path / "t.tsv", [("b", [1])])
         with pytest.raises(ConfigError):
-            train_mod.load_corpus(tmp_path / "f.bin", tmp_path / "t.tsv", 6)
+            train_mod.load_corpus(tmp_path / "f.bin", tmp_path / "t.tsv", TINY_CFG.model)
 
     def test_out_of_vocab_token_rejected(self, tmp_path):
-        fileio.write_features(tmp_path / "f.bin", [("a", np.zeros((4, 3)))])
+        fileio.write_features(tmp_path / "f.bin", [("a", np.zeros((4, 8)))])
         fileio.write_transcripts(tmp_path / "t.tsv", [("a", [9])])
-        with pytest.raises(ConfigError):
-            train_mod.load_corpus(tmp_path / "f.bin", tmp_path / "t.tsv", vocab_size=6)
+        with pytest.raises(ConfigError, match="outside vocab of size 6"):
+            train_mod.load_corpus(tmp_path / "f.bin", tmp_path / "t.tsv", TINY_CFG.model)
+
+    def test_wrong_feature_width_rejected(self, tmp_path):
+        fileio.write_features(tmp_path / "f.bin", [("a", np.zeros((4, 8))),
+                                                   ("b", np.zeros((4, 20)))])
+        fileio.write_transcripts(tmp_path / "t.tsv", [("a", [1]), ("b", [2])])
+        with pytest.raises(ConfigError, match=r"'b' has 20-dim .* feature_dim 8"):
+            train_mod.load_corpus(tmp_path / "f.bin", tmp_path / "t.tsv", TINY_CFG.model)
+
+    @pytest.mark.parametrize("dev", [False, True])
+    def test_train_run_checks_its_corpora_before_making_its_directory(self, tiny_corpus,
+                                                                      tmp_path, dev):
+        fp, tp = tiny_corpus
+        fileio.write_features(tmp_path / "f.bin", [("a", np.zeros((40, 20)))])
+        fileio.write_transcripts(tmp_path / "t.tsv", [("a", [1, 2])])
+        wide = (tmp_path / "f.bin", tmp_path / "t.tsv")
+        train, dev_set = ((fp, tp), wide) if dev else (wide, (None, None))
+        with pytest.raises(ConfigError, match="20-dim"):
+            train_mod.train_run(TINY_CFG, *train, tmp_path / "run",
+                                dev_features=dev_set[0], dev_transcripts=dev_set[1])
+        assert not (tmp_path / "run").exists()
 
 
 class TestTrainRun:
@@ -281,7 +301,7 @@ class TestTrainRun:
         cfg = dataclasses.replace(
             TINY_CFG, model=dataclasses.replace(TINY_CFG.model, dropout=0.3))
         params = model_mod.init_model(0, cfg.model)
-        feats, _ = train_mod.load_corpus(fp, tp, cfg.model.vocab_size)[0]
+        feats, _ = train_mod.load_corpus(fp, tp, cfg.model)[0]
         before = model_mod.forward_utterance(feats, params, cfg.model, cfg.loss)
 
         def full_disk(*_args, **_kwargs):
@@ -308,7 +328,7 @@ class TestTrainRun:
         assert plain.last_checkpoint.read_bytes() != a.last_checkpoint.read_bytes()
         params = model_mod.init_model(cfg.training.seed, cfg.model)
         model_mod.load_params_from_tensors(params, fileio.load_checkpoint(a.last_checkpoint))
-        corpus = train_mod.load_corpus(fp, tp, cfg.model.vocab_size)
+        corpus = train_mod.load_corpus(fp, tp, cfg.model)
         report = ev.evaluate_corpus(params, cfg.model, cfg.loss, corpus)
         assert a.final_error_rate == report.error_rate
 
@@ -395,7 +415,7 @@ class TestBench:
         # the skip path degenerates to the no-skip path exactly.
         fp, tp = tiny_corpus
         params = model_mod.init_model(0, TINY_CFG.model)
-        corpus = train_mod.load_corpus(fp, tp, 6)
+        corpus = train_mod.load_corpus(fp, tp, TINY_CFG.model)
         row = bench_mod.bench_corpus(params, TINY_CFG.model, TINY_CFG.loss, corpus,
                                      repeats=3, time_full_path=False)
         assert row.mean_crucial_frac == 1.0

@@ -23,7 +23,6 @@ def test_no_nonlocal_and_no_global_but_the_tape():
 # Public functions that no code of the package need call, each with its reason.
 NO_CALLER_NEEDED = {
     "autodiff.tensor": "test tool: wraps an array as a tape input",
-    "autodiff.mul": "test tool: an elementwise product for op and tape tests",
     "autodiff.sum_all": "test tool: reduces an op's output to a scalar to differentiate",
     "autodiff.grad_check": "test tool: the finite-difference gradient checker",
     "encoder.zero_residual_branches": "test tool: makes a block the identity",
