@@ -13,7 +13,9 @@ one im2col GEMM), depthwise 1-D convolution, attention, log-softmax, layer
 norm (with the fixed variance floor ``LAYER_NORM_EPS``), swish, GLU,
 cross-entropy, and the CTC lattice's negative log-likelihood as one op.
 ``tensor``, ``sum_all`` and ``grad_check`` serve the tests; the model calls
-every other op. Nothing more general is provided on purpose.
+every other op. Nothing more general is provided on purpose. ``adam_step``
+updates a ``Parameter`` with Adam's published constants (``ADAM_BETA1``,
+``ADAM_BETA2``, ``ADAM_EPS``; Kingma & Ba, ICLR 2015), the only ones any run uses.
 
 Several sequences can run as one: their rows are packed one after another,
 and the ops that mix rows (attention, the depthwise conv, the cross-entropy
@@ -54,6 +56,9 @@ from .errors import ContractError, DimensionError, NumericError, ParameterError
 # Effectively -inf for log-space math while staying finite in float32/float64.
 NEG_FILL = -1.0e30
 LAYER_NORM_EPS = 1e-5   # added to each row's variance by every layer norm
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Tensor:
@@ -70,10 +75,6 @@ class Tensor:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -728,7 +729,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, b: Tensor, lengths) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool = False, *,
-                   q_lengths, k_lengths) -> tuple[Tensor, np.ndarray]:
+                   q_lengths, k_lengths) -> Tensor:
     """Scaled dot-product attention over column-split heads and packed sequences.
 
     q: (Lq, D), k/v: (Lk, D) pack consecutive sequences of ``q_lengths`` and
@@ -737,8 +738,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool =
     The sequences run as one padded (B, H, Lq_max, Lk_max) batched matmul;
     padded keys and, with ``causal`` (square sequences only), keys right of
     the query position get exactly zero weight. Returns the packed (Lq, D)
-    context and the raw weights for inspection, padded (B, H, Lq_max, Lk_max)
-    for every B. One sequence on each side is reshaped, never copied into a
+    context. One sequence on each side is reshaped, never copied into a
     padded layout.
     """
     lq, d = q.data.shape
@@ -806,7 +806,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool =
         _accum(v, packed(gv, k_rows))
 
     _record(out, bwd)
-    return out, weights
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -836,14 +836,13 @@ class Parameter:
         self.value.grad = None
 
 
-def adam_step(p: Parameter, grad: np.ndarray, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> Parameter:
+def adam_step(p: Parameter, grad: np.ndarray, lr: float) -> Parameter:
     """One bias-corrected Adam update, in place. Leaves p untouched on bad grads.
 
     The first step allocates the moments as zeros. Every update runs in place
     in the operation order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``
-    and ``x = x - lr*m_hat / (sqrt(v_hat) + eps)``, so the result is the same
-    to the bit as that textbook form.
+    and ``x = x - lr*m_hat / (sqrt(v_hat) + eps)`` with the ``ADAM_*`` constants,
+    so the result is the same to the bit as that textbook form.
     """
     grad = np.asarray(grad)
     shape = p.value.data.shape
@@ -857,17 +856,17 @@ def adam_step(p: Parameter, grad: np.ndarray, lr: float,
     t = p.step_count
     # Explicit out= buffers keep a 0-d parameter's temporaries arrays, so the
     # in-place ops apply; ``scaled`` has the dtype of ``(1 - beta) * grad``.
-    scaled = np.multiply(grad, 1.0 - beta1, out=np.empty(shape, np.result_type(grad, 1.0)))
-    p.moment1 *= beta1
+    scaled = np.multiply(grad, 1.0 - ADAM_BETA1, out=np.empty(shape, np.result_type(grad, 1.0)))
+    p.moment1 *= ADAM_BETA1
     p.moment1 += scaled
-    np.multiply(grad, 1.0 - beta2, out=scaled)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=scaled)
     scaled *= grad
-    p.moment2 *= beta2
+    p.moment2 *= ADAM_BETA2
     p.moment2 += scaled
-    step = np.divide(p.moment1, 1.0 - beta1 ** t, out=np.empty_like(p.moment1))
-    denom = np.divide(p.moment2, 1.0 - beta2 ** t, out=np.empty_like(p.moment2))
+    step = np.divide(p.moment1, 1.0 - ADAM_BETA1 ** t, out=np.empty_like(p.moment1))
+    denom = np.divide(p.moment2, 1.0 - ADAM_BETA2 ** t, out=np.empty_like(p.moment2))
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     step *= lr
     step /= denom
     p.value.data -= step

@@ -1,4 +1,9 @@
-"""Run configuration: typed sections, JSON loading, strict validation."""
+"""Run configuration: typed sections, JSON loading, strict validation.
+
+A field exists only for a setting that some run varies; a value that every
+run shares is a constant of the module that reads it (``autodiff.ADAM_*``
+and ``LAYER_NORM_EPS``, ``model.STAGE_WEIGHT``, ``decoder.CTC_WEIGHT``).
+"""
 
 from __future__ import annotations
 
@@ -26,8 +31,6 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LossConfig:
-    inter_weight: float = 0.5     # weight on the pre-split losses
-    final_weight: float = 0.5     # weight on the post-recover losses
     ctc_weight: float = 0.3       # alignment loss share; remainder goes to the decoder
     blank_threshold: float = 0.99
     split_mode: int = 2
@@ -37,9 +40,6 @@ class LossConfig:
 class OptimizerConfig:
     peak_lr: float = 1e-3
     warmup_steps: int = 500
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,16 +77,11 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
         (m.vocab_size >= 2, "model.vocab_size must hold blank plus at least one token"),
         (m.feature_dim >= 7, "model.feature_dim must be at least 7 for the frontend convs"),
         (0.0 <= m.dropout < 1.0, "model.dropout must lie in [0, 1)"),
-        (l.inter_weight >= 0.0, "loss.inter_weight must be non-negative"),
-        (l.final_weight >= 0.0, "loss.final_weight must be non-negative"),
         (0.0 <= l.ctc_weight <= 1.0, "loss.ctc_weight must lie in [0, 1]"),
         (0.0 < l.blank_threshold < 1.0, "loss.blank_threshold must lie in (0, 1)"),
         (1 <= l.split_mode <= 5, "loss.split_mode must be in 1..5"),
         (o.peak_lr > 0.0, "optimizer.peak_lr must be positive"),
         (o.warmup_steps >= 1, "optimizer.warmup_steps must be positive"),
-        (0.0 <= o.beta1 < 1.0, "optimizer.beta1 must lie in [0, 1)"),
-        (0.0 <= o.beta2 < 1.0, "optimizer.beta2 must lie in [0, 1)"),
-        (o.eps > 0.0, "optimizer.eps must be positive"),
         (t.epochs >= 0, "training.epochs must be non-negative"),
         (t.batch_size >= 1, "training.batch_size must be positive"),
         (t.eval_every >= 1, "training.eval_every must be positive"),
@@ -113,10 +108,7 @@ def run_config_from_dict(raw: dict) -> RunConfig:
         bad = set(body) - known
         if bad:
             raise ConfigError(f"unknown keys in config section {name!r}: {sorted(bad)}")
-        try:
-            sections[name] = cls(**body)
-        except TypeError as exc:
-            raise ConfigError(f"bad config section {name!r}: {exc}")
+        sections[name] = cls(**body)
     return validate_run_config(RunConfig(**sections))
 
 
@@ -129,13 +121,9 @@ def load_run_config(path) -> RunConfig:
     return run_config_from_dict(raw)
 
 
-def run_config_to_dict(cfg: RunConfig) -> dict:
-    return {name: dataclasses.asdict(getattr(cfg, name)) for name in _SECTIONS}
-
-
 def save_run_config(cfg: RunConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(run_config_to_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .encoder import (AttentionParams, Dropout, EncodedSequence, FeedForwardParams,
                       NormParams, _dropout, _ffn_branch, _glorot, _init_ffn, _init_norm,
-                      _norm, init_attention, packed_positions)
+                      _norm, attach_positions, init_attention)
 from .errors import EmptySequenceError, ParameterError
 from .ctc import check_tokens
 
@@ -61,7 +61,7 @@ class DecoderParams:
 
 
 def init_decoder(rng: np.random.Generator, d_model: int, heads: int, depth: int,
-                 vocab_size: int, ffn_multiple: int = 4) -> DecoderParams:
+                 vocab_size: int, ffn_multiple: int) -> DecoderParams:
     if depth < 1:
         raise ParameterError(f"decoder depth must be positive, got {depth}")
     if vocab_size < 2:
@@ -92,8 +92,8 @@ def _attention(x: Tensor, p: AttentionParams, heads: int, lengths: list[int],
     q = ad.affine(h, p.wq.value, p.bq.value)
     k = ad.affine(src, p.wk.value, p.bk.value)
     v = ad.affine(src, p.wv.value, p.bv.value)
-    ctx, _ = ad.attention_core(q, k, v, heads, causal=memory is None, q_lengths=lengths,
-                               k_lengths=src_lengths)
+    ctx = ad.attention_core(q, k, v, heads, causal=memory is None, q_lengths=lengths,
+                            k_lengths=src_lengths)
     return ad.affine(ctx, p.wo.value, p.bo.value)
 
 
@@ -112,9 +112,8 @@ def decoder_logits(enc: EncodedSequence, inputs: list[list[int]], params: Decode
     if not inputs or not all(inputs):
         raise EmptySequenceError("decoder needs at least one input token per sequence")
     lengths = [len(seq) for seq in inputs]
-    d = params.embed.value.data.shape[1]
     x = ad.gather_rows(params.embed.value, [t for seq in inputs for t in seq])
-    x = ad.add(x, packed_positions(lengths, d).astype(x.data.dtype))
+    x = attach_positions(x, lengths)
     for block in params.blocks:
         x = ad.add(x, _attention(x, block.self_attn, heads, lengths))
         x = ad.add(x, _attention(x, block.cross_attn, heads, lengths, enc))

@@ -174,7 +174,7 @@ def _init_conv(rng, d: int, kernel: int) -> ConvModuleParams:
 
 
 def init_block(rng: np.random.Generator, d_model: int, heads: int, kernel: int,
-               ffn_multiple: int = 4) -> ConformerBlockParams:
+               ffn_multiple: int) -> ConformerBlockParams:
     if d_model % heads:
         raise ParameterError(f"model width {d_model} not divisible by {heads} heads")
     return ConformerBlockParams(
@@ -205,18 +205,17 @@ def _ffn_branch(x: Tensor, p: FeedForwardParams) -> Tensor:
     return ad.affine(h, p.w2.value, p.b2.value)
 
 
-def self_attention_branch(x: Tensor, p: AttentionParams, heads: int, lengths
-                          ) -> tuple[Tensor, np.ndarray]:
+def self_attention_branch(x: Tensor, p: AttentionParams, heads: int, lengths) -> Tensor:
     """Pre-norm multi-head self-attention within each packed sequence.
 
-    Returns (branch output, weights); ``lengths`` as in ``EncodedSequence``.
+    ``lengths`` as in ``EncodedSequence``.
     """
     h = _norm(x, p.norm)
     q = ad.affine(h, p.wq.value, p.bq.value)
     k = ad.affine(h, p.wk.value, p.bk.value)
     v = ad.affine(h, p.wv.value, p.bv.value)
-    ctx, weights = ad.attention_core(q, k, v, heads, q_lengths=lengths, k_lengths=lengths)
-    return ad.affine(ctx, p.wo.value, p.bo.value), weights
+    ctx = ad.attention_core(q, k, v, heads, q_lengths=lengths, k_lengths=lengths)
+    return ad.affine(ctx, p.wo.value, p.bo.value)
 
 
 def _conv_branch(x: Tensor, p: ConvModuleParams, lengths) -> Tensor:
@@ -234,8 +233,7 @@ def conformer_block(seq: EncodedSequence, p: ConformerBlockParams, heads: int,
         raise EmptySequenceError("conformer block requires at least one frame per sequence")
     x = seq.frames
     x = ad.add(x, ad.mul(_dropout(_ffn_branch(x, p.ffn1), drop), 0.5))
-    branch, _ = self_attention_branch(x, p.attn, heads, seq.lengths)
-    x = ad.add(x, _dropout(branch, drop))
+    x = ad.add(x, _dropout(self_attention_branch(x, p.attn, heads, seq.lengths), drop))
     x = ad.add(x, _dropout(_conv_branch(x, p.conv, seq.lengths), drop))
     x = ad.add(x, ad.mul(_dropout(_ffn_branch(x, p.ffn2), drop), 0.5))
     x = ad.add(x, _norm(x, p.out_norm))
@@ -267,21 +265,15 @@ def positional_table(length: int, d_model: int) -> np.ndarray:
     return table[:length]
 
 
-def packed_positions(lengths, d_model: int) -> np.ndarray:
-    """Positions 0..n-1 of each packed sequence of length n, stacked row-wise.
-
-    Rows of a longer table are bit-identical to those of a shorter one, so
-    one table of the longest length serves every sequence.
-    """
-    table = positional_table(max(lengths), d_model)
-    return table if len(lengths) == 1 else np.concatenate([table[:n] for n in lengths])
-
-
 def attach_positions(frames: Tensor, lengths=None) -> Tensor:
-    """Add absolute positions; applied once, before the first encoder block.
+    """Add absolute positions 0..n-1 to each packed sequence of n rows.
 
-    ``lengths`` as in ``EncodedSequence``: each packed sequence starts at 0.
+    ``lengths`` as in ``EncodedSequence``. Rows of a longer table are
+    bit-identical to those of a shorter one, so one table of the longest
+    length serves every sequence.
     """
     n, d = frames.data.shape
-    positions = packed_positions((n,) if lengths is None else lengths, d)
+    lengths = (n,) if lengths is None else lengths
+    table = positional_table(max(lengths), d)
+    positions = table if len(lengths) == 1 else np.concatenate([table[:m] for m in lengths])
     return ad.add(frames, positions.astype(frames.data.dtype))

@@ -12,10 +12,11 @@ Feature container layout:
 
 Transcripts are text lines: utterance id, a tab, space-separated token ids.
 
-Before anything is written, the writers reject two things the readers
-reject: a non-finite feature value (checked after the cast to float32) and
-a transcript id holding a tab, LF or CR raise ``FormatError`` naming the
-utterance. Repeated ids are not checked on write.
+The writers reject what the readers reject, before they open the file,
+so a rejected write leaves no file: a repeated id, an id that UTF-8 cannot
+encode, a non-finite feature value (checked after the cast to float32), a
+transcript id holding a tab, LF or CR and a token that is not an integer
+(``bool`` is not) raise ``FormatError`` naming the utterance.
 """
 
 from __future__ import annotations
@@ -121,17 +122,31 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return tensors
 
 
+def _encoded_ids(ids: list[str]) -> list[bytes]:
+    """Each id as UTF-8; a repeated id or one UTF-8 cannot encode raises FormatError."""
+    out, seen = [], set()
+    for utt_id in ids:
+        if utt_id in seen:
+            raise FormatError(f"utterance id {utt_id!r} is repeated")
+        seen.add(utt_id)
+        try:
+            out.append(utt_id.encode("utf-8"))
+        except UnicodeEncodeError:
+            raise FormatError(f"utterance id {utt_id!r} cannot be encoded as UTF-8")
+    return out
+
+
 def write_features(path, utterances: list[tuple[str, np.ndarray]]) -> None:
     """Write (utterance id, (T_in, F) frames) pairs; values stored as float32."""
+    raw_ids = _encoded_ids([utt_id for utt_id, _ in utterances])
     parts = [FEATURE_MAGIC, struct.pack("<II", FORMAT_VERSION, len(utterances))]
-    for utt_id, frames in utterances:
+    for (utt_id, frames), raw in zip(utterances, raw_ids):
         with np.errstate(over="ignore"):   # an overflow to inf is reported below
             frames = np.ascontiguousarray(frames, dtype="<f4")
         if frames.ndim != 2:
             raise FormatError(f"utterance {utt_id!r} frames must be 2-D, got shape {frames.shape}")
         if not np.isfinite(frames).all():
             raise FormatError(f"utterance {utt_id!r} has non-finite frame values as float32")
-        raw = utt_id.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
         parts.append(struct.pack("<II", frames.shape[0], frames.shape[1]))
@@ -173,12 +188,15 @@ def read_features(path) -> list[tuple[str, np.ndarray]]:
 
 
 def write_transcripts(path, items: list[tuple[str, list[int]]]) -> None:
-    for utt_id, _ in items:
+    lines = []
+    for (utt_id, tokens), raw in zip(items, _encoded_ids([utt_id for utt_id, _ in items])):
         if "\t" in utt_id or "\n" in utt_id or "\r" in utt_id:
             raise FormatError(f"utterance id {utt_id!r} holds a tab, LF or CR")
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt_id, tokens in items:
-            fh.write(utt_id + "\t" + " ".join(str(t) for t in tokens) + "\n")
+        if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in tokens):
+            raise FormatError(f"utterance {utt_id!r} has a token that is not an integer")
+        lines.append(raw + b"\t" + " ".join(str(t) for t in tokens).encode("ascii") + b"\n")
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines))
 
 
 def read_transcripts(path) -> dict[str, list[int]]:

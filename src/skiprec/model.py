@@ -23,7 +23,8 @@ features, configs and, in training, the dropout generator. One loss path,
 the sum of a trace's utterances' objectives, has two views: ``total_loss``,
 the training objective on the tape, and ``component_losses``, its terms as
 floats for logging. Either takes a ForwardTrace and one target per
-utterance.
+utterance. Each loss pair weighs its pre-split and its post-recover loss
+equally, by ``STAGE_WEIGHT``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .config import LossConfig, ModelConfig
 from .encoder import EncodedSequence
 from .errors import ConfigError, ContractError
 from .frontend import FeatureSequence
+
+STAGE_WEIGHT = 0.5   # weight of the pre-split and of the post-recover loss in each pair
 
 
 @dataclass
@@ -255,8 +258,7 @@ def _loss_and_terms(trace, token_seqs, params: ModelParams, cfg: ModelConfig,
     loss = None
     terms: dict[str, float] = {}
     for name, share, inter, final in pairs:
-        pair = ad.add(ad.mul(inter, loss_cfg.inter_weight),
-                      ad.mul(final, loss_cfg.final_weight))
+        pair = ad.add(ad.mul(inter, STAGE_WEIGHT), ad.mul(final, STAGE_WEIGHT))
         weighted = ad.mul(pair, share)
         loss = weighted if loss is None else ad.add(loss, weighted)
         terms[f"{name}_inter"] = float(inter.data)
@@ -271,13 +273,13 @@ def total_loss(trace: ForwardTrace, token_seqs, params: ModelParams,
     """Joint objective, summed over the trace's utterances, on one tape.
 
     ctc_weight * (alignment pair) + (1 - ctc_weight) * (decoder pair), each
-    pair mixed by inter_weight / final_weight. A pair with zero weight is
-    never evaluated and receives no gradient. ``token_seqs`` holds one
-    target per utterance: ``[tokens]`` for a batch of one. Each CTC loss is
-    one lattice op over its packed grid, and each decoder pair one packed
-    pass over the utterances' own encoder frames. With ``dropout_rng``
-    (training), the decoder's feed-forward outputs are dropped at rate
-    ``cfg.dropout``.
+    pair weighing its pre-split and its post-recover loss by ``STAGE_WEIGHT``.
+    A pair with zero weight is never evaluated and receives no gradient.
+    ``token_seqs`` holds one target per utterance: ``[tokens]`` for a batch
+    of one. Each CTC loss is one lattice op over its packed grid, and each
+    decoder pair one packed pass over the utterances' own encoder frames.
+    With ``dropout_rng`` (training), the decoder's feed-forward outputs are
+    dropped at rate ``cfg.dropout``.
     """
     drop = enc_mod.make_dropout(cfg.dropout, dropout_rng)
     return _loss_and_terms(trace, token_seqs, params, cfg, loss_cfg, drop)[0]

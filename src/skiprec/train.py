@@ -158,7 +158,7 @@ def _train_epoch(cfg: RunConfig, params, corpus, order, step: int,
         inv = 1.0 / len(batch)
         for _, p in named:
             grad = p.grad if p.grad is not None else np.zeros_like(p.value.data)
-            ad.adam_step(p, grad * inv, lr, opt.beta1, opt.beta2, opt.eps)
+            ad.adam_step(p, grad * inv, lr)
     return step, fell_back
 
 

@@ -368,30 +368,39 @@ class TestElementwiseGrads:
 
 
 class TestAttention:
-    def test_rows_sum_to_one(self):
+    def test_constant_values_come_back(self):
+        # Each query's weights sum to one, so equal value rows give that row back.
         rng = np.random.default_rng(17)
         q = ad.tensor(rng.normal(size=(5, 8)))
         k = ad.tensor(rng.normal(size=(7, 8)))
-        v = ad.tensor(rng.normal(size=(7, 8)))
-        _, w = ad.attention_core(q, k, v, n_heads=2, q_lengths=[5], k_lengths=[7])
-        assert w.shape == (1, 2, 5, 7)
-        assert np.all(np.abs(w.sum(axis=3) - 1.0) <= 1e-9)
+        row = rng.normal(size=8)
+        ctx = ad.attention_core(q, k, ad.tensor(np.tile(row, (7, 1))), n_heads=2,
+                                q_lengths=[5], k_lengths=[7])
+        assert ctx.data.shape == (5, 8)
+        assert np.max(np.abs(ctx.data - row)) <= 1e-12
 
-    def test_causal_is_lower_triangular(self):
+    def test_causally_hidden_keys_do_not_reach_the_context(self):
+        # Changing key and value 3 leaves queries 0-2, which may not see it, equal.
         rng = np.random.default_rng(19)
         x = rng.normal(size=(5, 4))
-        _, w = ad.attention_core(ad.tensor(x), ad.tensor(x), ad.tensor(x),
-                                 n_heads=2, causal=True, q_lengths=[5], k_lengths=[5])
-        upper = ~np.tril(np.ones((5, 5), dtype=bool))
-        assert np.all(w[0][:, upper] == 0.0)
+        y = x.copy()
+        y[3] = rng.normal(size=4) * 10.0
+
+        def context(kv):
+            return ad.attention_core(ad.tensor(x), ad.tensor(kv), ad.tensor(kv), n_heads=2,
+                                     causal=True, q_lengths=[5], k_lengths=[5]).data
+
+        before, after = context(x), context(y)
+        assert np.array_equal(before[:3], after[:3])
+        assert not np.array_equal(before[3:], after[3:])
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_grad(self, causal):
         rng = np.random.default_rng(20 + causal)
 
         def f(q, k, v):
-            ctx, _ = ad.attention_core(q, k, v, n_heads=2, causal=causal, q_lengths=[4],
-                                       k_lengths=[4])
+            ctx = ad.attention_core(q, k, v, n_heads=2, causal=causal, q_lengths=[4],
+                                    k_lengths=[4])
             return ad.sum_all(ad.mul(ctx, ctx))
 
         check(f, rng.normal(size=(4, 6)), rng.normal(size=(4, 6)),
@@ -411,8 +420,8 @@ def masked_sigmoid_reference(x):
 def einsum_attention_reference(q, k, v, n_heads, causal=False):
     """Einsum attention the batched-matmul form replaced.
 
-    Returns the context, the weights and a function from the context's
-    upstream gradient to the (q, k, v) gradients.
+    Returns the context and a function from the context's upstream gradient
+    to the (q, k, v) gradients.
     """
     lq, d = q.shape
     lk = k.shape[0]
@@ -437,7 +446,7 @@ def einsum_attention_reference(q, k, v, n_heads, causal=False):
         gk = (np.einsum("hqk,qhd->khd", gs, qh) * inv).reshape(lk, d)
         return gq, gk, gv
 
-    return ctx, weights, grads
+    return ctx, grads
 
 
 def adam_reference(value, m1, m2, t, grad, lr, beta1, beta2, eps):
@@ -543,7 +552,7 @@ def single_sequence_attention_reference(q, k, v, n_heads, causal=False, *,
         ad._accum(v, gv.transpose(1, 0, 2).reshape(lk, d))
 
     ad._record(out, bwd)
-    return out, weights
+    return out
 
 
 def single_sequence_depthwise_reference(x, w, b, lengths):
@@ -625,10 +634,11 @@ class TestAgainstReference:
             p.moment1, p.moment2, p.step_count = m1.copy(), m2.copy(), t
         for i in range(5):
             grad = rng.normal(size=shape) * 10.0 ** (i - 2)
-            lr, b1, b2, eps = 1e-3 * (i + 1), 0.9, 0.98, 1e-9
+            lr = 1e-3 * (i + 1)
             t += 1
-            value, m1, m2 = adam_reference(value, m1, m2, t, grad, lr, b1, b2, eps)
-            ad.adam_step(p, grad, lr, b1, b2, eps)
+            value, m1, m2 = adam_reference(value, m1, m2, t, grad, lr, ad.ADAM_BETA1,
+                                           ad.ADAM_BETA2, ad.ADAM_EPS)
+            ad.adam_step(p, grad, lr)
             assert p.step_count == t
             assert np.array_equal(p.value.data, value)
             assert np.array_equal(p.moment1, m1) and np.array_equal(p.moment2, m2)
@@ -692,15 +702,14 @@ class TestAgainstReference:
         lq, lk = (9, 9) if case == "causal" else (7, 11)
         q, k, v, g = (rng.normal(size=(n, 12)) for n in (lq, lk, lk, lq))
         causal = case == "causal"
-        want_ctx, want_w, want_grads = einsum_attention_reference(q, k, v, 3, causal=causal)
+        want_ctx, want_grads = einsum_attention_reference(q, k, v, 3, causal=causal)
         qt, kt, vt = ad.tensor(q), ad.tensor(k), ad.tensor(v)
         with ad.tape() as tp:
-            ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal, q_lengths=[lq],
-                                       k_lengths=[lk])
+            ctx = ad.attention_core(qt, kt, vt, 3, causal=causal, q_lengths=[lq],
+                                    k_lengths=[lk])
             tp.backward(ad.sum_all(ad.mul(ctx, g)))
-        assert w.shape == (1, 3, lq, lk)
-        got = [ctx.data, w[0], qt.grad, kt.grad, vt.grad]
-        for have, want in zip(got, [want_ctx, want_w, *want_grads(g)]):
+        got = [ctx.data, qt.grad, kt.grad, vt.grad]
+        for have, want in zip(got, [want_ctx, *want_grads(g)]):
             assert np.max(np.abs(have - want)) <= 1e-12
 
 
@@ -724,10 +733,9 @@ class TestSegmentedAttention:
         k, v = rng.normal(size=(nk, 12)), rng.normal(size=(nk, 12))
         qt, kt, vt = ad.tensor(q), ad.tensor(k), ad.tensor(v)
         with ad.tape() as tp:
-            ctx, w = ad.attention_core(qt, kt, vt, 3, causal=causal, q_lengths=q_lengths,
-                                       k_lengths=[nk] if k_lengths is None else k_lengths)
+            ctx = ad.attention_core(qt, kt, vt, 3, causal=causal, q_lengths=q_lengths,
+                                    k_lengths=[nk] if k_lengths is None else k_lengths)
             tp.backward(ad.sum_all(ad.mul(ctx, g)))
-        assert w.shape[:2] == (len(q_lengths), 3)
         worst = 0.0
         gk, gv = np.zeros_like(k), np.zeros_like(v)
         q_start = k_start = 0
@@ -736,14 +744,23 @@ class TestSegmentedAttention:
             rows, keys = slice(q_start, q_start + n), slice(k_start, k_start + m)
             parts = [ad.tensor(q[rows]), ad.tensor(k[keys]), ad.tensor(v[keys])]
             with ad.tape() as tp:
-                want_ctx, want_w = ad.attention_core(*parts, 3, causal=causal, q_lengths=[n],
-                                                     k_lengths=[m])
+                want_ctx = ad.attention_core(*parts, 3, causal=causal, q_lengths=[n],
+                                             k_lengths=[m])
                 tp.backward(ad.sum_all(ad.mul(want_ctx, g[rows])))
-            got = [ctx.data[rows], w[i, :, :n, :m], qt.grad[rows]]
-            for have, ref in zip(got, [want_ctx.data, want_w[0], parts[0].grad]):
+            for have, ref in zip([ctx.data[rows], qt.grad[rows]],
+                                 [want_ctx.data, parts[0].grad]):
                 worst = max(worst, float(np.max(np.abs(have - ref), initial=0.0)))
-            # padded keys get exactly zero weight
-            assert np.all(w[i, :, :n, m:] == 0.0)
+            if k_lengths is not None:
+                # Other sequences' keys and values, however large, leave this
+                # sequence's context equal to the bit.
+                other = np.ones(nk, dtype=bool)
+                other[keys] = False
+                k2, v2 = k.copy(), v.copy()
+                k2[other] = rng.normal(size=k2[other].shape) * 10.0
+                v2[other] = rng.normal(size=v2[other].shape) * 10.0
+                moved = ad.attention_core(qt, ad.tensor(k2), ad.tensor(v2), 3, causal=causal,
+                                          q_lengths=q_lengths, k_lengths=k_lengths)
+                assert np.array_equal(moved.data[rows], ctx.data[rows])
             gk[keys] += parts[1].grad
             gv[keys] += parts[2].grad
             q_start += n
@@ -769,24 +786,24 @@ class TestSegmentedAttention:
     def test_single_segment_is_plain_causal_bit_for_bit(self):
         rng = np.random.default_rng(52)
         q, k, v = (ad.tensor(rng.normal(size=(6, 8))) for _ in range(3))
-        ctx, w = ad.attention_core(q, k, v, 2, causal=True, q_lengths=[6], k_lengths=[6])
-        want_ctx, want_w = single_sequence_attention_reference(q, k, v, 2, causal=True,
-                                                               q_lengths=[6], k_lengths=[6])
-        assert np.array_equal(ctx.data, want_ctx.data) and np.array_equal(w[0], want_w)
+        ctx = ad.attention_core(q, k, v, 2, causal=True, q_lengths=[6], k_lengths=[6])
+        want_ctx = single_sequence_attention_reference(q, k, v, 2, causal=True,
+                                                       q_lengths=[6], k_lengths=[6])
+        assert np.array_equal(ctx.data, want_ctx.data)
 
     def test_grad(self):
         rng = np.random.default_rng(53)
 
         def f(q, k, v):
-            ctx, _ = ad.attention_core(q, k, v, n_heads=2, causal=True, q_lengths=[2, 3],
-                                       k_lengths=[2, 3])
+            ctx = ad.attention_core(q, k, v, n_heads=2, causal=True, q_lengths=[2, 3],
+                                    k_lengths=[2, 3])
             return ad.sum_all(ad.mul(ctx, ctx))
 
         check(f, rng.normal(size=(5, 6)), rng.normal(size=(5, 6)),
               rng.normal(size=(5, 6)), tol=1e-4)
 
         def g(q, k, v):
-            ctx, _ = ad.attention_core(q, k, v, n_heads=2, q_lengths=[2, 3], k_lengths=[1, 3])
+            ctx = ad.attention_core(q, k, v, n_heads=2, q_lengths=[2, 3], k_lengths=[1, 3])
             return ad.sum_all(ad.mul(ctx, ctx))
 
         check(g, rng.normal(size=(5, 6)), rng.normal(size=(4, 6)),
@@ -813,6 +830,47 @@ class TestSegmentedAttention:
         with pytest.raises(DimensionError):
             ad.attention_core(q, k, k, 2, causal=causal, q_lengths=q_lengths,
                               k_lengths=k_lengths)
+
+
+def _t(*shape):
+    return ad.tensor(np.ones(shape))
+
+
+SHAPE_ERRORS = [
+    ("concat_rows_ranks", lambda: ad.concat_rows(_t(2, 3), _t(3)), "parts of one rank"),
+    ("concat_rows_none", lambda: ad.concat_rows(), "parts of one rank"),
+    ("affine", lambda: ad.affine(_t(3, 4), _t(5, 2), _t(2)), r"affine \(3, 4\) @ \(5, 2\)"),
+    ("layer_norm", lambda: ad.layer_norm(_t(3, 4), _t(5), _t(4)), r"layer_norm \(3, 4\)"),
+    ("cross_entropy_targets", lambda: ad.cross_entropy_mean(_t(3, 4), [0, 1], [3]),
+     "vs targets"),
+    ("cross_entropy_no_rows", lambda: ad.cross_entropy_mean(_t(0, 4), [], [0]),
+     "at least one row$"),
+    ("cross_entropy_target_range", lambda: ad.cross_entropy_mean(_t(3, 4), [0, 4, 1], [3]),
+     "out of range for 4 classes"),
+    ("cross_entropy_empty_sequence", lambda: ad.cross_entropy_mean(_t(3, 4), [0, 1, 2], [3, 0]),
+     "at least one row per sequence"),
+    ("lattice_nll_rank", lambda: ad.lattice_nll(_t(3, 4, 1), [[0]], [[False]], [3]),
+     r"\(T, V\) grid"),
+    ("lattice_nll_count", lambda: ad.lattice_nll(_t(3, 4), [[0], [0]], [[False]], [3]),
+     "2 lattices and 1 skip masks for 1 sequences"),
+    ("depthwise_rank", lambda: ad.depthwise_conv1d(_t(3), _t(3, 1), _t(1), [3]),
+     r"needs \(L, D\)"),
+    ("depthwise_width", lambda: ad.depthwise_conv1d(_t(3, 4), _t(3, 2), _t(4), [3]),
+     r"\(3, 4\) with kernel \(3, 2\)"),
+    ("attention_shapes", lambda: ad.attention_core(_t(3, 4), _t(2, 4), _t(2, 6), 2,
+                                                   q_lengths=[3], k_lengths=[2]),
+     r"attention q \(3, 4\)"),
+    ("attention_heads", lambda: ad.attention_core(_t(3, 4), _t(3, 4), _t(3, 4), 3,
+                                                  q_lengths=[3], k_lengths=[3]),
+     "not divisible by 3 heads"),
+]
+
+
+@pytest.mark.parametrize("call,message", [c[1:] for c in SHAPE_ERRORS],
+                         ids=[c[0] for c in SHAPE_ERRORS])
+def test_op_rejects_inconsistent_shapes(call, message):
+    with pytest.raises(DimensionError, match=message):
+        call()
 
 
 class TestFiniteGuard:
@@ -1015,7 +1073,7 @@ def tril_mask_attention_reference(q, k, v, n_heads, causal=False, *, q_lengths, 
         ad._accum(v, packed(gv, k_rows))
 
     ad._record(out, bwd)
-    return out, weights
+    return out
 
 
 def windowed_conv2d_reference(x, w, b):
@@ -1111,11 +1169,10 @@ def run_case(op, arrays, act_dtype, param_dtype, n_params, kwargs, seed):
     dtypes = [act_dtype] * split + [param_dtype] * n_params
     inputs = [ad.tensor(a, dtype=dt) for a, dt in zip(arrays, dtypes)]
     with ad.tape() as tp:
-        result = op(*inputs, **kwargs)
-        out, extra = (result[0], [result[1]]) if isinstance(result, tuple) else (result, [])
+        out = op(*inputs, **kwargs)
         g = np.random.default_rng(seed).normal(size=out.data.shape).astype(out.data.dtype)
         tp.backward(ad.sum_all(ad.mul(out, g)))
-    return [out.data, *extra] + [t.grad for t in inputs]
+    return [out.data] + [t.grad for t in inputs]
 
 
 class TestWrapperFreeOpsAgainstWrapperForms:

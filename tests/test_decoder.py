@@ -60,11 +60,11 @@ class TestStructure:
 
     def test_bad_depth_rejected(self):
         with pytest.raises(ParameterError):
-            dec.init_decoder(np.random.default_rng(2), 8, 2, 0, 5)
+            dec.init_decoder(np.random.default_rng(2), 8, 2, 0, 5, 2)
 
     def test_tiny_vocab_rejected(self):
         with pytest.raises(ParameterError):
-            dec.init_decoder(np.random.default_rng(3), 8, 2, 1, 1)
+            dec.init_decoder(np.random.default_rng(3), 8, 2, 1, 1, 2)
 
     def test_empty_encoder_rejected(self):
         rng = np.random.default_rng(4)
@@ -290,8 +290,8 @@ def single_sequence_log_likelihood_reference(enc, tokens, params, heads):
         src = h if memory is None else memory
         q = ad.affine(h, p.wq.value, p.bq.value)
         k, v = (ad.affine(src, w.value, b.value) for w, b in ((p.wk, p.bk), (p.wv, p.bv)))
-        ctx, _ = ad.attention_core(q, k, v, heads, causal=memory is None,
-                                   q_lengths=[q.data.shape[0]], k_lengths=[k.data.shape[0]])
+        ctx = ad.attention_core(q, k, v, heads, causal=memory is None,
+                                q_lengths=[q.data.shape[0]], k_lengths=[k.data.shape[0]])
         return ad.affine(ctx, p.wo.value, p.bo.value)
 
     for block in params.blocks:

@@ -53,12 +53,12 @@ class TestBlockShapes:
     def test_even_kernel_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ParameterError):
-            enc.init_block(rng, 8, 2, kernel=4)
+            enc.init_block(rng, 8, 2, kernel=4, ffn_multiple=2)
 
     def test_width_not_divisible_by_heads_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ParameterError):
-            enc.init_block(rng, 9, 2, kernel=3)
+            enc.init_block(rng, 9, 2, kernel=3, ffn_multiple=2)
 
 
 class TestIdentityBlock:
@@ -89,13 +89,17 @@ class TestIdentityBlock:
 
 
 class TestAttentionBranch:
-    def test_weight_rows_sum_to_one(self):
+    def test_constant_values_give_their_projection(self):
+        # With every value row equal, each frame's weights, which sum to one,
+        # give that row back, and the branch is its output projection.
         rng = np.random.default_rng(8)
         p = enc.init_attention(rng, 8)
+        p.wv.value.data[...] = 0.0
+        p.bv.value.data[...] = rng.normal(size=8)
         x = ad.Tensor(rng.normal(size=(6, 8)))
-        _, weights = enc.self_attention_branch(x, p, heads=2, lengths=(6,))
-        assert weights.shape == (1, 2, 6, 6)
-        np.testing.assert_allclose(weights.sum(axis=3), 1.0, atol=1e-12)
+        out = enc.self_attention_branch(x, p, heads=2, lengths=(3, 3))
+        want = p.bv.value.data @ p.wo.value.data + p.bo.value.data
+        np.testing.assert_allclose(out.data, np.tile(want, (6, 1)), rtol=0, atol=1e-12)
 
 
 def attention_macs(monkeypatch):

@@ -176,11 +176,47 @@ class TestFeatures:
             fileio.read_features(path)
 
     def test_repeated_utterance_id_reports_offset(self, tmp_path):
+        # The writer rejects a repeated id, so the file is edited after writing.
         path = tmp_path / "features.bin"
         fileio.write_features(path, [("u0", np.ones((9, 3))), ("u1", np.ones((4, 3))),
-                                     ("u0", np.ones((12, 3)))])
-        at = path.read_bytes().rindex(b"u0")
+                                     ("u2", np.ones((12, 3)))])
+        blob = path.read_bytes()
+        at = blob.index(b"u2")
+        path.write_bytes(blob.replace(b"u2", b"u0"))
         with pytest.raises(FormatError, match=f"duplicate utterance id 'u0' at byte {at}"):
+            fileio.read_features(path)
+
+    @pytest.mark.parametrize("ids,message", [
+        (["u0", "u1", "u0"], "utterance id 'u0' is repeated"),
+        (["u0", "\ud800"], "utterance id '\\ud800' cannot be encoded as UTF-8"),
+    ], ids=["repeated", "lone_surrogate"])
+    def test_writer_rejects_ids_its_reader_rejects(self, tmp_path, ids, message):
+        path = tmp_path / "features.bin"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            fileio.write_features(path, [(i, np.ones((4, 3))) for i in ids])
+        assert not path.exists()
+
+    def test_writer_rejects_frames_that_are_not_2d(self, tmp_path):
+        path = tmp_path / "features.bin"
+        with pytest.raises(FormatError, match="utterance 'u1' frames must be 2-D"):
+            fileio.write_features(path, [("u0", np.ones((4, 3))), ("u1", np.ones(12))])
+        assert not path.exists()
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "features.bin"
+        fileio.write_features(path, [("u0", np.ones((4, 3)))])
+        blob = bytearray(path.read_bytes())
+        blob[len(fileio.FEATURE_MAGIC)] = 99
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="unsupported feature version 99 at byte 9"):
+            fileio.read_features(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "features.bin"
+        fileio.write_features(path, [("u0", np.ones((4, 3)))])
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"x")
+        with pytest.raises(FormatError, match=f"trailing bytes after last utterance at byte {size}"):
             fileio.read_features(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
@@ -222,6 +258,30 @@ class TestTranscripts:
             with pytest.raises(FormatError, match=re.escape(message)):
                 fileio.write_transcripts(tmp_path / "bad.tsv", [("u0", [1]), (bad, [1, 2])])
             assert not (tmp_path / "bad.tsv").exists()
+
+    @pytest.mark.parametrize("items,message", [
+        ([("u0", [1]), ("u1", [2]), ("u0", [3])], "utterance id 'u0' is repeated"),
+        ([("u0", [1]), ("\ud800", [1])], "utterance id '\\ud800' cannot be encoded as UTF-8"),
+        ([("u0", [1]), ("u1", [1.5, True])], "utterance 'u1' has a token that is not an integer"),
+        ([("u0", [True])], "utterance 'u0' has a token that is not an integer"),
+        ([("u0", ["1"])], "utterance 'u0' has a token that is not an integer"),
+    ], ids=["repeated", "lone_surrogate", "float_and_bool", "bool", "string"])
+    def test_writer_rejects_what_its_reader_rejects_and_leaves_no_file(self, tmp_path, items,
+                                                                      message):
+        path = tmp_path / "transcripts.tsv"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            fileio.write_transcripts(path, items)
+        assert not path.exists()
+
+    def test_numpy_integer_tokens_round_trip(self, tmp_path):
+        path = tmp_path / "transcripts.tsv"
+        fileio.write_transcripts(path, [("u0", np.array([4, 0, 19])), ("u1", [np.int32(-2)])])
+        assert fileio.read_transcripts(path) == {"u0": [4, 0, 19], "u1": [-2]}
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "transcripts.tsv"
+        path.write_bytes(b"\nu0\t1 2\n\n\nu1\t3\n")
+        assert fileio.read_transcripts(path) == {"u0": [1, 2], "u1": [3]}
 
     def test_empty_token_list(self, tmp_path):
         path = tmp_path / "transcripts.tsv"

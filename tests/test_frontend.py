@@ -56,6 +56,13 @@ class TestSubsample:
         with pytest.raises(DimensionError):
             frontend.init_frontend(np.random.default_rng(0), 6, 8)
 
+    def test_features_too_wide_for_the_projection_rejected(self):
+        # 20 features make more conv columns than a 16-feature projection takes.
+        params = frontend.init_frontend(np.random.default_rng(0), 16, 8)
+        feats = FeatureSequence(utterance_id="u", frames=np.zeros((20, 20)))
+        with pytest.raises(DimensionError, match="feature dim 20 incompatible with projection"):
+            frontend.subsample(feats, params)
+
     def test_deterministic_under_seed(self):
         a = frontend.init_frontend(np.random.default_rng(3), 16, 8)
         b = frontend.init_frontend(np.random.default_rng(3), 16, 8)

@@ -380,6 +380,17 @@ class TestEvaluate:
         assert set(full.loss_means) == {"ctc_inter", "ctc_final",
                                         "dec_inter", "dec_final", "total"}
 
+    def test_every_utterance_falls_back_when_every_frame_reads_blank(self, tiny_corpus):
+        # At a blank threshold of 1e-9 an untrained model flags every frame,
+        # so no utterance keeps a crucial frame and each bypasses the splitter.
+        corpus = train_mod.load_corpus(*tiny_corpus, TINY_CFG.model)
+        params = model_mod.init_model(0, TINY_CFG.model)
+        report = ev.evaluate_corpus(params, TINY_CFG.model,
+                                    cfgmod.LossConfig(blank_threshold=1e-9), corpus)
+        assert report.fallback_fraction == 1.0
+        assert report.crucial_frac_mean == 1.0
+        assert [rec["fallback"] for rec in report.utterances] == [True] * len(corpus)
+
     def test_losses_reuse_the_decode_forward(self, tiny_model, monkeypatch):
         params, corpus, _ = tiny_model
         calls = []

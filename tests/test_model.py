@@ -126,6 +126,15 @@ class TestRecover:
             model_mod.recover(packed([(np.ones((1, 4)), np.array([2])), crucial[1]]),
                               packed([(np.ones((1, 4)), np.array([2])), trivial[1]]))
 
+    def test_packed_counts_must_match(self):
+        rng = np.random.default_rng(5)
+        two = EncodedSequence(frames=ad.Tensor(rng.normal(size=(3, 4))),
+                              orig_index=np.array([0, 1, 0]), lengths=(2, 1))
+        one = EncodedSequence(frames=ad.Tensor(rng.normal(size=(1, 4))),
+                              orig_index=np.array([2]))
+        with pytest.raises(ContractError, match="recover received 2 and 1 packed sequences"):
+            model_mod.recover(two, one)
+
     def test_gradient_flows_to_both_sides(self):
         rng = np.random.default_rng(3)
         a = ad.Tensor(rng.normal(size=(2, 3)))

@@ -1,9 +1,12 @@
 """Source-level rules for the package, checked on its syntax trees."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import skiprec
+from skiprec.config import LossConfig, ModelConfig, OptimizerConfig, TrainConfig
+from skiprec.synth import SynthSpec
 
 PACKAGE = Path(skiprec.__file__).parent
 
@@ -159,6 +162,19 @@ def test_every_defaulted_parameter_is_set_by_a_call_in_the_package():
                            for passed, names in calls.get(fn.name, [])):
                     unset.add(f"{module}.{fn.name}({name})")
     assert sorted(unset ^ NO_SETTER_NEEDED.keys()) == []
+
+
+def test_no_function_default_copies_a_config_default():
+    # A setting has one owner: its config field, read from the config by the
+    # caller, or a module constant. A public function's default named like a
+    # field would be a second copy of that field's default.
+    fields = {f.name for cls in (ModelConfig, LossConfig, OptimizerConfig, TrainConfig, SynthSpec)
+              for f in dataclasses.fields(cls)}
+    copies = [f"{module}.{fn.name}({name})"
+              for module, tree in modules().items() for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+              for _, name, _ in defaulted_parameters(fn) if name in fields]
+    assert copies == []
 
 
 def test_autodiff_calls_no_python_level_numpy_wrapper():
