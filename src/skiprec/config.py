@@ -60,9 +60,15 @@ class RunConfig:
 
 _SECTIONS = {"model": ModelConfig, "loss": LossConfig,
              "optimizer": OptimizerConfig, "training": TrainConfig}
+_ACCEPTS = {"int": int, "float": (int, float)}   # an int is a valid float; a bool is neither
 
 
 def validate_run_config(cfg: RunConfig) -> RunConfig:
+    for name, cls in _SECTIONS.items():
+        for f in dataclasses.fields(cls):   # f.type is the annotation's text
+            value = getattr(getattr(cfg, name), f.name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[f.type]):
+                raise ConfigError(f"{name}.{f.name} must be {f.type}, got {value!r}")
     m, l, o, t = cfg.model, cfg.loss, cfg.optimizer, cfg.training
     checks = [
         (m.d_model >= 1, "model.d_model must be positive"),
@@ -98,7 +104,7 @@ def run_config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        raise ConfigError(f"unknown config sections: {sorted(unknown, key=repr)}")
     sections = {}
     for name, cls in _SECTIONS.items():
         body = raw.get(name, {})
@@ -107,7 +113,7 @@ def run_config_from_dict(raw: dict) -> RunConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         bad = set(body) - known
         if bad:
-            raise ConfigError(f"unknown keys in config section {name!r}: {sorted(bad)}")
+            raise ConfigError(f"unknown keys in config section {name!r}: {sorted(bad, key=repr)}")
         sections[name] = cls(**body)
     return validate_run_config(RunConfig(**sections))
 
@@ -132,8 +138,5 @@ def full_scale_presets() -> dict[str, ModelConfig]:
     return {
         "m5n7": ModelConfig(d_model=256, heads=4, e1_blocks=5, e2_blocks=7,
                             kernel_e1=15, kernel_e2=5, ffn_multiple=8,
-                            decoder_blocks=6, vocab_size=5000, feature_dim=80),
-        "m6n6": ModelConfig(d_model=256, heads=4, e1_blocks=6, e2_blocks=6,
-                            kernel_e1=31, kernel_e2=9, ffn_multiple=8,
                             decoder_blocks=6, vocab_size=5000, feature_dim=80),
     }

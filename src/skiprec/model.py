@@ -203,8 +203,8 @@ def forward_batch(batch: list[FeatureSequence], params: ModelParams, cfg: ModelC
 
     groups = group(flags)
     utt = np.repeat(np.arange(len(lengths)), lengths)   # each h1 row's utterance
-    crucial = np.bincount(utt[list(groups.crucial)], minlength=len(lengths))
-    kept = crucial + np.bincount(utt[list(groups.trivial)], minlength=len(lengths))
+    crucial = np.bincount(utt[groups.crucial], minlength=len(lengths))
+    kept = crucial + np.bincount(utt[groups.trivial], minlength=len(lengths))
     fallbacks = tuple(not force_all_crucial and bool(c == 0 or too_short_for(target, k))
                       for c, k, target in zip(crucial, kept, targets or [None] * len(batch)))
     bypass = np.asarray(fallbacks) | force_all_crucial

@@ -6,7 +6,8 @@ trivial frames are carried around it and merged back, ignoring frames are
 dropped. The five grouping modes differ in how blank frames adjacent to
 non-blank runs are treated; "adjacent" means the nearest blank on each side
 of every non-blank frame, with edges contributing nothing when no blank
-exists on that side. All index containers are ascending tuples.
+exists on that side. Every index container is an ascending 1-D int64 array,
+the ``nonzero`` of a boolean mask, from the flags to the gathers.
 
 A batch is grouped packed: its flags lie one utterance after another, an
 index is a packed row, and no adjacency crosses an utterance boundary, so
@@ -34,26 +35,26 @@ class SplitMode(IntEnum):
     ABSORB_BOTH = 5       # crucial = left-adjacent + non-blank + right-adjacent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundarySets:
-    """Index sets derived from the flags alone."""
+    """Index arrays derived from the flags alone; compared by identity, as arrays."""
 
-    non_blank: tuple[int, ...]
-    blank: tuple[int, ...]
-    left_adjacent: tuple[int, ...]   # nearest blank left of each non-blank frame
-    right_adjacent: tuple[int, ...]  # nearest blank right of each non-blank frame
+    non_blank: np.ndarray
+    blank: np.ndarray
+    left_adjacent: np.ndarray   # nearest blank left of each non-blank frame
+    right_adjacent: np.ndarray  # nearest blank right of each non-blank frame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameGroups:
     sets: BoundarySets
-    crucial: tuple[int, ...]
-    trivial: tuple[int, ...]
-    ignoring: tuple[int, ...]
+    crucial: np.ndarray
+    trivial: np.ndarray
+    ignoring: np.ndarray
 
 
 def compute_sets(flags, lengths=None) -> BoundarySets:
-    """Derive the four index sets from per-frame blank flags.
+    """Derive the four index arrays from per-frame blank flags.
 
     ``lengths`` splits packed flags into utterances, one after another; no
     set reaches across an utterance boundary. The nearest blank left of a
@@ -63,18 +64,17 @@ def compute_sets(flags, lengths=None) -> BoundarySets:
     """
     flags = np.asarray(flags, dtype=bool)
     n = flags.shape[0]
-    same = np.ones(max(n - 1, 0), dtype=bool)   # frames i and i + 1 share an utterance
+    step = flags[:-1] != flags[1:]   # frames i and i + 1 differ
     if lengths is not None:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.sum() != n or np.any(lengths <= 0):
-            raise ContractError(f"lengths {tuple(lengths.tolist())} do not split {n} flags")
-        same[np.cumsum(lengths)[:-1] - 1] = False
-    step = same & (flags[:-1] != flags[1:])
+        sizes = np.asarray(lengths, dtype=np.int64)
+        if sizes.sum() != n or np.any(sizes <= 0):
+            raise ContractError(f"lengths {lengths} do not split {n} flags")
+        step[np.cumsum(sizes)[:-1] - 1] = False   # no step crosses an utterance boundary
     return BoundarySets(
-        non_blank=tuple(np.flatnonzero(~flags).tolist()),
-        blank=tuple(np.flatnonzero(flags).tolist()),
-        left_adjacent=tuple(np.flatnonzero(step & flags[:-1]).tolist()),
-        right_adjacent=tuple((np.flatnonzero(step & flags[1:]) + 1).tolist()),
+        non_blank=(~flags).nonzero()[0],
+        blank=flags.nonzero()[0],
+        left_adjacent=(step & flags[:-1]).nonzero()[0],
+        right_adjacent=(step & flags[1:]).nonzero()[0] + 1,
     )
 
 
@@ -84,26 +84,22 @@ def assign_groups(sets: BoundarySets, mode: SplitMode | int) -> FrameGroups:
         mode = SplitMode(mode)
     except ValueError:
         raise ParameterError(f"split mode must be in 1..5, got {mode}")
-    c = set(sets.non_blank)
-    b = set(sets.blank)
-    left = set(sets.left_adjacent)
-    right = set(sets.right_adjacent)
+    n = sets.non_blank.size + sets.blank.size
+    crucial, trivial = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    crucial[sets.non_blank] = True
     if mode is SplitMode.KEEP_ALL:
-        crucial, trivial, ignoring = c, b, set()
+        trivial[sets.blank] = True
     elif mode is SplitMode.CARRY_RIGHT:
-        crucial, trivial, ignoring = c, right, b - right
+        trivial[sets.right_adjacent] = True
     elif mode is SplitMode.ABSORB_RIGHT:
-        crucial, trivial, ignoring = c | right, set(), b - right
+        crucial[sets.right_adjacent] = True
     elif mode is SplitMode.ABSORB_LEFT:
-        crucial, trivial, ignoring = left | c, set(), b - left
+        crucial[sets.left_adjacent] = True
     else:
-        crucial, trivial, ignoring = left | c | right, set(), b - right - left
-    return FrameGroups(
-        sets=sets,
-        crucial=tuple(sorted(crucial)),
-        trivial=tuple(sorted(trivial)),
-        ignoring=tuple(sorted(ignoring)),
-    )
+        crucial[sets.left_adjacent] = crucial[sets.right_adjacent] = True
+    # Non-blank frames are always crucial, so the frames left over are blanks.
+    return FrameGroups(sets=sets, crucial=crucial.nonzero()[0], trivial=trivial.nonzero()[0],
+                       ignoring=(~(crucial | trivial)).nonzero()[0])
 
 
 def split_frames(seq: EncodedSequence, groups: FrameGroups
@@ -114,8 +110,7 @@ def split_frames(seq: EncodedSequence, groups: FrameGroups
     utterances. Each output packs the gathered rows in the same order, as
     one gather each, and its lengths count the rows of each utterance.
     """
-    rows = [np.asarray(g, dtype=np.int64) for g in (groups.crucial, groups.trivial)]
-    for idx in rows:
+    for idx in (groups.crucial, groups.trivial):
         if idx.size and (idx.min() < 0 or idx.max() >= seq.length):
             bad = idx.min() if idx.min() < 0 else idx.max()
             raise ContractError(f"group index {int(bad)} outside sequence of length {seq.length}")
@@ -128,4 +123,4 @@ def split_frames(seq: EncodedSequence, groups: FrameGroups
             lengths=tuple(np.bincount(utt[idx], minlength=len(seq.lengths)).tolist()),
         )
 
-    return gather(rows[0]), gather(rows[1])
+    return gather(groups.crucial), gather(groups.trivial)

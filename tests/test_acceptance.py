@@ -158,7 +158,9 @@ def test_criterion_01_split_oracle_equivalence():
             mismatches += 1
         for mode in range(1, 6):
             g = sp.assign_groups(sets, mode)
-            if (g.crucial, g.trivial, g.ignoring) != oracle_groups(flags, mode):
+            groups = (tuple(g.crucial.tolist()), tuple(g.trivial.tolist()),
+                      tuple(g.ignoring.tolist()))
+            if groups != oracle_groups(flags, mode):
                 mismatches += 1
             checked += 1
 
@@ -186,7 +188,7 @@ def test_criterion_02_partition_invariant():
         full = set(range(int(length)))
         for mode in range(1, 6):
             g = sp.assign_groups(sets, mode)
-            merged = g.crucial + g.trivial + g.ignoring
+            merged = g.crucial.tolist() + g.trivial.tolist() + g.ignoring.tolist()
             if len(merged) != length or set(merged) != full:
                 violations += 1
     verdict(2, violations == 0,
@@ -290,7 +292,7 @@ def test_criterion_06_recover_contract_and_identity_stage():
         for mode in range(1, 6):
             trace = model_mod.forward_utterance(
                 feats, params, TOY, cfgmod.LossConfig(blank_threshold=beta, split_mode=mode))
-            kept = np.asarray(sorted(trace.groups.crucial + trace.groups.trivial))
+            kept = np.sort(np.concatenate([trace.groups.crucial, trace.groups.trivial]))
             if not (np.array_equal(trace.h2.orig_index, kept)
                     and np.array_equal(trace.h2.frames.data, trace.h1.frames.data[kept])):
                 identity_ok = False

@@ -75,6 +75,26 @@ class TestDictConversion:
         with pytest.raises(ConfigError, match=f"unknown keys in config section '{section}'"):
             cfgmod.run_config_from_dict({section: {key: value}})
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "d_model", "64"),
+        ("model", "e1_blocks", 2.5),
+        ("training", "epochs", True),
+        ("loss", "split_mode", 2.0),
+    ])
+    def test_value_of_the_wrong_type_is_rejected_by_name(self, section, key, value):
+        # A bool is not an int, and a float is not an int even when integral.
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be int, got "):
+            cfgmod.run_config_from_dict({section: {key: value}})
+
+    def test_an_int_is_a_valid_float(self):
+        assert cfgmod.run_config_from_dict({"model": {"dropout": 0}}).model.dropout == 0
+
+    def test_non_string_keys_are_named_as_unknown(self):
+        with pytest.raises(ConfigError, match=r"section 'model': \['x', 1\]"):
+            cfgmod.run_config_from_dict({"model": {1: 2, "x": 3}})
+        with pytest.raises(ConfigError, match=r"unknown config sections: \[2\]"):
+            cfgmod.run_config_from_dict({2: {}})
+
     def test_non_dict_root_rejected(self):
         with pytest.raises(ConfigError):
             cfgmod.run_config_from_dict([1, 2])

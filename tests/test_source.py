@@ -228,3 +228,20 @@ def test_no_autodiff_op_reads_missing_lengths_as_one_sequence():
                   if name.endswith("lengths") and isinstance(default, ast.Constant)
                   and default.value is None]
     assert found == []
+
+
+def test_frame_groups_stay_index_arrays_from_the_flags_to_the_gathers():
+    # compute_sets and assign_groups build no Python container of indices,
+    # and the forward gathers with the group arrays as they are.
+    trees = modules()
+    found = []
+    for fn in trees["splitter"].body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("compute_sets", "assign_groups"):
+            found += [(fn.name, ast.unparse(n)) for n in ast.walk(fn) if isinstance(n, ast.Call)
+                      and (isinstance(n.func, ast.Name)
+                           and n.func.id in ("set", "sorted", "tuple", "list")
+                           or isinstance(n.func, ast.Attribute) and n.func.attr == "tolist")]
+    found += [("model", ast.unparse(n)) for n in ast.walk(trees["model"])
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "list"
+              and any("groups." in ast.unparse(arg) for arg in n.args)]
+    assert found == []

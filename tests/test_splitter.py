@@ -48,6 +48,16 @@ def brute_groups(flags, mode):
 
 
 WORKED_FLAGS = [True, False, False, True, True, False, True]
+SET_FIELDS = ("non_blank", "blank", "left_adjacent", "right_adjacent")
+
+
+def set_lists(sets):
+    """The four index arrays of ``sets`` as lists, to compare by value."""
+    return [getattr(sets, name).tolist() for name in SET_FIELDS]
+
+
+def rows(*idx):
+    return np.array(idx, dtype=np.int64)
 
 
 class TestComputeSets:
@@ -60,19 +70,19 @@ class TestComputeSets:
 
     def test_all_blank(self):
         sets = splitter.compute_sets([True] * 5)
-        assert sets.non_blank == ()
-        assert sets.left_adjacent == () and sets.right_adjacent == ()
+        assert sets.non_blank.tolist() == []
+        assert sets.left_adjacent.tolist() == [] and sets.right_adjacent.tolist() == []
         assert set(sets.blank) == set(range(5))
 
     def test_all_non_blank(self):
         sets = splitter.compute_sets([False] * 5)
-        assert sets.blank == ()
-        assert sets.left_adjacent == () and sets.right_adjacent == ()
+        assert sets.blank.tolist() == []
+        assert sets.left_adjacent.tolist() == [] and sets.right_adjacent.tolist() == []
         assert set(sets.non_blank) == set(range(5))
 
     def test_empty(self):
         sets = splitter.compute_sets([])
-        assert sets.non_blank == () and sets.blank == ()
+        assert sets.non_blank.tolist() == [] and sets.blank.tolist() == []
 
     def test_edge_frames_have_no_outside_neighbor(self):
         # non-blank at both edges: no left blank for the first, no right for the last
@@ -147,7 +157,7 @@ class TestPartitionProperties:
             assert list(by_mode[1].ignoring) == []
             for m in (3, 4, 5):
                 assert list(by_mode[m].trivial) == []
-            assert by_mode[1].crucial == by_mode[2].crucial
+            assert by_mode[1].crucial.tolist() == by_mode[2].crucial.tolist()
             c = {m: set(by_mode[m].crucial) for m in range(1, 6)}
             assert c[2] <= c[3] <= c[5]
             assert c[2] <= c[4] <= c[5]
@@ -160,9 +170,8 @@ class TestPackedSets:
     def shifted(flags, lengths):
         starts = np.cumsum(lengths) - np.asarray(lengths)
         pieces = [splitter.compute_sets(flags[s:s + n]) for s, n in zip(starts, lengths)]
-        return splitter.BoundarySets(*(
-            tuple(int(s) + i for s, p in zip(starts, pieces) for i in getattr(p, name))
-            for name in ("non_blank", "blank", "left_adjacent", "right_adjacent")))
+        return [[int(s) + i for s, p in zip(starts, pieces) for i in getattr(p, name).tolist()]
+                for name in SET_FIELDS]
 
     def test_random_ragged_batches_match_per_utterance_sets(self):
         rng = np.random.default_rng(11)
@@ -170,7 +179,7 @@ class TestPackedSets:
         for _ in range(300):
             lengths = tuple(int(n) for n in rng.integers(1, 9, size=int(rng.integers(1, 6))))
             flags = rng.random(sum(lengths)) < 0.5
-            assert splitter.compute_sets(flags, lengths) == self.shifted(flags, lengths)
+            assert set_lists(splitter.compute_sets(flags, lengths)) == self.shifted(flags, lengths)
             ends = np.cumsum(lengths)[:-1]
             crossings |= set(zip(flags[ends - 1].tolist(), flags[ends].tolist()))
         # A blank ending one utterance before a non-blank starting the next,
@@ -181,6 +190,32 @@ class TestPackedSets:
     def test_lengths_that_do_not_split_the_flags_are_rejected(self, lengths):
         with pytest.raises(ContractError):
             splitter.compute_sets([True, False, True, False, True], lengths)
+
+
+class TestIndexArrays:
+    """Every set and group is an ascending 1-D int64 index array, from the flags on."""
+
+    @staticmethod
+    def assert_index_arrays(obj, names):
+        for name in names:
+            idx = getattr(obj, name)
+            assert isinstance(idx, np.ndarray) and idx.ndim == 1, name
+            assert idx.dtype == np.int64, (name, idx.dtype)
+            assert np.all(np.diff(idx) > 0), name
+
+    @pytest.mark.parametrize("mode", [1, 2, 3, 4, 5])
+    def test_sets_and_groups_are_ascending_int64_arrays(self, mode):
+        rng = np.random.default_rng(21 + mode)
+        cases = [([], None), ([True] * 4, None), ([False] * 4, None), (WORKED_FLAGS, None)]
+        for _ in range(50):
+            lengths = tuple(int(n) for n in rng.integers(1, 9, size=int(rng.integers(1, 5))))
+            cases.append((rng.random(sum(lengths)) < rng.random(), lengths))
+        for flags, lengths in cases:
+            sets = splitter.compute_sets(flags, lengths)
+            self.assert_index_arrays(sets, SET_FIELDS)
+            groups = splitter.assign_groups(sets, mode)
+            assert groups.sets is sets
+            self.assert_index_arrays(groups, ("crucial", "trivial", "ignoring"))
 
 
 class TestSplitFrames:
@@ -234,7 +269,7 @@ class TestSplitFrames:
                                                                SplitMode.CARRY_RIGHT), name),
                                 dtype=np.int64) for f in flags]
             rows = np.concatenate([s + idx for s, idx in zip(starts, local)])
-            assert getattr(groups, name) == tuple(rows.tolist())
+            assert getattr(groups, name).tolist() == rows.tolist()
             assert out.lengths == tuple(idx.size for idx in local)
             assert np.array_equal(out.frames.data, seq.frames.data[rows])
             assert np.array_equal(out.orig_index, np.concatenate(local))
@@ -243,7 +278,7 @@ class TestSplitFrames:
         seq = self._seq(3)
         g = splitter.FrameGroups(
             sets=splitter.compute_sets([False] * 3),
-            crucial=(0, 5), trivial=(), ignoring=(1, 2))
+            crucial=rows(0, 5), trivial=rows(), ignoring=rows(1, 2))
         with pytest.raises(ContractError):
             splitter.split_frames(seq, g)
 
@@ -251,7 +286,7 @@ class TestSplitFrames:
         seq = self._seq(5)
         g = splitter.FrameGroups(
             sets=splitter.compute_sets([False] * 5),
-            crucial=(-1, 2), trivial=(), ignoring=(0, 1, 3, 4))
+            crucial=rows(-1, 2), trivial=rows(), ignoring=rows(0, 1, 3, 4))
         with pytest.raises(ContractError, match=r"group index -1 outside sequence of length 5"):
             splitter.split_frames(seq, g)
 
@@ -259,6 +294,6 @@ class TestSplitFrames:
         seq = self._seq(5)
         g = splitter.FrameGroups(
             sets=splitter.compute_sets([False] * 5),
-            crucial=(1, 2), trivial=(7,), ignoring=(0, 3, 4))
+            crucial=rows(1, 2), trivial=rows(7), ignoring=rows(0, 3, 4))
         with pytest.raises(ContractError, match=r"group index 7 outside sequence of length 5"):
             splitter.split_frames(seq, g)

@@ -14,11 +14,12 @@ measuring it; a claim still comes from ``perfbench/run.py``.
 
 CHANGE_TREE defaults to this checkout; a tree is any directory holding
 ``src/skiprec``, such as a ``git archive`` of another commit. The workloads
-follow ``perfbench/workloads.py``: desk-decode decodes held-out utterances
-with the perfbench fixture model (prefix beam 8 plus rescoring); long-encode
-runs the ``m5n7`` preset, its blank probe fitted once in the first tree and
-copied into both, on ~1000-frame utterances with greedy decoding. Files
-under ``perfbench/`` are only read.
+take their fixture, utterance spec and probe settings from
+``perfbench/workloads.py``: desk-decode decodes held-out utterances with the
+perfbench fixture model (prefix beam 8 plus rescoring); long-encode runs the
+``m5n7`` preset, its blank probe fitted once in the first tree and copied
+into both, on ~1000-frame utterances with greedy decoding. Files under
+``perfbench/`` are only read.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-MODULES = ("config", "encoder", "evaluate", "fileio", "frontend", "model", "synth")
+MODULES = ("config", "ctc", "encoder", "evaluate", "fileio", "frontend", "model", "synth",
+           "train")
 WARMUP_OPS = 3
 
 
@@ -55,38 +57,37 @@ def load_tree(tree: Path, name: str):
     return pkg
 
 
-def import_inputs(pkg):
-    """perfbench's ``inputs`` module, its ``skiprec`` imports bound to ``pkg``."""
+def import_workloads(pkg):
+    """perfbench's ``workloads`` module, its ``skiprec`` imports bound to ``pkg``."""
     aliases = {"skiprec" + key[len(pkg.__name__):]: mod for key, mod in sys.modules.items()
                if key == pkg.__name__ or key.startswith(pkg.__name__ + ".")}
     sys.modules.update(aliases)
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("inputs")
+        return importlib.import_module("workloads")
     finally:
         sys.path.remove(str(PERFBENCH))
         for key in aliases:
             del sys.modules[key]
 
 
-def workload(name: str, base, inputs, seed: int):
+def workload(name: str, base, wl, seed: int):
     """(model config, loss config, shared tensors, utterance stream, decode kwargs)."""
+    inputs = wl.inputs
     if name == "desk-decode":
         cfg = base.config.RunConfig()
-        tensors = base.fileio.load_checkpoint(PERFBENCH / "fixture" / "desk_last.ckpt")
+        _, tensors = wl.load_fixture()
         stream = inputs.utterances(base.synth.SynthSpec(), seed, 1, "dec")
         return cfg.model, cfg.loss, tensors, stream, {"decode": "rescoring", "beam": 8}
-    # As perfbench/workloads.LongEncode: 17 tokens with 50-56 frame gaps.
+    # As perfbench/workloads.LongEncode.
     model_cfg = base.config.full_scale_presets()["m5n7"]
     loss_cfg = base.config.LossConfig()
-    spec = base.synth.SynthSpec(vocab_size=5000, feature_dim=80, tokens_min=17, tokens_max=17,
-                                gap_min=50, gap_max=56)
     params = base.model.init_model(0, model_cfg)
-    probe = inputs.utterances(spec, 0, 0, "probe")
+    probe = inputs.utterances(wl.LONG_SPEC, wl.PROBE_SEED, 0, "probe")
     inputs.fit_blank_probe(params, model_cfg.heads, loss_cfg.blank_threshold,
-                           [next(probe) for _ in range(6)])
+                           [next(probe) for _ in range(wl.PROBE_UTTERANCES)])
     tensors = base.model.checkpoint_tensors(params)
-    return model_cfg, loss_cfg, tensors, inputs.utterances(spec, seed, 2, "long"), \
+    return model_cfg, loss_cfg, tensors, inputs.utterances(wl.LONG_SPEC, seed, 2, "long"), \
         {"decode": "greedy"}
 
 
@@ -102,9 +103,9 @@ def main(argv=None) -> int:
 
     trees = [load_tree(args.base.resolve(), "skiprec_base"),
              load_tree(args.change.resolve(), "skiprec_change")]
-    inputs = import_inputs(trees[0])
-    model_cfg, loss_cfg, tensors, stream, decode = workload(args.workload, trees[0],
-                                                            inputs, args.seed)
+    wl = import_workloads(trees[0])
+    model_cfg, loss_cfg, tensors, stream, decode = workload(args.workload, trees[0], wl,
+                                                            args.seed)
     models = []
     for pkg in trees:
         params = pkg.model.init_model(0, model_cfg)
