@@ -20,12 +20,11 @@ from tempfile import TemporaryDirectory
 
 import numpy as np
 
-from . import ctc
-from . import decoder as dec_mod
 from . import fileio
 from . import model as model_mod
 from .config import LossConfig, ModelConfig, RunConfig
 from .errors import ParameterError
+from .evaluate import evaluate_corpus
 from .train import load_corpus, train_run
 
 TIMING_WINDOW = 0.05     # seconds every timed window spans at least
@@ -84,9 +83,11 @@ def bench_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig, corpus,
                  repeats: int = 5, beam: int = 4, time_full_path: bool = True) -> BenchRow:
     """Measure the skipping and no-skip forward paths over one corpus.
 
-    Encoder-only rows time ``forward_utterance`` alone; the full path adds the
-    prefix beam and decoder rescoring. Statistics (lengths, crucial fraction,
-    analytic ratio) come from an untimed pass so the clock only sees work.
+    Encoder-only rows time ``forward_utterance`` alone; the full path times
+    ``evaluate_corpus``'s rescoring decode, as ``skiprec eval`` runs it. The
+    statistics come from the per-utterance records of one untimed greedy
+    ``evaluate_corpus`` call: its crucial fraction and reduction means, and
+    the lengths and analytic ratio from the records' frame counts.
     """
     if repeats < MIN_REPEATS:
         raise ParameterError(f"bench needs at least {MIN_REPEATS} repeats, got {repeats}")
@@ -95,16 +96,9 @@ def bench_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig, corpus,
 
     m = model_cfg.e1_blocks
     n = model_cfg.e2_blocks
-    subs, crucial_fracs, out_lens, reductions, cost_ratios = [], [], [], [], []
-    for feats, _ in corpus:
-        trace = model_mod.forward_utterance(feats, params, model_cfg, loss_cfg)
-        t = trace.subsampled_len
-        c = trace.crucial_len
-        subs.append(t)
-        crucial_fracs.append(c / t)
-        out_lens.append(trace.output_len)
-        reductions.append(trace.reduction_factor)
-        cost_ratios.append((m * t * t + n * c * c) / ((m + n) * t * t))
+    stats = evaluate_corpus(params, model_cfg, loss_cfg, corpus)
+    t, c, out_len = (np.array([rec[k] for rec in stats.utterances], dtype=np.float64)
+                     for k in ("subsampled_frames", "crucial_frames", "output_frames"))
 
     def enc_skip():
         for feats, _ in corpus:
@@ -121,13 +115,10 @@ def bench_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig, corpus,
     full_ms = float("nan")
     if time_full_path:
         def full_skip():
-            for feats, _ in corpus:
-                trace = model_mod.forward_utterance(feats, params, model_cfg, loss_cfg)
-                hyps = ctc.prefix_beam_search(trace.final_grid, beam)
-                dec_mod.rescore(trace.h2, hyps, params.decoder, model_cfg.heads)
+            evaluate_corpus(params, model_cfg, loss_cfg, corpus, decode="rescoring", beam=beam)
         full_ms = _timed_interleaved([full_skip], repeats)[0] * per_utt
 
-    analytic_ratio = float(np.mean(cost_ratios))
+    analytic_ratio = float(np.mean((m * t * t + n * c * c) / ((m + n) * t * t)))
     analytic_speedup = 1.0 / analytic_ratio
     measured_speedup = t_noskip / t_skip
     return BenchRow(
@@ -135,10 +126,10 @@ def bench_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig, corpus,
         e1_blocks=m,
         e2_blocks=n,
         utterances=len(corpus),
-        mean_subsampled=float(np.mean(subs)),
-        mean_crucial_frac=float(np.mean(crucial_fracs)),
-        mean_output_len=float(np.mean(out_lens)),
-        mean_reduction=float(np.mean(reductions)),
+        mean_subsampled=float(np.mean(t)),
+        mean_crucial_frac=stats.crucial_frac_mean,
+        mean_output_len=float(np.mean(out_len)),
+        mean_reduction=stats.reduction_mean,
         encoder_ms_skip=t_skip,
         encoder_ms_noskip=t_noskip,
         full_ms_skip=full_ms,

@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import SkipRecError   # imports nothing, so numpy still loads after the pin
+
 
 def _pin_threads() -> None:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -243,12 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a package or OS error is one line on stderr and exit status 2."""
     _pin_threads()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:
         return 1
+    except (SkipRecError, OSError) as err:
+        print(f"skiprec {args.command}: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -62,15 +62,8 @@ def evaluate_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig,
             f"checkpoint vocab {params.decoder.vocab_size} != config vocab "
             f"{model_cfg.vocab_size}")
 
-    edits = 0
-    ref_total = 0
-    reductions = []
-    crucial_fracs = []
-    fallbacks = 0
     loss_sums: dict[str, float] = {}
-    loss_n = 0
     per_utt = []
-
     for feats, tokens in corpus:
         trace = model_mod.forward_utterance(
             feats, params, model_cfg, loss_cfg, target=None,
@@ -81,18 +74,11 @@ def evaluate_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig,
             hyps = ctc.prefix_beam_search(trace.final_grid, beam)
             best, _scores = dec_mod.rescore(trace.h2, hyps, params.decoder, model_cfg.heads)
             hyp = list(hyps[best][0])
-        d = edit_distance(tokens, hyp)
-        edits += d
-        ref_total += len(tokens)
-        reductions.append(trace.reduction_factor)
-        crucial_fracs.append(trace.crucial_len / max(trace.subsampled_len, 1))
-        if trace.fallback:
-            fallbacks += 1
         per_utt.append({
             "id": feats.utterance_id,
             "ref": tokens,
             "hyp": hyp,
-            "edits": d,
+            "edits": edit_distance(tokens, hyp),
             "input_frames": trace.input_len,
             "subsampled_frames": trace.subsampled_len,
             "crucial_frames": trace.crucial_len,
@@ -110,16 +96,20 @@ def evaluate_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig,
             terms = model_mod.component_losses(trace, [tokens], params, model_cfg, loss_cfg)
             for k, v in terms.items():
                 loss_sums[k] = loss_sums.get(k, 0.0) + v
-            loss_n += 1
 
-    n_utt = max(len(per_utt), 1)
+    n_utt = max(len(per_utt), 1)   # means as sums over n_utt: an empty corpus reads 0
+    edits = sum(rec["edits"] for rec in per_utt)
+    ref_total = sum(len(rec["ref"]) for rec in per_utt)
+    inputs, subsampled, crucial, outputs = (
+        np.array([rec[k] for rec in per_utt], dtype=np.float64)
+        for k in ("input_frames", "subsampled_frames", "crucial_frames", "output_frames"))
     return EvalReport(
         error_rate=edits / max(ref_total, 1),
         substitutions_plus=edits,
         reference_tokens=ref_total,
-        reduction_mean=float(np.mean(reductions)) if reductions else 0.0,
-        crucial_frac_mean=float(np.mean(crucial_fracs)) if crucial_fracs else 0.0,
-        fallback_fraction=fallbacks / n_utt,
-        loss_means={k: v / max(loss_n, 1) for k, v in loss_sums.items()},
+        reduction_mean=float(np.sum(inputs / outputs)) / n_utt,
+        crucial_frac_mean=float(np.sum(crucial / subsampled)) / n_utt,
+        fallback_fraction=sum(rec["fallback"] for rec in per_utt) / n_utt,
+        loss_means={k: v / n_utt for k, v in loss_sums.items()},
         utterances=per_utt,
     )

@@ -12,17 +12,20 @@ Feature container layout:
 
 Transcripts are text lines: utterance id, a tab, space-separated token ids.
 
-The writers reject what the readers reject, before they open the file,
-so a rejected write leaves no file: a repeated id, an id that UTF-8 cannot
-encode, a non-finite feature value (checked after the cast to float32), a
-transcript id holding a tab, LF or CR and a token that is not an integer
-(``bool`` is not) raise ``FormatError`` naming the utterance.
+Every writer writes its bytes to a temporary sibling of the target and
+renames it over the target, so a write that fails part-way leaves any
+previous file untouched. The writers reject what the readers reject, before
+they open the file, so a rejected write leaves no file: a repeated id, an id
+that UTF-8 cannot encode, a non-finite feature value (checked after the cast
+to float32), a transcript id holding a tab, LF or CR and a token that is not
+an integer (``bool`` is not) raise ``FormatError`` naming the utterance.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import struct
 
@@ -63,23 +66,8 @@ class _Reader:
             raise FormatError(f"{what} at byte {start} is not valid UTF-8")
 
 
-def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named float64 tensors in dict insertion order.
-
-    The bytes go to a temporary sibling that is then renamed over ``path``,
-    so a write that fails part-way leaves any previous file untouched. The
-    parts are written one after another, never joined into one copy.
-    """
-    parts = [CHECKPOINT_MAGIC, struct.pack("<II", FORMAT_VERSION, len(tensors))]
-    for name, arr in tensors.items():
-        # asarray, not ascontiguousarray: the latter promotes rank-0 to rank-1
-        arr = np.asarray(arr, dtype="<f8")
-        raw = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-        parts.append(arr.tobytes())
+def _write(path, parts) -> None:
+    """Write ``parts`` one after another to a temporary sibling, then rename it over ``path``."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -93,32 +81,59 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         raise
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
+def _entries(path, magic: bytes, kind: str, entry: str, label: str):
+    """Yield (name, reader) for each entry of a container, the reader at its body.
+
+    Reads the whole file once and checks the magic, the version, the UTF-8
+    of each entry's name (its ``label`` in errors) and that no name repeats.
+    The caller reads each body before asking for the next entry; bytes left
+    after the last one raise ``FormatError``.
+    """
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
-    magic = rd.take(len(CHECKPOINT_MAGIC), "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {magic!r} at byte 0")
+    found = rd.take(len(magic), "magic")
+    if found != magic:
+        raise FormatError(f"bad {kind} magic {found!r} at byte 0")
     version = rd.u32("version")
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} at byte 4")
-    count = rd.u32("tensor count")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name_len = rd.u32("name length")
+        raise FormatError(f"unsupported {kind} version {version} at byte {len(magic)}")
+    seen: set[str] = set()
+    for _ in range(rd.u32(f"{entry} count")):
+        name_len = rd.u32(f"{label} length")
         name_at = rd.off
-        name = rd.text(name_len, "tensor name")
-        if name in tensors:
-            raise FormatError(f"duplicate tensor name {name!r} at byte {name_at}")
-        rank = rd.u32("rank")
-        dims = tuple(rd.u64("dimension") for _ in range(rank))
-        n = 1
-        for d in dims:
-            n *= d
-        raw = rd.take(8 * n, f"values of {name}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        name = rd.text(name_len, label)
+        if name in seen:
+            raise FormatError(f"duplicate {label} {name!r} at byte {name_at}")
+        seen.add(name)
+        yield name, rd
     if rd.off != len(rd.buf):
-        raise FormatError(f"trailing bytes after last tensor at byte {rd.off}")
+        raise FormatError(f"trailing bytes after last {entry} at byte {rd.off}")
+
+
+def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write named float64 tensors in dict insertion order.
+
+    The parts are written one after another, never joined into one copy.
+    """
+    parts = [CHECKPOINT_MAGIC, struct.pack("<II", FORMAT_VERSION, len(tensors))]
+    for name, arr in tensors.items():
+        # asarray, not ascontiguousarray: the latter promotes rank-0 to rank-1
+        arr = np.asarray(arr, dtype="<f8")
+        raw = name.encode("utf-8")
+        parts.append(struct.pack("<I", len(raw)))
+        parts.append(raw)
+        parts.append(struct.pack("<I", arr.ndim))
+        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
+        parts.append(arr.tobytes())
+    _write(path, parts)
+
+
+def load_checkpoint(path) -> dict[str, np.ndarray]:
+    tensors: dict[str, np.ndarray] = {}
+    for name, rd in _entries(path, CHECKPOINT_MAGIC, "checkpoint", "tensor", "tensor name"):
+        dims = tuple(rd.u64("dimension") for _ in range(rd.u32("rank")))
+        raw = rd.take(8 * math.prod(dims), f"values of {name}")
+        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
     return tensors
 
 
@@ -151,39 +166,19 @@ def write_features(path, utterances: list[tuple[str, np.ndarray]]) -> None:
         parts.append(raw)
         parts.append(struct.pack("<II", frames.shape[0], frames.shape[1]))
         parts.append(frames.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    _write(path, parts)
 
 
 def read_features(path) -> list[tuple[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
-    magic = rd.take(len(FEATURE_MAGIC), "magic")
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"bad feature magic {magic!r} at byte 0")
-    version = rd.u32("version")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported feature version {version} at byte {len(FEATURE_MAGIC)}")
-    count = rd.u32("utterance count")
     out: list[tuple[str, np.ndarray]] = []
-    seen: set[str] = set()
-    for _ in range(count):
-        id_len = rd.u32("id length")
-        id_at = rd.off
-        utt_id = rd.text(id_len, "utterance id")
-        if utt_id in seen:
-            raise FormatError(f"duplicate utterance id {utt_id!r} at byte {id_at}")
-        seen.add(utt_id)
+    for utt_id, rd in _entries(path, FEATURE_MAGIC, "feature", "utterance", "utterance id"):
         t_in = rd.u32("frame count")
         feat_dim = rd.u32("feature dim")
         frames_at = rd.off
         raw = np.frombuffer(rd.take(4 * t_in * feat_dim, f"frames of {utt_id}"), dtype="<f4")
         if not np.isfinite(raw).all():
             raise FormatError(f"frames of {utt_id!r} at byte {frames_at} hold non-finite values")
-        frames = raw.reshape(t_in, feat_dim).astype(np.float64)
-        out.append((utt_id, frames))
-    if rd.off != len(rd.buf):
-        raise FormatError(f"trailing bytes after last utterance at byte {rd.off}")
+        out.append((utt_id, raw.reshape(t_in, feat_dim).astype(np.float64)))
     return out
 
 
@@ -195,8 +190,7 @@ def write_transcripts(path, items: list[tuple[str, list[int]]]) -> None:
         if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in tokens):
             raise FormatError(f"utterance {utt_id!r} has a token that is not an integer")
         lines.append(raw + b"\t" + " ".join(str(t) for t in tokens).encode("ascii") + b"\n")
-    with open(path, "wb") as fh:
-        fh.write(b"".join(lines))
+    _write(path, lines)
 
 
 def read_transcripts(path) -> dict[str, list[int]]:

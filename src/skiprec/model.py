@@ -138,10 +138,6 @@ class ForwardTrace:
     def output_len(self) -> int:
         return self.h2.length
 
-    @property
-    def reduction_factor(self) -> float:
-        return self.input_len / self.output_len
-
 
 def recover(crucial: EncodedSequence, trivial: EncodedSequence) -> EncodedSequence:
     """Merge two sequences back into ascending original-frame order.

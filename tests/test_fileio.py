@@ -88,9 +88,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"duplicate tensor name 'aa' at byte {at}"):
             fileio.load_checkpoint(path)
 
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "last.ckpt"
-        fileio.save_checkpoint(path, {"w": np.ones((4, 4))})
+    @pytest.mark.parametrize("write, first, second", [
+        (fileio.save_checkpoint, {"w": np.ones((4, 4))}, {"w": np.zeros((4, 4))}),
+        (fileio.write_features, [("u0", np.ones((4, 3)))], [("u0", np.zeros((4, 3)))]),
+        (fileio.write_transcripts, [("u0", [1, 2, 3])], [("u0", [4, 5, 6])]),
+    ], ids=["checkpoint", "features", "transcripts"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write, first, second):
+        path = tmp_path / "target"
+        write(path, first)
         before = path.read_bytes()
 
         class DiskFull:
@@ -110,9 +115,9 @@ class TestCheckpoint:
         monkeypatch.setattr(fileio, "open", lambda *a, **kw: DiskFull(open(*a, **kw)),
                             raising=False)
         with pytest.raises(OSError):
-            fileio.save_checkpoint(path, {"w": np.zeros((4, 4))})
+            write(path, second)
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["last.ckpt"]
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
 
 
 class TestFeatures:

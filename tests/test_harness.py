@@ -434,6 +434,20 @@ class TestBench:
         assert row.analytic_speedup == 1.0
         assert 0.5 <= row.measured_speedup <= 2.0
 
+    @pytest.mark.parametrize("loss_cfg", [TINY_CFG.loss, cfgmod.LossConfig(blank_threshold=0.5)],
+                             ids=["default", "skipping"])
+    def test_statistics_are_those_of_the_greedy_eval_records(self, tiny_model, loss_cfg):
+        # At threshold 0.5 the tiny model keeps 1 of 5 frames of one utterance.
+        params, corpus, _ = tiny_model
+        row = bench_mod.bench_corpus(params, TINY_CFG.model, loss_cfg, corpus,
+                                     repeats=3, time_full_path=False)
+        report = ev.evaluate_corpus(params, TINY_CFG.model, loss_cfg, corpus)
+        records = report.utterances
+        assert row.mean_crucial_frac == report.crucial_frac_mean
+        assert row.mean_reduction == report.reduction_mean
+        assert row.mean_subsampled == np.mean([rec["subsampled_frames"] for rec in records])
+        assert row.mean_output_len == np.mean([rec["output_frames"] for rec in records])
+
     def test_timing_windows_alternate_with_one_batch(self, monkeypatch):
         # On a fake clock "a" takes 1 ms and "b" 50 ms. "a" needs 64 calls to
         # fill a 50 ms window, and "b" runs the same 64 in each of its windows.
@@ -595,6 +609,24 @@ class TestCli:
                       "--features", str(corpus / "features.bin"),
                       "--transcripts", str(corpus / "transcripts.tsv"),
                       "--split-mode", "7"])
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--config", "bad.json", "model.d_model must be positive"),
+        ("--blank-threshold", "1.5", "loss.blank_threshold must lie in (0, 1)"),
+        ("--features", "missing.bin", "No such file or directory: 'missing.bin'"),
+    ], ids=["bad_config", "blank_threshold", "missing_features"])
+    def test_a_package_error_reaches_the_user_as_one_line(self, env, tmp_path, monkeypatch,
+                                                          capsys, flag, value, message):
+        # The later of two equal flags wins, so each case overrides the good line.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text('{"model": {"d_model": 0}}', encoding="utf-8")
+        line = self.command_line(env, "train") + ["--out", "run", flag, value]
+        assert cli.main(line) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("skiprec train: error: ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flag, value", [("--modes", "2,7"), ("--blocks", "2")])
     def test_sweep_rejects_a_bad_grid_before_training(self, env, monkeypatch, capsys,

@@ -161,7 +161,6 @@ class TestForwardStructure:
         assert trace.input_len == 31
         assert trace.subsampled_len == len(g.crucial) + len(g.trivial) + len(g.ignoring)
         assert trace.output_len == len(g.crucial) + len(g.trivial)
-        assert trace.reduction_factor == trace.input_len / trace.output_len
         np.testing.assert_array_equal(trace.h2.orig_index,
                                       np.sort(np.concatenate([g.crucial, g.trivial])))
 
@@ -185,7 +184,7 @@ class TestForwardStructure:
         assert not trace.flags.any()
         assert not trace.fallback
         assert trace.output_len == trace.subsampled_len
-        assert 3.5 <= trace.reduction_factor <= 7.0
+        assert 3.5 <= trace.input_len / trace.output_len <= 7.0
 
     def test_all_blank_falls_back_to_everything_crucial(self):
         rng = np.random.default_rng(7)
