@@ -492,63 +492,55 @@ def cross_entropy_mean(logits: Tensor, targets, lengths) -> Tensor:
 # alignment lattice
 # ---------------------------------------------------------------------------
 
-def lattice_nll(log_probs: Tensor, states, allow_skip, lengths) -> Tensor:
+def lattice_nll(log_probs: Tensor, states, allow_skip, sizes, lengths) -> Tensor:
     """Negative log of the summed probability of every path through CTC lattices.
 
     ``log_probs`` is a (T, V) grid that packs consecutive sequences of
-    ``lengths`` frames; ``states`` and ``allow_skip`` hold one lattice per
-    sequence. Lattice state s emits class ``states[s]`` and is entered from
-    s, s - 1 and, where ``allow_skip[s]`` holds, s - 2. Paths start in state
-    0 or 1 and end in one of the last two states. The result is the sum of
-    the sequences' losses, added in sequence order.
+    ``lengths`` frames. ``states`` and ``allow_skip`` are (sequences, most
+    states) arrays, one row per sequence, whose first ``sizes[i]`` entries
+    are sequence i's lattice. Lattice state s emits class ``states[i, s]``
+    and is entered from s, s - 1 and, where ``allow_skip[i, s]`` holds,
+    s - 2. Paths start in state 0 or 1 and end in one of the last two
+    states. The result is the sum of the sequences' losses, added in
+    sequence order.
 
-    All lattices run as one (sequences, most states) recursion per frame in
-    log space, unreachable branches held at NEG_FILL. A lattice's padded
-    states emit NEG_FILL, and a sequence past its last frame re-reads that
-    frame; its loss and gradient are taken at its own last frame, so the
-    frames after it change nothing. The backward replays the recursion in
-    reverse, so the whole loss is one tape entry. Element by element, each
-    array operation, down to the order in which the emission gradient
-    accumulates, is the one the former per-frame, per-sequence tape ops
-    made, so the loss and its gradient are the same to the bit.
+    The entries past a lattice's size are padding: they must name a class
+    (CTC pads with blank) and emit NEG_FILL. All lattices run as one
+    recursion per frame in log space, unreachable branches held at
+    NEG_FILL. A sequence past its last frame re-reads that frame; its loss
+    and gradient are taken at its own last frame, so the frames after it
+    change nothing. The backward replays the recursion in reverse, so the
+    whole loss is one tape entry. Element by element, each array operation,
+    down to the order in which the emission gradient accumulates, is the one
+    the former per-frame, per-sequence tape ops made, so the loss and its
+    gradient are the same to the bit.
     """
     lp = log_probs.data
     if lp.ndim != 2:
         raise DimensionError(f"lattice_nll needs a (T, V) grid, got {lp.shape}")
     lengths = _packed_lengths(lengths, lp.shape[0], "lattice_nll")
-    if len(states) != lengths.size or len(allow_skip) != lengths.size:
-        raise DimensionError(f"lattice_nll: {len(states)} lattices and {len(allow_skip)} "
-                             f"skip masks for {lengths.size} sequences")
-    lattices = []
-    for i, (st, sk) in enumerate(zip(states, allow_skip)):
-        st, sk = np.asarray(st, dtype=np.int64), np.asarray(sk, dtype=bool)
-        if lengths[i] < 1 or st.ndim != 1 or st.size < 1 or sk.shape != st.shape:
-            raise DimensionError(f"lattice_nll grid {(int(lengths[i]), lp.shape[1])} of "
-                                 f"sequence {i}, states {st.shape}, skips {sk.shape}")
-        if st.min() < 0 or st.max() >= lp.shape[1]:
-            raise DimensionError(f"lattice state class of sequence {i} out of range for "
-                                 f"{lp.shape[1]} classes")
-        lattices.append((st, sk))
-    n, t_max = lengths.size, int(lengths.max())
-    sizes = np.array([st.size for st, _ in lattices])
-    s_max = int(sizes.max())
+    state = np.asarray(states, dtype=np.int64)
+    skip = np.asarray(allow_skip, dtype=bool)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n = lengths.size
+    # Every sequence needs a frame, a row of states and skips, and 1 to S states.
+    if state.ndim != 2 or state.shape[0] != n or skip.shape != state.shape \
+            or sizes.shape != (n,) or np.minimum.reduce(lengths) < 1 \
+            or not 1 <= sizes.min() <= sizes.max() <= state.shape[1]:
+        raise DimensionError(f"lattice_nll: states {state.shape}, skip masks {skip.shape}, "
+                             f"sizes {sizes.tolist()} and lengths {lengths.tolist()}")
+    if state.min() < 0 or state.max() >= lp.shape[1]:
+        raise DimensionError(f"lattice state class out of range for {lp.shape[1]} classes")
+    t_max, s_max = int(lengths.max()), state.shape[1]
     real = np.arange(s_max) < sizes[:, None]                      # (n, S)
-    state = np.zeros((n, s_max), dtype=np.int64)
-    skip = np.zeros((n, s_max), dtype=bool)
-    for i, (st, sk) in enumerate(lattices):
-        # Padded states re-read the lattice's first class, so every cell
-        # read lies on its own sequence's path.
-        state[i] = st[0]
-        state[i, :st.size] = st
-        skip[i, :st.size] = sk
     frame = np.minimum(np.arange(t_max)[:, None], lengths - 1)      # (T, n)
     rows = (np.cumsum(lengths) - lengths) + frame
     emit = lp[rows[:, :, None], state[None]]                        # (T, n, S)
+    emit[:, ~real] = NEG_FILL
     finite = np.isfinite(emit).all(axis=(0, 2))
     if not finite.all():
         raise NumericError(f"non-finite log probability on the lattice_nll path of "
                            f"sequence {int(np.flatnonzero(~finite)[0])}")
-    emit[:, ~real] = NEG_FILL
 
     alpha = np.empty_like(emit)          # alpha[t]: log mass of each state after frame t
     lse = np.empty_like(emit)            # lse[t]: its log-sum-exp over the entering branches

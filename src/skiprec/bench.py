@@ -24,7 +24,7 @@ from . import fileio
 from . import model as model_mod
 from .config import LossConfig, ModelConfig, RunConfig
 from .errors import ParameterError
-from .evaluate import evaluate_corpus
+from .evaluate import DEFAULT_BEAM, evaluate_corpus
 from .train import load_corpus, train_run
 
 TIMING_WINDOW = 0.05     # seconds every timed window spans at least
@@ -80,7 +80,8 @@ def _timed_interleaved(fns, repeats: int) -> list[float]:
 
 
 def bench_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig, corpus,
-                 repeats: int = 5, beam: int = 4, time_full_path: bool = True) -> BenchRow:
+                 repeats: int = 5, beam: int = DEFAULT_BEAM,
+                 time_full_path: bool = True) -> BenchRow:
     """Measure the skipping and no-skip forward paths over one corpus.
 
     Encoder-only rows time ``forward_utterance`` alone; the full path times

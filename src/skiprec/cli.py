@@ -32,6 +32,8 @@ def _add_shared(p: argparse.ArgumentParser, checkpoint: bool = False) -> None:
     if checkpoint:
         p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None, help="output directory or file")
+    p.add_argument("--features", type=Path, required=True)
+    p.add_argument("--transcripts", type=Path, required=True)
 
 
 def _given(args, *names: str) -> dict:
@@ -198,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a model on a corpus")
     _add_shared(t)
-    t.add_argument("--features", type=Path, required=True)
-    t.add_argument("--transcripts", type=Path, required=True)
     t.add_argument("--resume", type=Path, default=None,
                    help="last.ckpt to continue from: the epoch count, batch order and "
                         "dropout seeds go on where it stopped; metrics log is appended")
@@ -210,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="decode a corpus and report error rate")
     _add_shared(e, checkpoint=True)
-    e.add_argument("--features", type=Path, required=True)
-    e.add_argument("--transcripts", type=Path, required=True)
     e.add_argument("--decode", choices=("greedy", "rescoring"), default=argparse.SUPPRESS)
     e.add_argument("--beam", type=beam, default=argparse.SUPPRESS)
     e.add_argument("--no-skip", action="store_true",
@@ -220,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="time the skipping and no-skip paths")
     _add_shared(b, checkpoint=True)
-    b.add_argument("--features", type=Path, required=True)
-    b.add_argument("--transcripts", type=Path, required=True)
     b.add_argument("--repeats", type=repeats, default=argparse.SUPPRESS)
     b.add_argument("--beam", type=beam, default=argparse.SUPPRESS)
     b.add_argument("--encoder-only", action="store_true",
@@ -232,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="train per depth pair and bench every mode")
     _add_shared(s)
-    s.add_argument("--features", type=Path, required=True)
-    s.add_argument("--transcripts", type=Path, required=True)
     s.add_argument("--blocks", type=_parse_pairs, default="2,2;1,3;3,1",
                    help="semicolon-separated E1,E2 depth pairs, e.g. 2,2;1,3")
     s.add_argument("--modes", type=_parse_modes, default="1,2,3,4,5",

@@ -1,11 +1,11 @@
 """CTC head, alignment loss, decoding, and blank-dominance flags.
 
-The loss builds the blank-interleaved lattice states and hands the grid to
-``autodiff.lattice_nll``, one tape op that runs the forward recursion in
-log space and replays it in reverse for the gradient. A packed grid of
-several utterances is one op too: all its lattices step as one array per
-frame. Blank is always class 0. Unreachable lattice cells hold NEG_FILL
-rather than -inf to keep every array finite.
+The loss lays out every utterance's blank-interleaved lattice states as one
+blank-padded array and hands it to ``autodiff.lattice_nll``, one tape op
+that runs the forward recursion in log space and replays it in reverse for
+the gradient. A packed grid of several utterances is one op too: all its
+lattices step as one array per frame. Blank is always class 0. Unreachable
+lattice cells hold NEG_FILL rather than -inf to keep every array finite.
 
 The prefix beam search (Hannun et al. 2014) is exact up to the beam width:
 it prunes nothing else. Each frame is one vectorized step over a
@@ -94,27 +94,27 @@ def ctc_loss(grid: PosteriorGrid, token_seqs, lengths) -> Tensor:
     if len(token_seqs) != len(lengths):
         raise ContractError(f"{len(token_seqs)} token sequences for "
                             f"{len(lengths)} utterances")
-    states, skips = [], []
     for i, (n, seq) in enumerate(zip(lengths, token_seqs)):
         if n < 1:
             raise DimensionError(f"utterance {i}: ctc_loss needs at least one frame")
         try:
-            seq = check_tokens(seq, grid.vocab_size)
+            token_seqs[i] = seq = check_tokens(seq, grid.vocab_size)
         except ContractError as err:
             raise ContractError(f"utterance {i}: {err}") from None
         if n < min_frames(seq):
             raise InfeasibleAlignmentError(
                 f"utterance {i}: {len(seq)} tokens need at least {min_frames(seq)} "
                 f"frames, have {n}")
-        # Blank-interleaved state sequence. A token state may be entered from
-        # two states back unless that state holds the same token.
-        ext = np.full(2 * len(seq) + 1, BLANK_ID, dtype=np.int64)
-        ext[1::2] = seq
-        allow_skip = np.zeros(ext.size, dtype=bool)
-        allow_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
-        states.append(ext)
-        skips.append(allow_skip)
-    return ad.lattice_nll(grid.log_probs, states, skips, lengths)
+    # Blank-interleaved state sequences, one row each, padded with blank. A
+    # token state may be entered from two states back unless that state
+    # holds the same token.
+    sizes = np.array([2 * len(seq) + 1 for seq in token_seqs], dtype=np.int64)
+    states = np.full((sizes.size, sizes.max(initial=1)), BLANK_ID, dtype=np.int64)
+    cols = np.arange(states.shape[1])
+    states[(cols % 2 == 1) & (cols < sizes[:, None])] = [t for seq in token_seqs for t in seq]
+    allow_skip = np.zeros(states.shape, dtype=bool)
+    allow_skip[:, 2:] = (states[:, 2:] != BLANK_ID) & (states[:, 2:] != states[:, :-2])
+    return ad.lattice_nll(grid.log_probs, states, allow_skip, sizes, lengths)
 
 
 def greedy_decode(grid: PosteriorGrid) -> list[int]:

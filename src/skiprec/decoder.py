@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .encoder import (AttentionParams, Dropout, EncodedSequence, FeedForwardParams,
                       NormParams, _dropout, _ffn_branch, _glorot, _init_ffn, _init_norm,
-                      _norm, attach_positions, init_attention)
+                      _norm, attach_positions, attention_branch, init_attention)
 from .errors import EmptySequenceError, ParameterError
 from .ctc import check_tokens
 
@@ -84,19 +84,6 @@ def init_decoder(rng: np.random.Generator, d_model: int, heads: int, depth: int,
     )
 
 
-def _attention(x: Tensor, p: AttentionParams, heads: int, lengths: list[int],
-               memory: EncodedSequence | None = None) -> Tensor:
-    """Pre-norm attention over ``memory``, or causal self-attention without one."""
-    h = _norm(x, p.norm)
-    src, src_lengths = (h, lengths) if memory is None else (memory.frames, memory.lengths)
-    q = ad.affine(h, p.wq.value, p.bq.value)
-    k = ad.affine(src, p.wk.value, p.bk.value)
-    v = ad.affine(src, p.wv.value, p.bv.value)
-    ctx = ad.attention_core(q, k, v, heads, causal=memory is None, q_lengths=lengths,
-                            k_lengths=src_lengths)
-    return ad.affine(ctx, p.wo.value, p.bo.value)
-
-
 def decoder_logits(enc: EncodedSequence, inputs: list[list[int]], params: DecoderParams,
                    heads: int, drop: Dropout | None = None) -> Tensor:
     """Logits over the extended vocabulary for each position of each input sequence.
@@ -115,8 +102,8 @@ def decoder_logits(enc: EncodedSequence, inputs: list[list[int]], params: Decode
     x = ad.gather_rows(params.embed.value, [t for seq in inputs for t in seq])
     x = attach_positions(x, lengths)
     for block in params.blocks:
-        x = ad.add(x, _attention(x, block.self_attn, heads, lengths))
-        x = ad.add(x, _attention(x, block.cross_attn, heads, lengths, enc))
+        x = ad.add(x, attention_branch(x, block.self_attn, heads, lengths, causal=True))
+        x = ad.add(x, attention_branch(x, block.cross_attn, heads, lengths, enc))
         x = ad.add(x, _dropout(_ffn_branch(x, block.ffn), drop))
     x = _norm(x, params.final_norm)
     return ad.affine(x, params.out_w.value, params.out_b.value)

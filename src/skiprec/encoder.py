@@ -205,17 +205,28 @@ def _ffn_branch(x: Tensor, p: FeedForwardParams) -> Tensor:
     return ad.affine(h, p.w2.value, p.b2.value)
 
 
-def self_attention_branch(x: Tensor, p: AttentionParams, heads: int, lengths) -> Tensor:
-    """Pre-norm multi-head self-attention within each packed sequence.
+def attention_branch(x: Tensor, p: AttentionParams, heads: int, lengths,
+                     memory: EncodedSequence | None = None, causal: bool = False) -> Tensor:
+    """Pre-norm multi-head attention of each packed sequence of ``x``.
 
-    ``lengths`` as in ``EncodedSequence``.
+    Without ``memory`` it attends to itself (causally, with ``causal``);
+    with it, sequence i reads the i-th sequence packed in ``memory``, or
+    every sequence reads a lone one. ``lengths`` as in ``EncodedSequence``.
+    The encoder's and both decoder attentions are this one function.
     """
     h = _norm(x, p.norm)
+    src, src_lengths = (h, lengths) if memory is None else (memory.frames, memory.lengths)
     q = ad.affine(h, p.wq.value, p.bq.value)
-    k = ad.affine(h, p.wk.value, p.bk.value)
-    v = ad.affine(h, p.wv.value, p.bv.value)
-    ctx = ad.attention_core(q, k, v, heads, q_lengths=lengths, k_lengths=lengths)
+    k = ad.affine(src, p.wk.value, p.bk.value)
+    v = ad.affine(src, p.wv.value, p.bv.value)
+    ctx = ad.attention_core(q, k, v, heads, causal=causal, q_lengths=lengths,
+                            k_lengths=src_lengths)
     return ad.affine(ctx, p.wo.value, p.bo.value)
+
+
+def self_attention_branch(x: Tensor, p: AttentionParams, heads: int, lengths) -> Tensor:
+    """The encoder's self-attention within each packed sequence, a name of its own to trace."""
+    return attention_branch(x, p, heads, lengths)
 
 
 def _conv_branch(x: Tensor, p: ConvModuleParams, lengths) -> Tensor:

@@ -12,6 +12,8 @@ from . import model as model_mod
 from .config import LossConfig, ModelConfig
 from .errors import ConfigError
 
+DEFAULT_BEAM = 8   # prefix beam width of the rescoring decode, eval and bench alike
+
 
 def edit_distance(ref: list[int], hyp: list[int]) -> int:
     """Levenshtein distance over token ids."""
@@ -45,7 +47,7 @@ class EvalReport:
 
 
 def evaluate_corpus(params, model_cfg: ModelConfig, loss_cfg: LossConfig,
-                    corpus, decode: str = "greedy", beam: int = 8,
+                    corpus, decode: str = "greedy", beam: int = DEFAULT_BEAM,
                     compute_losses: bool = False,
                     force_all_crucial: bool = False) -> EvalReport:
     """Decode every utterance and aggregate error/cost statistics.

@@ -259,11 +259,11 @@ class TestElementwiseGrads:
         rng = np.random.default_rng(13)
         states = [0, 1, 0, 2, 0, 2, 0]
         allow = [False, False, False, True, False, False, False]
-        check(lambda x: ad.lattice_nll(x, [states], [allow], [6]), rng.normal(size=(6, 3)),
-              tol=1e-4)
+        check(lambda x: ad.lattice_nll(x, [states], [allow], [7], [6]),
+              rng.normal(size=(6, 3)), tol=1e-4)
         # One frame and one token: the only path emits the token once.
         x = rng.normal(size=(1, 3))
-        out = ad.lattice_nll(ad.tensor(x), [[0, 1, 0]], [[False, False, False]], [1])
+        out = ad.lattice_nll(ad.tensor(x), [[0, 1, 0]], [[False, False, False]], [3], [1])
         assert float(out.data) == -x[0, 1]
 
     def test_cross_entropy(self):
@@ -849,10 +849,10 @@ SHAPE_ERRORS = [
      "out of range for 4 classes"),
     ("cross_entropy_empty_sequence", lambda: ad.cross_entropy_mean(_t(3, 4), [0, 1, 2], [3, 0]),
      "at least one row per sequence"),
-    ("lattice_nll_rank", lambda: ad.lattice_nll(_t(3, 4, 1), [[0]], [[False]], [3]),
+    ("lattice_nll_rank", lambda: ad.lattice_nll(_t(3, 4, 1), [[0]], [[False]], [1], [3]),
      r"\(T, V\) grid"),
-    ("lattice_nll_count", lambda: ad.lattice_nll(_t(3, 4), [[0], [0]], [[False]], [3]),
-     "2 lattices and 1 skip masks for 1 sequences"),
+    ("lattice_nll_count", lambda: ad.lattice_nll(_t(3, 4), [[0], [0]], [[False]], [1], [3]),
+     r"states \(2, 1\), skip masks \(1, 1\), sizes \[1\] and lengths \[3\]"),
     ("depthwise_rank", lambda: ad.depthwise_conv1d(_t(3), _t(3, 1), _t(1), [3]),
      r"needs \(L, D\)"),
     ("depthwise_width", lambda: ad.depthwise_conv1d(_t(3, 4), _t(3, 2), _t(4), [3]),

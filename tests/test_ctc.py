@@ -490,18 +490,19 @@ class TestLatticeOpAgainstComposedReference:
 
     def test_rejects_malformed_lattices(self):
         lp = ad.tensor(np.log(np.full((3, 4), 0.25)))
-        for states, skips in [([], []), ([0, 4, 0], [0, 0, 0]), ([0, 1], [0, 0, 0]),
-                              ([[0, 1, 0]], [[0, 0, 0]])]:
+        for states, skips, size in [([0], [0], 0), ([0, 1, 0], [0, 0, 0], 4),
+                                    ([0, 4, 0], [0, 0, 0], 3), ([0, 1], [0, 0, 0], 2),
+                                    ([[0, 1, 0]], [[0, 0, 0]], 3)]:
             with pytest.raises(DimensionError):
-                ad.lattice_nll(lp, [states], [skips], [3])
+                ad.lattice_nll(lp, [states], [skips], [size], [3])
 
     def test_non_finite_log_probs_on_the_path_raise(self):
         lp = np.log(np.full((3, 4), 0.25))
         lp[:, 3] = -np.inf  # class 3 is off the path, so the op never reads it
-        ad.lattice_nll(ad.tensor(lp), [[0, 2, 0]], [[False, False, False]], [3])
+        ad.lattice_nll(ad.tensor(lp), [[0, 2, 0]], [[False, False, False]], [3], [3])
         lp[1, 2] = np.nan
         with pytest.raises(NumericError, match="sequence 0"):
-            ad.lattice_nll(ad.tensor(lp), [[0, 2, 0]], [[False, False, False]], [3])
+            ad.lattice_nll(ad.tensor(lp), [[0, 2, 0]], [[False, False, False]], [3], [3])
 
 
 def per_utterance_loss_and_grads(logits, token_seqs, lengths, extra=None):

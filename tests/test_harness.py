@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -420,6 +421,12 @@ class TestBench:
         with pytest.raises(ParameterError):
             bench_mod.bench_corpus(params, TINY_CFG.model, TINY_CFG.loss, [],
                                    repeats=3)
+
+    def test_full_path_defaults_to_the_beam_eval_decodes_with(self):
+        # An omitted --beam must time the decode that an omitted eval --beam runs.
+        defaults = [inspect.signature(fn).parameters["beam"].default
+                    for fn in (bench_mod.bench_corpus, ev.evaluate_corpus)]
+        assert defaults[0] == defaults[1]
 
     def test_untrained_model_skips_nothing(self, tiny_corpus):
         # Blank confidence never clears the default threshold at init, so

@@ -141,6 +141,18 @@ def arguments_passed(call: ast.Call) -> tuple[float, set[str]]:
     return positions, names
 
 
+def callee(call: ast.Call) -> str | None:
+    """The name a call invokes, whether it reads ``f(...)`` or ``module.f(...)``."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def callers(trees: dict[str, ast.Module], name: str) -> list[str]:
+    """Each top-level definition, as ``module.name``, whose body calls ``name``."""
+    return sorted(f"{module}.{stmt.name}" for module, tree in trees.items()
+                  for stmt in tree.body if hasattr(stmt, "name")
+                  and any(isinstance(n, ast.Call) and callee(n) == name for n in ast.walk(stmt)))
+
+
 def test_every_defaulted_parameter_is_set_by_a_call_in_the_package():
     # A default that no call overrides is a constant in disguise. Public
     # function names are unique across the package, so a call is matched to
@@ -150,8 +162,7 @@ def test_every_defaulted_parameter_is_set_by_a_call_in_the_package():
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                calls.setdefault(callee, []).append(arguments_passed(node))
+                calls.setdefault(callee(node), []).append(arguments_passed(node))
     unset = set()
     for module, tree in trees.items():
         for fn in tree.body:
@@ -162,6 +173,14 @@ def test_every_defaulted_parameter_is_set_by_a_call_in_the_package():
                            for passed, names in calls.get(fn.name, [])):
                     unset.add(f"{module}.{fn.name}({name})")
     assert sorted(unset ^ NO_SETTER_NEEDED.keys()) == []
+
+
+def test_attention_and_the_lattice_loss_each_have_one_caller():
+    # One attention branch serves the encoder and both decoder attentions,
+    # and the CTC loss alone lays out the lattices.
+    trees = modules()
+    assert callers(trees, "attention_core") == ["encoder.attention_branch"]
+    assert callers(trees, "lattice_nll") == ["ctc.ctc_loss"]
 
 
 def test_no_function_default_copies_a_config_default():

@@ -17,10 +17,10 @@ It digests:
   * 48 desk decodes: the perfbench fixture model on ``inputs.utterances``
     (seed 1, salt 1), with and without skipping: both grids, the flags, the
     frame groups, the prefix-beam hypotheses (beam 8) and the rescoring;
-  * one packed dropout training batch of 8 (seed 1, salt 3, dropout seed 5):
-    the loss and every parameter gradient;
-  * the same batch where the first utterance's target is one token too long
-    for its kept frames, so that utterance falls back;
+  * one packed dropout training batch of 8 (seed 1, salt 3, dropout rate
+    ``DROPOUT`` and seed 5): the loss and every parameter gradient;
+  * the same batch without dropout, where the first utterance's target is
+    one token too long for its kept frames, so that utterance falls back;
   * ``metrics.jsonl``, ``last.ckpt`` and ``best.ckpt`` of a short
     ``train_run`` (the acceptance suite's determinism recipe) from a fresh
     initialisation, which also pins the initial weights.
@@ -57,6 +57,7 @@ REFERENCE = ROOT / "tests" / "exactness_reference.json"
 DECODES = 48
 BATCH = 8
 BEAM = 8
+DROPOUT = 0.1   # the default RunConfig drops nothing
 PROJECTION_SEED = 0
 
 
@@ -120,8 +121,9 @@ def decodes(cfg, params) -> tuple[str, list[dict]]:
     return h.hexdigest(), values
 
 
-def training_batch(cfg, params, lengthen_first: bool) -> tuple[str, dict]:
-    """Digest and values of one dropout batch: loss, tape ops, fallback and gradients."""
+def training_batch(cfg, params, lengthen_first: bool, dropout: float) -> tuple[str, dict]:
+    """Digest and values of one batch at ``dropout``: loss, tape ops, fallback and gradients."""
+    cfg = dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, dropout=dropout))
     stream = inputs.utterances(synth.SynthSpec(), 1, 3, "trn")
     utts = [next(stream) for _ in range(BATCH)]
     feats = [u.feats for u in utts]
@@ -182,8 +184,9 @@ def run_all() -> tuple[list[str], dict]:
     digest, decoded = decodes(cfg, params)
     lines = [f"decodes {digest}"]
     values = {"decodes": decoded}
-    for label, lengthen in (("dropout batch", False), ("fallback batch", True)):
-        digest, batch = training_batch(cfg, params, lengthen)
+    for label, lengthen, dropout in (("dropout batch", False, DROPOUT),
+                                     ("fallback batch", True, 0.0)):
+        digest, batch = training_batch(cfg, params, lengthen, dropout)
         lines.append(f"{label} {digest} (loss {batch['loss']!r}, {batch['tape_ops']} tape ops, "
                      f"first utterance fell back: {batch['fell_back']})")
         values[label.replace(" ", "_")] = batch
