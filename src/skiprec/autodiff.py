@@ -12,10 +12,10 @@ gather/concat by row index, affine, strided 2-D convolution (channels last,
 one im2col GEMM), depthwise 1-D convolution, attention, log-softmax, layer
 norm (with the fixed variance floor ``LAYER_NORM_EPS``), swish, GLU,
 cross-entropy, and the CTC lattice's negative log-likelihood as one op.
-``tensor``, ``sum_all`` and ``grad_check`` serve the tests; the model calls
-every other op. Nothing more general is provided on purpose. ``adam_step``
-updates a ``Parameter`` with Adam's published constants (``ADAM_BETA1``,
-``ADAM_BETA2``, ``ADAM_EPS``; Kingma & Ba, ICLR 2015), the only ones any run uses.
+The model calls every op, and nothing more general is provided on purpose.
+``adam_step`` updates a ``Parameter`` with Adam's published constants
+(``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``; Kingma & Ba, ICLR 2015), the only
+ones any run uses.
 
 Several sequences can run as one: their rows are packed one after another,
 and the ops that mix rows (attention, the depthwise conv, the cross-entropy
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -78,11 +78,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-
-def tensor(data, dtype=None) -> Tensor:
-    arr = np.asarray(data, dtype=dtype if dtype is not None else np.float64)
-    return Tensor(arr)
 
 
 class Tape:
@@ -249,16 +244,6 @@ def mul(a: Tensor, b) -> Tensor:
         _accum(a, g * bd)
         if isinstance(b, Tensor):
             _accum(b, g * a.data)
-
-    _record(out, bwd)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = _make(np.asarray(np.add.reduce(x.data, axis=None)), "sum_all")
-
-    def bwd(g):
-        _accum(x, np.broadcast_to(g, x.data.shape).copy())
 
     _record(out, bwd)
     return out
@@ -863,44 +848,3 @@ def adam_step(p: Parameter, grad: np.ndarray, lr: float) -> Parameter:
     step /= denom
     p.value.data -= step
     return p
-
-
-def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], h: float = 1e-5,
-               scale_floor: float = 1e-3) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``f`` must map the given tensors to a scalar Tensor and be pure.
-    Coordinates where both gradients fall below ``scale_floor`` are compared
-    on that absolute scale instead, so finite-difference noise on dead
-    coordinates does not dominate the report.
-    """
-    if not (0.0 < h <= 1e-2):
-        raise ParameterError(f"step size h must lie in (0, 1e-2], got {h}")
-    for t in inputs:
-        t.grad = None
-    with tape() as tp:
-        out = f(*inputs)
-        if out.data.size != 1:
-            raise ContractError(f"grad_check target must be scalar, got shape {out.data.shape}")
-        tp.backward(out)
-    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]
-
-    def eval_loss() -> float:
-        return float(f(*inputs).data)
-
-    worst = 0.0
-    for t, ana in zip(inputs, analytic):
-        flat = t.data.reshape(-1)
-        afl = ana.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            fp = eval_loss()
-            flat[i] = keep - h
-            fm = eval_loss()
-            flat[i] = keep
-            num = (fp - fm) / (2.0 * h)
-            err = abs(afl[i] - num) / max(abs(afl[i]), abs(num), scale_floor)
-            if err > worst:
-                worst = err
-    return worst

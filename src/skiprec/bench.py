@@ -1,13 +1,14 @@
 """Wall-time benchmarking with an analytic attention-cost cross-check.
 
-Attention dominates encoder cost at long lengths, so the expected cost of the
-skipping path relative to running every frame through both stacks is
+The analytic ratio counts only attention's T**2 terms: relative to running
+every frame through both stacks, the skipping path costs
 
     (M * T**2 + N * c**2) / ((M + N) * T**2)
 
 per utterance, where T is the subsampled length, c the crucial count, M and N
-the block counts of the two stacks. The benchmark reports that ratio next to
-measured medians so a reviewer can see how far reality sits from the model.
+the block counts of the two stacks. It is a cross-check, not a prediction:
+the affine layers and the frontend outweigh attention even at long lengths
+(ROADMAP item 6 asks for a cost model of every layer).
 """
 
 from __future__ import annotations

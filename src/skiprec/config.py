@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .frontend import MIN_INPUT_FRAMES
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,8 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
     checks = [
         (m.d_model >= 1, "model.d_model must be positive"),
         (m.heads >= 1, "model.heads must be positive"),
-        (m.d_model % m.heads == 0, f"model.d_model {m.d_model} not divisible by heads {m.heads}"),
+        (m.heads >= 1 and m.d_model % m.heads == 0,
+         f"model.d_model {m.d_model} not divisible by heads {m.heads}"),
         (m.e1_blocks >= 1, "model.e1_blocks must be positive"),
         (m.e2_blocks >= 1, "model.e2_blocks must be positive"),
         (m.kernel_e1 >= 1 and m.kernel_e1 % 2 == 1, "model.kernel_e1 must be odd and positive"),
@@ -81,7 +83,8 @@ def validate_run_config(cfg: RunConfig) -> RunConfig:
         (m.ffn_multiple >= 1, "model.ffn_multiple must be positive"),
         (m.decoder_blocks >= 1, "model.decoder_blocks must be positive"),
         (m.vocab_size >= 2, "model.vocab_size must hold blank plus at least one token"),
-        (m.feature_dim >= 7, "model.feature_dim must be at least 7 for the frontend convs"),
+        (m.feature_dim >= MIN_INPUT_FRAMES,
+         f"model.feature_dim must be at least {MIN_INPUT_FRAMES} for the frontend convs"),
         (0.0 <= m.dropout < 1.0, "model.dropout must lie in [0, 1)"),
         (0.0 <= l.ctc_weight <= 1.0, "loss.ctc_weight must lie in [0, 1]"),
         (0.0 < l.blank_threshold < 1.0, "loss.blank_threshold must lie in (0, 1)"),

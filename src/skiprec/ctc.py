@@ -50,8 +50,6 @@ class HeadParams:
 
 
 def init_head(rng: np.random.Generator, d_model: int, vocab_size: int) -> HeadParams:
-    if vocab_size < 2:
-        raise ParameterError(f"vocab must hold blank plus at least one token, got {vocab_size}")
     return HeadParams(
         w=Parameter(_glorot(rng, d_model, vocab_size)),
         b=Parameter(np.zeros(vocab_size)),

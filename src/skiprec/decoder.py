@@ -25,7 +25,7 @@ from .autodiff import Parameter, Tensor
 from .encoder import (AttentionParams, Dropout, EncodedSequence, FeedForwardParams,
                       NormParams, _dropout, _ffn_branch, _glorot, _init_ffn, _init_norm,
                       _norm, attach_positions, attention_branch, init_attention)
-from .errors import EmptySequenceError, ParameterError
+from .errors import EmptySequenceError
 from .ctc import check_tokens
 
 CTC_WEIGHT = 0.5
@@ -60,12 +60,8 @@ class DecoderParams:
         return self.vocab_size + 1
 
 
-def init_decoder(rng: np.random.Generator, d_model: int, heads: int, depth: int,
-                 vocab_size: int, ffn_multiple: int) -> DecoderParams:
-    if depth < 1:
-        raise ParameterError(f"decoder depth must be positive, got {depth}")
-    if vocab_size < 2:
-        raise ParameterError(f"vocab must hold blank plus at least one token, got {vocab_size}")
+def init_decoder(rng: np.random.Generator, d_model: int, depth: int, vocab_size: int,
+                 ffn_multiple: int) -> DecoderParams:
     v_out = vocab_size + 2
     blocks = [
         DecoderBlockParams(

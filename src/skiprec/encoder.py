@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import EmptySequenceError, ParameterError
+from .errors import EmptySequenceError
 
 Dropout = Callable[[Tensor], Tensor]
 
@@ -159,8 +159,6 @@ def init_attention(rng, d: int) -> AttentionParams:
 
 
 def _init_conv(rng, d: int, kernel: int) -> ConvModuleParams:
-    if kernel % 2 == 0 or kernel < 1:
-        raise ParameterError(f"depthwise kernel must be odd and positive, got {kernel}")
     return ConvModuleParams(
         norm=_init_norm(d),
         w_in=Parameter(_glorot(rng, d, 2 * d)),
@@ -173,10 +171,8 @@ def _init_conv(rng, d: int, kernel: int) -> ConvModuleParams:
     )
 
 
-def init_block(rng: np.random.Generator, d_model: int, heads: int, kernel: int,
+def init_block(rng: np.random.Generator, d_model: int, kernel: int,
                ffn_multiple: int) -> ConformerBlockParams:
-    if d_model % heads:
-        raise ParameterError(f"model width {d_model} not divisible by {heads} heads")
     return ConformerBlockParams(
         ffn1=_init_ffn(rng, d_model, ffn_multiple),
         attn=init_attention(rng, d_model),
@@ -184,15 +180,6 @@ def init_block(rng: np.random.Generator, d_model: int, heads: int, kernel: int,
         ffn2=_init_ffn(rng, d_model, ffn_multiple),
         out_norm=_init_norm(d_model),
     )
-
-
-def zero_residual_branches(block: ConformerBlockParams) -> ConformerBlockParams:
-    """Zero every branch's output stage so the block computes the identity."""
-    for p in (block.ffn1.w2, block.ffn1.b2, block.attn.wo, block.attn.bo,
-              block.conv.w_out, block.conv.b_out, block.ffn2.w2, block.ffn2.b2,
-              block.out_norm.gain, block.out_norm.bias):
-        p.value.data[...] = 0.0
-    return block
 
 
 def _norm(x: Tensor, n: NormParams) -> Tensor:

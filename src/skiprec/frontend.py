@@ -2,7 +2,7 @@
 
 Two 3x3 stride-2 valid convolutions with swish, channel count equal to the
 model width, then a linear projection of the flattened channel/frequency
-axes back to the model width. Time shrinks by a factor just over 4:
+axes back to the model width. Time and frequency shrink by just over 4:
     T = ((T_in - 1) // 2 - 1) // 2
 The convolutions run channels last, on (time, frequency, channel) arrays,
 and a batch of utterances runs through them packed along time.
@@ -31,7 +31,7 @@ from .encoder import EncodedSequence, _glorot
 from .errors import DimensionError, InputTooShortError
 
 KERNEL = 3
-MIN_INPUT_FRAMES = 7  # smallest T_in that survives both stride-2 convs
+MIN_INPUT_FRAMES = 7  # shortest axis, time or frequency, that survives both stride-2 convs
 # conv2's im2col columns per block of output rows. On m5n7's long-encode
 # inputs (1002-1178 frames) process peak RSS read 456-460 MiB for budgets
 # of 4 to 16 MiB, 477 at 32 and 549 at 64; 16 MiB keeps the fewest blocks of
@@ -65,25 +65,14 @@ class FrontendParams:
     proj_b: Parameter
 
 
-def _conv_len(n: int) -> int:
-    return (n - KERNEL) // 2 + 1
-
-
-def subsampled_length(t_in: int) -> int:
-    """Closed form for the output length of the two stride-2 convs."""
-    return (((t_in - 1) // 2) - 1) // 2
-
-
-def reduced_feature_dim(feature_dim: int) -> int:
-    return _conv_len(_conv_len(feature_dim))
+def subsampled_length(n: int) -> int:
+    """Length of a time or frequency axis of ``n`` after both stride-2 convs."""
+    return (((n - 1) // 2) - 1) // 2
 
 
 def init_frontend(rng: np.random.Generator, feature_dim: int, d_model: int) -> FrontendParams:
-    if feature_dim < MIN_INPUT_FRAMES:
-        raise DimensionError(f"feature dim {feature_dim} too small for two 3x3 stride-2 convs")
     c = d_model
-    f2 = reduced_feature_dim(feature_dim)
-
+    f2 = subsampled_length(feature_dim)
     return FrontendParams(
         conv1_w=Parameter(_glorot(rng, c, 1, KERNEL, KERNEL)),
         conv1_b=Parameter(np.zeros(c)),
@@ -130,7 +119,7 @@ def subsample(feats: FeatureSequence | list[FeatureSequence],
         if utt.feature_dim != feat_dim:
             raise DimensionError(f"utterance {utt.utterance_id!r} has feature dim "
                                  f"{utt.feature_dim}, the batch {feat_dim}")
-    expected_cols = params.conv2_w.value.data.shape[0] * reduced_feature_dim(feat_dim)
+    expected_cols = params.conv2_w.value.data.shape[0] * subsampled_length(feat_dim)
     if params.proj_w.value.data.shape[0] != expected_cols:
         raise DimensionError(
             f"feature dim {feat_dim} incompatible with projection "

@@ -41,7 +41,7 @@ from . import encoder as enc_mod
 from . import frontend as fe_mod
 from . import splitter as sp_mod
 from .autodiff import Parameter, Tensor
-from .config import LossConfig, ModelConfig
+from .config import LossConfig, ModelConfig, RunConfig, validate_run_config
 from .encoder import EncodedSequence
 from .errors import ConfigError, ContractError
 from .frontend import FeatureSequence
@@ -60,17 +60,19 @@ class ModelParams:
 
 
 def init_model(seed: int, cfg: ModelConfig) -> ModelParams:
+    """Fresh weights for ``cfg``, which must pass the config's model rules."""
+    validate_run_config(RunConfig(model=cfg))
     rng = np.random.default_rng(seed)
     return ModelParams(
         frontend=fe_mod.init_frontend(rng, cfg.feature_dim, cfg.d_model),
-        e1=[enc_mod.init_block(rng, cfg.d_model, cfg.heads, cfg.kernel_e1, cfg.ffn_multiple)
+        e1=[enc_mod.init_block(rng, cfg.d_model, cfg.kernel_e1, cfg.ffn_multiple)
             for _ in range(cfg.e1_blocks)],
-        e2=[enc_mod.init_block(rng, cfg.d_model, cfg.heads, cfg.kernel_e2, cfg.ffn_multiple)
+        e2=[enc_mod.init_block(rng, cfg.d_model, cfg.kernel_e2, cfg.ffn_multiple)
             for _ in range(cfg.e2_blocks)],
         inter_head=ctc_mod.init_head(rng, cfg.d_model, cfg.vocab_size),
         final_head=ctc_mod.init_head(rng, cfg.d_model, cfg.vocab_size),
-        decoder=dec_mod.init_decoder(rng, cfg.d_model, cfg.heads, cfg.decoder_blocks,
-                                     cfg.vocab_size, cfg.ffn_multiple),
+        decoder=dec_mod.init_decoder(rng, cfg.d_model, cfg.decoder_blocks, cfg.vocab_size,
+                                     cfg.ffn_multiple),
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import fileio
 from . import model as model_mod
-from .config import ModelConfig, RunConfig, validate_run_config
+from .config import ModelConfig, RunConfig, save_run_config, validate_run_config
 from .errors import ConfigError
 from .evaluate import evaluate_corpus
 from .frontend import FeatureSequence
@@ -69,10 +69,10 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
     records its epoch continues the schedule: epoch numbers go on from the
     saved one, the batch order skips the permutations already drawn and
     dropout starts from the saved epoch's seed, so it trains as the
-    uninterrupted run would have. The saved best error rate and after-warmup
-    fallback counts carry on too, so ``best.ckpt``, ``best_error_rate`` and
-    the fallback warning cover the whole run. ``epochs`` counts the epochs
-    this call trains.
+    uninterrupted run would have. The saved after-warmup fallback counts
+    carry on too, and the saved best error rate does when ``out_dir``
+    already holds a ``best.ckpt``. ``epochs`` counts the epochs this call
+    trains, and ``out_dir/config.json`` records ``cfg``.
     """
     validate_run_config(cfg)
     if (dev_features is None) != (dev_transcripts is None):
@@ -84,6 +84,7 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
         eval_corpus = corpus
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    save_run_config(cfg, out_dir / "config.json")
 
     params = model_mod.init_model(cfg.training.seed, cfg.model)
     step = start = 0
@@ -93,7 +94,8 @@ def train_run(cfg: RunConfig, features_path, transcripts_path, out_dir,
         tensors = fileio.load_checkpoint(resume_path)
         step = model_mod.load_params_from_tensors(params, tensors, restore_moments=True)
         start = int(tensors.get("trainer.epoch", np.asarray(0.0)))
-        best_error = float(tensors.get("trainer.best_error", np.asarray(np.inf)))
+        if (out_dir / "best.ckpt").exists():
+            best_error = float(tensors.get("trainer.best_error", np.asarray(np.inf)))
         after_warmup = tuple(int(tensors.get(f"trainer.after_warmup_{k}", np.asarray(0.0)))
                              for k in ("utterances", "fallbacks"))
         del tensors   # the parameters hold their own copies

@@ -19,7 +19,6 @@ from skiprec import bench as bench_mod
 from skiprec import cli
 from skiprec import config as cfgmod
 from skiprec import ctc
-from skiprec import encoder as enc_mod
 from skiprec import evaluate as ev
 from skiprec import fileio
 from skiprec import model as model_mod
@@ -28,6 +27,8 @@ from skiprec import synth
 from skiprec import train as train_mod
 from skiprec.encoder import EncodedSequence
 from skiprec.frontend import FeatureSequence
+
+from support import grad_check, zero_residual_branches
 
 
 def verdict(num: int, ok: bool, detail: str = "") -> None:
@@ -258,7 +259,7 @@ def test_criterion_05_gradient_correctness():
             return model_mod.total_loss(trace, [target], params, TOY, loss_cfg)
 
         tensors = [by_name[nm].value for nm in slices[seed] if nm]
-        err = ad.grad_check(loss, tensors)
+        err = grad_check(loss, tensors)
         worst = max(worst, err)
     verdict(5, worst <= 1e-4,
             f"20 seeds, all {len(names)} tensors covered, max rel err {worst:.2e}")
@@ -286,7 +287,7 @@ def test_criterion_06_recover_contract_and_identity_stage():
     for seed in range(3):
         params = model_mod.init_model(seed, TOY)
         for block in params.e2:
-            enc_mod.zero_residual_branches(block)
+            zero_residual_branches(block)
         feats = FeatureSequence("u", np.random.default_rng(60 + seed).normal(size=(35, 8)))
         beta = gap_threshold(params, feats, TOY)
         for mode in range(1, 6):

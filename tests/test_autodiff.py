@@ -11,10 +11,12 @@ from skiprec.errors import (ContractError, DimensionError, NumericError,
                             ParameterError)
 from skiprec.frontend import FeatureSequence
 
+from support import grad_check, sum_all, tensor
+
 
 def check(f, *arrays, h=1e-5, tol=1e-5):
-    inputs = [ad.tensor(a) for a in arrays]
-    err = ad.grad_check(f, inputs, h=h)
+    inputs = [tensor(a) for a in arrays]
+    err = grad_check(f, inputs, h=h)
     assert err <= tol, f"max relative gradient error {err}"
 
 
@@ -23,7 +25,7 @@ class TestSoftmax:
 
     @staticmethod
     def softmax(x):
-        return np.exp(ad.log_softmax_rows(ad.tensor(x)).data)
+        return np.exp(ad.log_softmax_rows(tensor(x)).data)
 
     def test_symmetry(self):
         assert np.allclose(self.softmax([[0.0, 0.0]]), [[0.5, 0.5]])
@@ -44,29 +46,29 @@ class TestSoftmax:
 
     def test_empty_row_rejected(self):
         with pytest.raises(DimensionError):
-            ad.log_softmax_rows(ad.tensor(np.ones((2, 0))))
+            ad.log_softmax_rows(tensor(np.ones((2, 0))))
 
     def test_grad(self):
         rng = np.random.default_rng(1)
-        check(lambda x: ad.sum_all(ad.mul(ad.log_softmax_rows(x), x)),
+        check(lambda x: sum_all(ad.mul(ad.log_softmax_rows(x), x)),
               rng.normal(size=(4, 5)))
 
 
 class TestLayerNorm:
     def test_constant_row(self):
-        out = ad.layer_norm(ad.tensor([[5.0, 5.0, 5.0]]),
-                            ad.tensor(np.ones(3)), ad.tensor(np.zeros(3)))
+        out = ad.layer_norm(tensor([[5.0, 5.0, 5.0]]),
+                            tensor(np.ones(3)), tensor(np.zeros(3)))
         assert np.allclose(out.data, 0.0, atol=1e-3)
 
     def test_two_point_row(self):
-        out = ad.layer_norm(ad.tensor([[1.0, -1.0]]),
-                            ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)))
+        out = ad.layer_norm(tensor([[1.0, -1.0]]),
+                            tensor(np.ones(2)), tensor(np.zeros(2)))
         scale = 1.0 / np.sqrt(1.0 + ad.LAYER_NORM_EPS)   # the row's variance is 1
         assert np.allclose(out.data, [[scale, -scale]], rtol=0.0, atol=1e-12)
 
     def test_affine_row(self):
-        out = ad.layer_norm(ad.tensor([[0.0, 2.0]]),
-                            ad.tensor(np.full(2, 2.0)), ad.tensor(np.ones(2)))
+        out = ad.layer_norm(tensor([[0.0, 2.0]]),
+                            tensor(np.full(2, 2.0)), tensor(np.ones(2)))
         scale = 1.0 / np.sqrt(1.0 + ad.LAYER_NORM_EPS)
         assert np.allclose(out.data, [[1.0 - 2.0 * scale, 1.0 + 2.0 * scale]],
                            rtol=0.0, atol=1e-12)
@@ -74,8 +76,8 @@ class TestLayerNorm:
     def test_normalization_property(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(6, 8)) * 3.0
-        out = ad.layer_norm(ad.tensor(x), ad.tensor(np.ones(8)),
-                            ad.tensor(np.zeros(8)))
+        out = ad.layer_norm(tensor(x), tensor(np.ones(8)),
+                            tensor(np.zeros(8)))
         var = x.var(axis=1)
         assert np.allclose(out.data.mean(axis=1), 0.0, atol=1e-12)
         assert np.allclose(out.data.var(axis=1), var / (var + ad.LAYER_NORM_EPS),
@@ -83,7 +85,7 @@ class TestLayerNorm:
 
     def test_grad(self):
         rng = np.random.default_rng(3)
-        check(lambda x, g, b: ad.sum_all(ad.mul(ad.layer_norm(x, g, b), x)),
+        check(lambda x, g, b: sum_all(ad.mul(ad.layer_norm(x, g, b), x)),
               rng.normal(size=(3, 6)), rng.normal(size=6), rng.normal(size=6))
 
 
@@ -140,23 +142,23 @@ class TestAdam:
 
 class TestGradCheck:
     def test_polynomial(self):
-        x = ad.tensor([1.0, 2.0, 3.0])
-        err = ad.grad_check(lambda t: ad.sum_all(ad.mul(t, t)), [x])
+        x = tensor([1.0, 2.0, 3.0])
+        err = grad_check(lambda t: sum_all(ad.mul(t, t)), [x])
         assert err <= 1e-6
         assert np.allclose(x.grad, [2.0, 4.0, 6.0])
 
     def test_constant(self):
-        x = ad.tensor([1.0, 2.0])
-        err = ad.grad_check(lambda t: ad.sum_all(ad.mul(t, 0.0)), [x])
+        x = tensor([1.0, 2.0])
+        err = grad_check(lambda t: sum_all(ad.mul(t, 0.0)), [x])
         assert err == 0.0
 
     def test_nonscalar_rejected(self):
         with pytest.raises(ContractError):
-            ad.grad_check(lambda t: t, [ad.tensor([1.0, 2.0])])
+            grad_check(lambda t: t, [tensor([1.0, 2.0])])
 
     def test_bad_step(self):
         with pytest.raises(ParameterError):
-            ad.grad_check(lambda t: ad.sum_all(t), [ad.tensor([1.0])], h=0.5)
+            grad_check(lambda t: sum_all(t), [tensor([1.0])], h=0.5)
 
 
 class TestElementwiseGrads:
@@ -164,60 +166,60 @@ class TestElementwiseGrads:
 
     def test_add_sub_mul(self):
         rng = np.random.default_rng(4)
-        check(lambda a, b: ad.sum_all(ad.add(a, b)),
+        check(lambda a, b: sum_all(ad.add(a, b)),
               rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
-        check(lambda a, b: ad.sum_all(ad.add(a, ad.mul(b, -1.0))),
+        check(lambda a, b: sum_all(ad.add(a, ad.mul(b, -1.0))),
               rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
-        check(lambda a, b: ad.sum_all(ad.mul(a, b)),
+        check(lambda a, b: sum_all(ad.mul(a, b)),
               rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
 
     def test_constant_operand_rule(self):
         # A Tensor operand has exactly the other's shape; a constant has it
         # or is 0-d, and gets no gradient. Nothing broadcasts.
-        a, row, scalar = ad.tensor(np.ones((3, 4))), ad.tensor(np.ones(4)), ad.tensor(2.0)
+        a, row, scalar = tensor(np.ones((3, 4))), tensor(np.ones(4)), tensor(2.0)
         for op in (ad.add, ad.mul):
             for bad in (row, scalar, np.ones(4), np.ones((3, 1)), np.ones((1, 3, 4))):
                 with pytest.raises(DimensionError, match=r"\(3, 4\) with .*\(") as err:
                     op(a, bad)
                 assert str(np.shape(getattr(bad, "data", bad))) in str(err.value)
         const = np.arange(12.0).reshape(3, 4)
-        x = ad.tensor(np.full((3, 4), 2.0))
+        x = tensor(np.full((3, 4), 2.0))
         with ad.tape() as tp:
             out = ad.add(ad.mul(x, const), ad.mul(x, 1.5))
             out = ad.add(ad.add(out, const), 0.25)
-            tp.backward(ad.sum_all(out))
+            tp.backward(sum_all(out))
         assert np.array_equal(out.data, 2.0 * const + 3.0 + const + 0.25)
         assert np.array_equal(x.grad, const + 1.5)
         assert np.array_equal(const, np.arange(12.0).reshape(3, 4))
 
     def test_scale_neg_const(self):
         rng = np.random.default_rng(5)
-        check(lambda x: ad.sum_all(ad.mul(x, 2.5)), rng.normal(size=(2, 3)))
-        check(lambda x: ad.sum_all(ad.mul(x, -1.0)), rng.normal(size=4))
-        check(lambda x: ad.sum_all(ad.add(x, 3.0)), rng.normal(size=4))
-        check(lambda x: ad.sum_all(ad.mul(x, -1.5)), rng.normal(size=4))
+        check(lambda x: sum_all(ad.mul(x, 2.5)), rng.normal(size=(2, 3)))
+        check(lambda x: sum_all(ad.mul(x, -1.0)), rng.normal(size=4))
+        check(lambda x: sum_all(ad.add(x, 3.0)), rng.normal(size=4))
+        check(lambda x: sum_all(ad.mul(x, -1.5)), rng.normal(size=4))
 
     def test_swish(self):
         rng = np.random.default_rng(6)
-        check(lambda x: ad.sum_all(ad.swish(x)), rng.normal(size=(3, 4)))
-        assert float(ad.swish(ad.tensor(np.zeros(1))).data[0]) == 0.0
+        check(lambda x: sum_all(ad.swish(x)), rng.normal(size=(3, 4)))
+        assert float(ad.swish(tensor(np.zeros(1))).data[0]) == 0.0
 
     def test_glu(self):
         rng = np.random.default_rng(7)
-        check(lambda x: ad.sum_all(ad.glu_halves(x)), rng.normal(size=(3, 8)))
+        check(lambda x: sum_all(ad.glu_halves(x)), rng.normal(size=(3, 8)))
         with pytest.raises(DimensionError):
-            ad.glu_halves(ad.tensor(np.ones((2, 3))))
+            ad.glu_halves(tensor(np.ones((2, 3))))
 
     def test_affine(self):
         rng = np.random.default_rng(8)
-        check(lambda x, w, b: ad.sum_all(ad.affine(x, w, b)),
+        check(lambda x, w, b: sum_all(ad.affine(x, w, b)),
               rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5))
 
     def test_reshape_permute(self):
         rng = np.random.default_rng(9)
-        check(lambda x: ad.sum_all(ad.mul(ad.reshape(x, (6, 2)), ad.reshape(x, (6, 2)))),
+        check(lambda x: sum_all(ad.mul(ad.reshape(x, (6, 2)), ad.reshape(x, (6, 2)))),
               rng.normal(size=(3, 4)))
-        check(lambda x: ad.sum_all(ad.mul(ad.permute(x, (1, 0)), ad.permute(x, (1, 0)))),
+        check(lambda x: sum_all(ad.mul(ad.permute(x, (1, 0)), ad.permute(x, (1, 0)))),
               rng.normal(size=(3, 4)))
 
     def test_gather_ops(self):
@@ -226,22 +228,22 @@ class TestElementwiseGrads:
 
         def f(x):
             g = ad.gather_rows(x, idx)
-            return ad.sum_all(ad.mul(g, g))
+            return sum_all(ad.mul(g, g))
 
         check(f, rng.normal(size=(4, 3)))
         with pytest.raises(DimensionError):
-            ad.gather_rows(ad.tensor(np.ones((2, 2))), [0, 5])
+            ad.gather_rows(tensor(np.ones((2, 2))), [0, 5])
 
     def test_gather_rows_accumulates_repeats(self):
-        x = ad.tensor(np.arange(6.0).reshape(3, 2))
+        x = tensor(np.arange(6.0).reshape(3, 2))
         with ad.tape() as tp:
-            out = ad.sum_all(ad.gather_rows(x, [1, 1, 1]))
+            out = sum_all(ad.gather_rows(x, [1, 1, 1]))
             tp.backward(out)
         assert np.array_equal(x.grad, [[0, 0], [3, 3], [0, 0]])
 
     def test_concat_rows(self):
         rng = np.random.default_rng(11)
-        check(lambda a, b: ad.sum_all(ad.concat_rows(a, b)),
+        check(lambda a, b: sum_all(ad.concat_rows(a, b)),
               rng.normal(size=(2, 3)), rng.normal(size=(4, 3)))
 
     def test_concat_rows_of_several_parts(self):
@@ -249,10 +251,10 @@ class TestElementwiseGrads:
 
         def f(a, b, c):
             x = ad.concat_rows(a, b, c)
-            return ad.sum_all(ad.mul(x, x))
+            return sum_all(ad.mul(x, x))
 
         check(f, rng.normal(size=(2, 3)), rng.normal(size=(0, 3)), rng.normal(size=(4, 3)))
-        one = ad.tensor(np.ones((2, 3)))
+        one = tensor(np.ones((2, 3)))
         assert ad.concat_rows(one) is one
 
     def test_lattice_nll(self):
@@ -263,14 +265,14 @@ class TestElementwiseGrads:
               rng.normal(size=(6, 3)), tol=1e-4)
         # One frame and one token: the only path emits the token once.
         x = rng.normal(size=(1, 3))
-        out = ad.lattice_nll(ad.tensor(x), [[0, 1, 0]], [[False, False, False]], [3], [1])
+        out = ad.lattice_nll(tensor(x), [[0, 1, 0]], [[False, False, False]], [3], [1])
         assert float(out.data) == -x[0, 1]
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(14)
         targets = np.array([0, 2, 1])
         check(lambda z: ad.cross_entropy_mean(z, targets, [3]), rng.normal(size=(3, 4)))
-        uniform = ad.cross_entropy_mean(ad.tensor(np.zeros((2, 5))), [1, 3], [2])
+        uniform = ad.cross_entropy_mean(tensor(np.zeros((2, 5))), [1, 3], [2])
         assert np.isclose(float(uniform.data), np.log(5.0))
 
     def test_conv2d(self):
@@ -279,36 +281,36 @@ class TestElementwiseGrads:
         # Squaring the output makes the incoming gradient vary per element.
         def f(x, w, b):
             y = ad.conv2d_s2(x, w, b)
-            return ad.sum_all(ad.mul(y, y))
+            return sum_all(ad.mul(y, y))
 
         check(f, rng.normal(size=(7, 9, 2)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3))
         with pytest.raises(DimensionError):
-            ad.conv2d_s2(ad.tensor(np.ones((2, 2, 1))),
-                         ad.tensor(np.ones((1, 1, 3, 3))), ad.tensor(np.zeros(1)))
+            ad.conv2d_s2(tensor(np.ones((2, 2, 1))),
+                         tensor(np.ones((1, 1, 3, 3))), tensor(np.zeros(1)))
         with pytest.raises(DimensionError):
-            ad.conv2d_s2(ad.tensor(np.ones((7, 9, 3))),
-                         ad.tensor(np.ones((1, 2, 3, 3))), ad.tensor(np.zeros(1)))
+            ad.conv2d_s2(tensor(np.ones((7, 9, 3))),
+                         tensor(np.ones((1, 2, 3, 3))), tensor(np.zeros(1)))
 
     def test_depthwise_conv(self):
         rng = np.random.default_rng(16)
-        check(lambda x, w, b: ad.sum_all(ad.depthwise_conv1d(x, w, b, [6])),
+        check(lambda x, w, b: sum_all(ad.depthwise_conv1d(x, w, b, [6])),
               rng.normal(size=(6, 4)), rng.normal(size=(3, 4)), rng.normal(size=4))
         with pytest.raises(ParameterError):
-            ad.depthwise_conv1d(ad.tensor(np.ones((4, 2))),
-                                ad.tensor(np.ones((2, 2))), ad.tensor(np.zeros(2)), [4])
+            ad.depthwise_conv1d(tensor(np.ones((4, 2))),
+                                tensor(np.ones((2, 2))), tensor(np.zeros(2)), [4])
 
     def test_cross_entropy_sums_packed_sequence_means(self):
         rng = np.random.default_rng(26)
         lengths = [3, 1, 4]
         z = rng.normal(size=(8, 5))
         targets = rng.integers(0, 5, size=8)
-        zt = ad.tensor(z)
+        zt = tensor(z)
         with ad.tape() as tp:
             out = ad.cross_entropy_mean(zt, targets, lengths)
             tp.backward(ad.mul(out, 1.7))
         want, grads, start = 0.0, [], 0
         for n in lengths:
-            part = ad.tensor(z[start:start + n])
+            part = tensor(z[start:start + n])
             with ad.tape() as tp:
                 loss = ad.cross_entropy_mean(part, targets[start:start + n], [n])
                 tp.backward(ad.mul(loss, 1.7))
@@ -320,7 +322,7 @@ class TestElementwiseGrads:
         check(lambda x: ad.cross_entropy_mean(x, targets, lengths), z)
         for bad in ([3, 4], [8, 0], [9, -1]):
             with pytest.raises(DimensionError):
-                ad.cross_entropy_mean(ad.tensor(z), targets, bad)
+                ad.cross_entropy_mean(tensor(z), targets, bad)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_depthwise_conv_packed_matches_per_sequence(self, k):
@@ -328,17 +330,17 @@ class TestElementwiseGrads:
         lengths = [4, 1, 6, 2]
         x, g = rng.normal(size=(13, 3)), rng.normal(size=(13, 3))
         w, b = rng.normal(size=(k, 3)), rng.normal(size=3)
-        xt, wt, bt = ad.tensor(x), ad.tensor(w), ad.tensor(b)
+        xt, wt, bt = tensor(x), tensor(w), tensor(b)
         with ad.tape() as tp:
             out = ad.depthwise_conv1d(xt, wt, bt, lengths)
-            tp.backward(ad.sum_all(ad.mul(out, g)))
+            tp.backward(sum_all(ad.mul(out, g)))
         gw, gb, start = np.zeros_like(w), np.zeros_like(b), 0
         for n in lengths:
             rows = slice(start, start + n)
-            parts = [ad.tensor(x[rows]), ad.tensor(w), ad.tensor(b)]
+            parts = [tensor(x[rows]), tensor(w), tensor(b)]
             with ad.tape() as tp:
                 want = ad.depthwise_conv1d(*parts, [n])
-                tp.backward(ad.sum_all(ad.mul(want, g[rows])))
+                tp.backward(sum_all(ad.mul(want, g[rows])))
             assert np.max(np.abs(out.data[rows] - want.data)) <= 1e-12
             assert np.max(np.abs(xt.grad[rows] - parts[0].grad)) <= 1e-12
             gw += parts[1].grad
@@ -346,13 +348,13 @@ class TestElementwiseGrads:
             start += n
         assert np.max(np.abs(wt.grad - gw)) <= 1e-12
         assert np.max(np.abs(bt.grad - gb)) <= 1e-12
-        check(lambda x, w, b: ad.sum_all(ad.mul(ad.depthwise_conv1d(x, w, b, [2, 3]),
+        check(lambda x, w, b: sum_all(ad.mul(ad.depthwise_conv1d(x, w, b, [2, 3]),
                                                 ad.depthwise_conv1d(x, w, b, [2, 3]))),
               rng.normal(size=(5, 2)), rng.normal(size=(k, 2)), rng.normal(size=2))
 
     def test_depthwise_conv_one_sequence_is_unpacked_bit_for_bit(self):
         rng = np.random.default_rng(29)
-        x, w, b = (ad.tensor(rng.normal(size=s)) for s in ((9, 4), (5, 4), (4,)))
+        x, w, b = (tensor(rng.normal(size=s)) for s in ((9, 4), (5, 4), (4,)))
         assert np.array_equal(ad.depthwise_conv1d(x, w, b, [9]).data,
                               single_sequence_depthwise_reference(x, w, b, [9]).data)
         for bad in ([4, 4], [10, -1]):
@@ -363,7 +365,7 @@ class TestElementwiseGrads:
         x = np.arange(12.0).reshape(4, 3)
         w = np.zeros((3, 3))
         w[1] = 1.0  # center tap passes the signal through
-        out = ad.depthwise_conv1d(ad.tensor(x), ad.tensor(w), ad.tensor(np.zeros(3)), [4])
+        out = ad.depthwise_conv1d(tensor(x), tensor(w), tensor(np.zeros(3)), [4])
         assert np.array_equal(out.data, x)
 
 
@@ -371,10 +373,10 @@ class TestAttention:
     def test_constant_values_come_back(self):
         # Each query's weights sum to one, so equal value rows give that row back.
         rng = np.random.default_rng(17)
-        q = ad.tensor(rng.normal(size=(5, 8)))
-        k = ad.tensor(rng.normal(size=(7, 8)))
+        q = tensor(rng.normal(size=(5, 8)))
+        k = tensor(rng.normal(size=(7, 8)))
         row = rng.normal(size=8)
-        ctx = ad.attention_core(q, k, ad.tensor(np.tile(row, (7, 1))), n_heads=2,
+        ctx = ad.attention_core(q, k, tensor(np.tile(row, (7, 1))), n_heads=2,
                                 q_lengths=[5], k_lengths=[7])
         assert ctx.data.shape == (5, 8)
         assert np.max(np.abs(ctx.data - row)) <= 1e-12
@@ -387,7 +389,7 @@ class TestAttention:
         y[3] = rng.normal(size=4) * 10.0
 
         def context(kv):
-            return ad.attention_core(ad.tensor(x), ad.tensor(kv), ad.tensor(kv), n_heads=2,
+            return ad.attention_core(tensor(x), tensor(kv), tensor(kv), n_heads=2,
                                      causal=True, q_lengths=[5], k_lengths=[5]).data
 
         before, after = context(x), context(y)
@@ -401,7 +403,7 @@ class TestAttention:
         def f(q, k, v):
             ctx = ad.attention_core(q, k, v, n_heads=2, causal=causal, q_lengths=[4],
                                     k_lengths=[4])
-            return ad.sum_all(ad.mul(ctx, ctx))
+            return sum_all(ad.mul(ctx, ctx))
 
         check(f, rng.normal(size=(4, 6)), rng.normal(size=(4, 6)),
               rng.normal(size=(4, 6)), tol=1e-4)
@@ -650,10 +652,10 @@ class TestAgainstReference:
         x[3] = 1e3
         g = rng.normal(size=x.shape).astype(dtype)
         want, want_grad = log_softmax_reference(x)
-        xt = ad.tensor(x, dtype=dtype)
+        xt = tensor(x, dtype=dtype)
         with ad.tape() as tp:
             out = ad.log_softmax_rows(xt)
-            tp.backward(ad.sum_all(ad.mul(out, g)))
+            tp.backward(sum_all(ad.mul(out, g)))
         assert out.data.dtype == dtype and xt.grad.dtype == dtype
         assert np.array_equal(out.data, want)
         assert np.array_equal(xt.grad, want_grad(g))
@@ -668,14 +670,14 @@ class TestAgainstReference:
         # These ops rebuild in the backward what they once kept from the forward.
         rng = np.random.default_rng(33)
         arrays = [(rng.normal(size=shape) * 6.0).astype(dtype) for shape in shapes]
-        g = rng.normal(size=shapes[0][:1] + (op(*map(ad.tensor, arrays)).data.shape[1],))
+        g = rng.normal(size=shapes[0][:1] + (op(*map(tensor, arrays)).data.shape[1],))
         g = g.astype(dtype)
         results = []
         for fn in (op, reference):
-            inputs = [ad.tensor(a, dtype=dtype) for a in arrays]
+            inputs = [tensor(a, dtype=dtype) for a in arrays]
             with ad.tape() as tp:
                 out = fn(*inputs)
-                tp.backward(ad.sum_all(ad.mul(out, g)))
+                tp.backward(sum_all(ad.mul(out, g)))
             results.append([out.data] + [t.grad for t in inputs])
         for have, want in zip(*results):
             assert have.dtype == dtype and np.array_equal(have, want)
@@ -688,8 +690,8 @@ class TestAgainstReference:
         grid = self.GRID.astype(dtype)
         x = np.concatenate([grid, rng.permutation(grid)]).reshape(2, -1)
         with np.errstate(over="ignore", under="ignore"):
-            swish, glu = ad.swish(ad.tensor(x[0], dtype=dtype)), ad.glu_halves(
-                ad.tensor(x.T, dtype=dtype))
+            swish, glu = ad.swish(tensor(x[0], dtype=dtype)), ad.glu_halves(
+                tensor(x.T, dtype=dtype))
             want_swish = x[0] * ad._sigmoid(x[0])
             want_glu = x.T[:, :1] * ad._sigmoid(x.T[:, 1:])
         assert swish.data.dtype == glu.data.dtype == dtype
@@ -703,11 +705,11 @@ class TestAgainstReference:
         q, k, v, g = (rng.normal(size=(n, 12)) for n in (lq, lk, lk, lq))
         causal = case == "causal"
         want_ctx, want_grads = einsum_attention_reference(q, k, v, 3, causal=causal)
-        qt, kt, vt = ad.tensor(q), ad.tensor(k), ad.tensor(v)
+        qt, kt, vt = tensor(q), tensor(k), tensor(v)
         with ad.tape() as tp:
             ctx = ad.attention_core(qt, kt, vt, 3, causal=causal, q_lengths=[lq],
                                     k_lengths=[lk])
-            tp.backward(ad.sum_all(ad.mul(ctx, g)))
+            tp.backward(sum_all(ad.mul(ctx, g)))
         got = [ctx.data, qt.grad, kt.grad, vt.grad]
         for have, want in zip(got, [want_ctx, *want_grads(g)]):
             assert np.max(np.abs(have - want)) <= 1e-12
@@ -731,22 +733,22 @@ class TestSegmentedAttention:
         nk = nq if k_lengths is None else sum(k_lengths)
         q, g = rng.normal(size=(nq, 12)), rng.normal(size=(nq, 12))
         k, v = rng.normal(size=(nk, 12)), rng.normal(size=(nk, 12))
-        qt, kt, vt = ad.tensor(q), ad.tensor(k), ad.tensor(v)
+        qt, kt, vt = tensor(q), tensor(k), tensor(v)
         with ad.tape() as tp:
             ctx = ad.attention_core(qt, kt, vt, 3, causal=causal, q_lengths=q_lengths,
                                     k_lengths=[nk] if k_lengths is None else k_lengths)
-            tp.backward(ad.sum_all(ad.mul(ctx, g)))
+            tp.backward(sum_all(ad.mul(ctx, g)))
         worst = 0.0
         gk, gv = np.zeros_like(k), np.zeros_like(v)
         q_start = k_start = 0
         for i, n in enumerate(q_lengths):
             m = nk if k_lengths is None else k_lengths[i]
             rows, keys = slice(q_start, q_start + n), slice(k_start, k_start + m)
-            parts = [ad.tensor(q[rows]), ad.tensor(k[keys]), ad.tensor(v[keys])]
+            parts = [tensor(q[rows]), tensor(k[keys]), tensor(v[keys])]
             with ad.tape() as tp:
                 want_ctx = ad.attention_core(*parts, 3, causal=causal, q_lengths=[n],
                                              k_lengths=[m])
-                tp.backward(ad.sum_all(ad.mul(want_ctx, g[rows])))
+                tp.backward(sum_all(ad.mul(want_ctx, g[rows])))
             for have, ref in zip([ctx.data[rows], qt.grad[rows]],
                                  [want_ctx.data, parts[0].grad]):
                 worst = max(worst, float(np.max(np.abs(have - ref), initial=0.0)))
@@ -758,7 +760,7 @@ class TestSegmentedAttention:
                 k2, v2 = k.copy(), v.copy()
                 k2[other] = rng.normal(size=k2[other].shape) * 10.0
                 v2[other] = rng.normal(size=v2[other].shape) * 10.0
-                moved = ad.attention_core(qt, ad.tensor(k2), ad.tensor(v2), 3, causal=causal,
+                moved = ad.attention_core(qt, tensor(k2), tensor(v2), 3, causal=causal,
                                           q_lengths=q_lengths, k_lengths=k_lengths)
                 assert np.array_equal(moved.data[rows], ctx.data[rows])
             gk[keys] += parts[1].grad
@@ -785,7 +787,7 @@ class TestSegmentedAttention:
 
     def test_single_segment_is_plain_causal_bit_for_bit(self):
         rng = np.random.default_rng(52)
-        q, k, v = (ad.tensor(rng.normal(size=(6, 8))) for _ in range(3))
+        q, k, v = (tensor(rng.normal(size=(6, 8))) for _ in range(3))
         ctx = ad.attention_core(q, k, v, 2, causal=True, q_lengths=[6], k_lengths=[6])
         want_ctx = single_sequence_attention_reference(q, k, v, 2, causal=True,
                                                        q_lengths=[6], k_lengths=[6])
@@ -797,14 +799,14 @@ class TestSegmentedAttention:
         def f(q, k, v):
             ctx = ad.attention_core(q, k, v, n_heads=2, causal=True, q_lengths=[2, 3],
                                     k_lengths=[2, 3])
-            return ad.sum_all(ad.mul(ctx, ctx))
+            return sum_all(ad.mul(ctx, ctx))
 
         check(f, rng.normal(size=(5, 6)), rng.normal(size=(5, 6)),
               rng.normal(size=(5, 6)), tol=1e-4)
 
         def g(q, k, v):
             ctx = ad.attention_core(q, k, v, n_heads=2, q_lengths=[2, 3], k_lengths=[1, 3])
-            return ad.sum_all(ad.mul(ctx, ctx))
+            return sum_all(ad.mul(ctx, ctx))
 
         check(g, rng.normal(size=(5, 6)), rng.normal(size=(4, 6)),
               rng.normal(size=(4, 6)), tol=1e-4)
@@ -813,8 +815,8 @@ class TestSegmentedAttention:
                                              ([6, -1], 5), ([[5]], 5)])
     def test_segments_must_split_the_scores(self, segments, lk):
         rng = np.random.default_rng(54)
-        q = ad.tensor(rng.normal(size=(5, 4)))
-        k = ad.tensor(rng.normal(size=(lk, 4)))
+        q = tensor(rng.normal(size=(5, 4)))
+        k = tensor(rng.normal(size=(lk, 4)))
         with pytest.raises(DimensionError):
             ad.attention_core(q, k, k, 2, q_lengths=segments, k_lengths=segments)
 
@@ -826,14 +828,14 @@ class TestSegmentedAttention:
     ])
     def test_key_sequences_must_fit_the_queries(self, q_lengths, k_lengths, causal):
         rng = np.random.default_rng(57)
-        q, k = ad.tensor(rng.normal(size=(5, 4))), ad.tensor(rng.normal(size=(5, 4)))
+        q, k = tensor(rng.normal(size=(5, 4))), tensor(rng.normal(size=(5, 4)))
         with pytest.raises(DimensionError):
             ad.attention_core(q, k, k, 2, causal=causal, q_lengths=q_lengths,
                               k_lengths=k_lengths)
 
 
 def _t(*shape):
-    return ad.tensor(np.ones(shape))
+    return tensor(np.ones(shape))
 
 
 SHAPE_ERRORS = [
@@ -875,7 +877,7 @@ def test_op_rejects_inconsistent_shapes(call, message):
 
 class TestFiniteGuard:
     def test_overflow_is_caught(self):
-        big = ad.tensor(np.array([1e308]))
+        big = tensor(np.array([1e308]))
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             ad.add(big, big)
 
@@ -883,20 +885,20 @@ class TestFiniteGuard:
 class TestTape:
     def test_backward_requires_scalar(self):
         with ad.tape() as tp:
-            x = ad.add(ad.tensor([1.0, 2.0]), ad.tensor([3.0, 4.0]))
+            x = ad.add(tensor([1.0, 2.0]), tensor([3.0, 4.0]))
             with pytest.raises(ContractError):
                 tp.backward(x)
 
     def test_no_tape_means_no_grads(self):
-        x = ad.tensor([1.0, 2.0])
-        out = ad.sum_all(ad.mul(x, x))
+        x = tensor([1.0, 2.0])
+        out = sum_all(ad.mul(x, x))
         assert out.data == 5.0
         assert x.grad is None
 
     def test_backward_keeps_the_recorded_op_count(self):
-        x = ad.tensor([2.0, 3.0])
+        x = tensor([2.0, 3.0])
         with ad.tape() as tp:
-            out = ad.sum_all(ad.mul(ad.swish(x), x))
+            out = sum_all(ad.mul(ad.swish(x), x))
             recorded = len(tp)
             tp.backward(out)
             assert recorded == 3 and len(tp) == recorded
@@ -906,14 +908,14 @@ class TestTape:
     def test_an_op_whose_output_gets_no_gradient_runs_no_backward(self):
         # The tape calls a closure only when a gradient reached its output;
         # the spies record on the same outputs as the ops before them.
-        x, y = ad.tensor([1.0, 2.0]), ad.tensor([3.0, 4.0])
+        x, y = tensor([1.0, 2.0]), tensor([3.0, 4.0])
         seen = []
         with ad.tape() as tp:
             dead = ad.mul(y, y)                     # never reaches the root
             ad._record(dead, lambda g: seen.append("dead"))
             live = ad.mul(x, 2.0)
             ad._record(live, lambda g: seen.append(g.copy()))
-            tp.backward(ad.sum_all(live))
+            tp.backward(sum_all(live))
             assert len(tp) == 5
         assert len(seen) == 1 and np.array_equal(seen[0], [1.0, 1.0])
         assert dead.grad is None and y.grad is None
@@ -922,16 +924,16 @@ class TestTape:
     def test_scalar_results_keep_their_dtype(self):
         assert ad.Tensor(np.float32(1.5)).data.dtype == np.float32
         assert ad.Tensor(1.5).data.dtype == np.float64
-        x = ad.tensor(np.array(2.0, dtype=np.float32), dtype=np.float32)
+        x = tensor(np.array(2.0, dtype=np.float32), dtype=np.float32)
         with ad.tape() as tp:
             out = ad.mul(x, 3.0)
             tp.backward(out)
         assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
 
     def test_grad_accumulates_across_uses(self):
-        x = ad.tensor([2.0])
+        x = tensor([2.0])
         with ad.tape() as tp:
-            out = ad.sum_all(ad.add(ad.mul(x, x), x))
+            out = sum_all(ad.add(ad.mul(x, x), x))
             tp.backward(out)
         assert np.allclose(x.grad, [5.0])
 
@@ -1167,11 +1169,11 @@ def run_case(op, arrays, act_dtype, param_dtype, n_params, kwargs, seed):
     """The op's outputs and every input gradient under a random upstream gradient."""
     split = len(arrays) - n_params
     dtypes = [act_dtype] * split + [param_dtype] * n_params
-    inputs = [ad.tensor(a, dtype=dt) for a, dt in zip(arrays, dtypes)]
+    inputs = [tensor(a, dtype=dt) for a, dt in zip(arrays, dtypes)]
     with ad.tape() as tp:
         out = op(*inputs, **kwargs)
         g = np.random.default_rng(seed).normal(size=out.data.shape).astype(out.data.dtype)
-        tp.backward(ad.sum_all(ad.mul(out, g)))
+        tp.backward(sum_all(ad.mul(out, g)))
     return [out.data] + [t.grad for t in inputs]
 
 
@@ -1208,8 +1210,8 @@ class TestWrapperFreeOpsAgainstWrapperForms:
         # float32 activations and weights with a float64 bias: the product is
         # float32, the sum float64, and the in-place add must not round it.
         rng = np.random.default_rng(82)
-        x, w = (ad.tensor(rng.normal(size=s), dtype=np.float32) for s in [(5, 4), (4, 3)])
-        b = ad.tensor(rng.normal(size=3) * 1e-3, dtype=dtype)
+        x, w = (tensor(rng.normal(size=s), dtype=np.float32) for s in [(5, 4), (4, 3)])
+        b = tensor(rng.normal(size=3) * 1e-3, dtype=dtype)
         have, want = ad.affine(x, w, b), bias_sum_affine_reference(x, w, b)
         assert have.data.dtype == want.data.dtype == dtype
         assert np.array_equal(have.data, want.data)
@@ -1224,7 +1226,7 @@ class TestWrapperFreeOpsAgainstWrapperForms:
         lengths = PACKED if batch else (n,)
         results = []
         for fn in (ad.cross_entropy_mean, mean_cross_entropy_reference):
-            x = ad.tensor(logits, dtype=dtype)
+            x = tensor(logits, dtype=dtype)
             with ad.tape() as tp:
                 out = fn(x, targets, lengths)
                 tp.backward(out)

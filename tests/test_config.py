@@ -22,6 +22,7 @@ class TestDefaults:
 class TestValidation:
     @pytest.mark.parametrize("section,field,value", [
         ("model", "d_model", 0),
+        ("model", "heads", 0),
         ("model", "heads", 3),            # 64 is not divisible by 3
         ("model", "e1_blocks", 0),
         ("model", "e2_blocks", -1),

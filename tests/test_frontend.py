@@ -8,6 +8,8 @@ from skiprec import frontend
 from skiprec.errors import DimensionError, InputTooShortError
 from skiprec.frontend import FeatureSequence
 
+from support import grad_check, sum_all, tensor
+
 
 def conv_len(n, kernel=3, stride=2):
     # direct simulation of one valid strided conv along one axis
@@ -52,10 +54,6 @@ class TestSubsample:
         out = frontend.subsample(feats, params)
         assert np.array_equal(out.frames.data, np.zeros_like(out.frames.data))
 
-    def test_narrow_feature_dim_rejected(self):
-        with pytest.raises(DimensionError):
-            frontend.init_frontend(np.random.default_rng(0), 6, 8)
-
     def test_features_too_wide_for_the_projection_rejected(self):
         # 20 features make more conv columns than a 16-feature projection takes.
         params = frontend.init_frontend(np.random.default_rng(0), 16, 8)
@@ -77,9 +75,9 @@ class TestSubsample:
         # grad_check perturbs these live tensors in place; f recomputes from params
         def f(_w, _b):
             out = frontend.subsample(feats, params)
-            return ad.sum_all(ad.mul(out.frames, out.frames))
+            return sum_all(ad.mul(out.frames, out.frames))
 
-        err = ad.grad_check(f, [params.conv1_w.value, params.proj_b.value], h=1e-5)
+        err = grad_check(f, [params.conv1_w.value, params.proj_b.value], h=1e-5)
         assert err <= 1e-4
 
 
@@ -128,7 +126,7 @@ def frontend_grads(params, run):
     with ad.tape() as tp:
         out = run()
         readout = np.random.default_rng(99).normal(size=out.data.shape)
-        tp.backward(ad.sum_all(ad.mul(out, readout)))
+        tp.backward(sum_all(ad.mul(out, readout)))
     return out.data, {name: p.grad for name, p in named}
 
 
@@ -145,12 +143,12 @@ class TestChannelsLastConv:
             g = rng.normal(size=((h - 3) // 2 + 1, (w - 3) // 2 + 1, co))
             results = []
             for conv, layout in ((ad.conv2d_s2, (0, 1, 2)), (reference_conv2d_s2, (2, 0, 1))):
-                xt, kt, bt = ad.tensor(x.transpose(layout)), ad.tensor(kernel), ad.tensor(bias)
+                xt, kt, bt = tensor(x.transpose(layout)), tensor(kernel), tensor(bias)
                 with ad.tape() as tp:
                     out = conv(xt, kt, bt)
                     if conv is reference_conv2d_s2:
                         out = ad.permute(out, (1, 2, 0))
-                    tp.backward(ad.sum_all(ad.mul(out, g)))
+                    tp.backward(sum_all(ad.mul(out, g)))
                 gx = xt.grad if conv is ad.conv2d_s2 else xt.grad.transpose(1, 2, 0)
                 results.append((out.data, gx, kt.grad, bt.grad))
             for have, want in zip(*results):
@@ -189,7 +187,7 @@ class TestPackedSubsample:
                 p.zero_grad()
             with ad.tape() as tp:
                 ref = reference_subsample(utt, params)
-                tp.backward(ad.sum_all(ad.mul(ref, readout[r])))
+                tp.backward(sum_all(ad.mul(ref, readout[r])))
             assert_close(out[r], ref.data)
             for name in want:
                 want[name] = want[name] + getattr(params, name).grad
@@ -243,11 +241,11 @@ class TestConstantFeatures:
         kernel, bias = rng.normal(size=(4, 1, 3, 3)), rng.normal(size=4)
         g = rng.normal(size=(5, 4, 4))
         results = []
-        for xin in (ad.tensor(x), x):
-            kt, bt = ad.tensor(kernel), ad.tensor(bias)
+        for xin in (tensor(x), x):
+            kt, bt = tensor(kernel), tensor(bias)
             with ad.tape() as tp:
                 out = ad.conv2d_s2(xin, kt, bt)
-                tp.backward(ad.sum_all(ad.mul(out, g)))
+                tp.backward(sum_all(ad.mul(out, g)))
             results.append((out.data, kt.grad, bt.grad))
         for have, want in zip(*results):
             assert np.array_equal(have, want)
@@ -305,7 +303,7 @@ class TestTimeBlocks:
     def force_block_rows(self, monkeypatch, rows):
         """Set the budget to exactly ``rows`` output rows per block; returns a
         list that collects the input length of each block."""
-        row_bytes = frontend.reduced_feature_dim(self.FEAT_DIM) * self.WIDTH * 9 * 8
+        row_bytes = frontend.subsampled_length(self.FEAT_DIM) * self.WIDTH * 9 * 8
         monkeypatch.setattr(frontend, "BLOCK_BYTES", rows * row_bytes)
         seen = []
         convolve = frontend._convolve
@@ -394,7 +392,7 @@ class TestTimeBlocks:
         rng = np.random.default_rng(30)
         params = frontend.init_frontend(rng, 80, 256)
         utt = FeatureSequence("long", rng.normal(size=(2000, 80)))
-        out_bytes = (frontend.subsampled_length(2000) * frontend.reduced_feature_dim(80)
+        out_bytes = (frontend.subsampled_length(2000) * frontend.subsampled_length(80)
                      * 256 * 8)
         tracemalloc.start()
         try:

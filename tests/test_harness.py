@@ -18,6 +18,8 @@ from skiprec import evaluate as ev
 from skiprec import fileio, model as model_mod, synth, train as train_mod
 from skiprec.errors import ConfigError, NumericError, ParameterError
 
+from support import tensor
+
 TINY_SPEC = synth.SynthSpec(vocab_size=6, utterances=3,
                             tokens_min=1, tokens_max=2,
                             frames_per_token_min=2, frames_per_token_max=3,
@@ -263,6 +265,25 @@ class TestTrainRun:
             assert more.best_checkpoint.read_bytes() == whole.best_checkpoint.read_bytes()
             assert more.best_error_rate == whole.best_error_rate
             assert float(got["trainer.best_error"]) == whole.best_error_rate
+
+    def test_a_resume_into_a_new_directory_writes_its_own_best_checkpoint(self, tiny_corpus,
+                                                                          tmp_path):
+        # The saved best error rate is that of the old directory's best.ckpt;
+        # a directory without one gets one at its first eval.
+        fp, tp = tiny_corpus
+        first = train_mod.train_run(TINY_CFG, fp, tp, tmp_path / "a")
+        more = train_mod.train_run(TINY_CFG, fp, tp, tmp_path / "b",
+                                   resume_path=first.last_checkpoint)
+        assert more.best_checkpoint.exists()
+        params = model_mod.init_model(TINY_CFG.training.seed, TINY_CFG.model)
+        model_mod.load_params_from_tensors(params, fileio.load_checkpoint(more.best_checkpoint))
+        corpus = train_mod.load_corpus(fp, tp, TINY_CFG.model)
+        report = ev.evaluate_corpus(params, TINY_CFG.model, TINY_CFG.loss, corpus)
+        assert report.error_rate == more.best_error_rate
+
+    def test_the_run_directory_records_its_config(self, tiny_model):
+        _, _, result = tiny_model
+        assert cfgmod.load_run_config(result.metrics_path.parent / "config.json") == TINY_CFG
 
     def test_each_batch_trains_as_one_packed_forward(self, tiny_corpus, tmp_path,
                                                      monkeypatch):
@@ -605,7 +626,7 @@ class TestCli:
         assert rc == 0
         capsys.readouterr()
         # finite checks stay on after a float32 bench
-        big = ad.tensor(np.array([1e308]))
+        big = tensor(np.array([1e308]))
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             ad.add(big, big)
 
@@ -619,14 +640,16 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--config", "bad.json", "model.d_model must be positive"),
+        ("--config", "no_heads.json", "model.heads must be positive"),
         ("--blank-threshold", "1.5", "loss.blank_threshold must lie in (0, 1)"),
         ("--features", "missing.bin", "No such file or directory: 'missing.bin'"),
-    ], ids=["bad_config", "blank_threshold", "missing_features"])
+    ], ids=["bad_config", "zero_heads", "blank_threshold", "missing_features"])
     def test_a_package_error_reaches_the_user_as_one_line(self, env, tmp_path, monkeypatch,
                                                           capsys, flag, value, message):
         # The later of two equal flags wins, so each case overrides the good line.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.json").write_text('{"model": {"d_model": 0}}', encoding="utf-8")
+        (tmp_path / "no_heads.json").write_text('{"model": {"heads": 0}}', encoding="utf-8")
         line = self.command_line(env, "train") + ["--out", "run", flag, value]
         assert cli.main(line) == 2
         out, err = capsys.readouterr()

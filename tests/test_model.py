@@ -18,6 +18,8 @@ from skiprec.errors import ConfigError, ContractError, InfeasibleAlignmentError
 from skiprec.evaluate import evaluate_corpus
 from skiprec.frontend import MIN_INPUT_FRAMES, FeatureSequence
 
+from support import grad_check, sum_all, zero_residual_branches
+
 TOY = ModelConfig(d_model=8, heads=2, e1_blocks=1, e2_blocks=1,
                   kernel_e1=3, kernel_e2=3, ffn_multiple=2,
                   decoder_blocks=1, vocab_size=5, feature_dim=8)
@@ -57,6 +59,25 @@ def infeasible_target_case():
         assert kept < len(target) <= total
         return params, feats, loss_cfg, target
     pytest.fail("no seed produced a shortened, non-fallback trace")
+
+
+class TestInit:
+    @pytest.mark.parametrize("field,value", [
+        ("d_model", 0), ("heads", 0), ("heads", 3), ("heads", True), ("e1_blocks", 0),
+        ("e2_blocks", 0), ("kernel_e1", 4), ("kernel_e2", 0), ("ffn_multiple", 0),
+        ("decoder_blocks", 0), ("vocab_size", 1), ("feature_dim", 6), ("dropout", 1.5),
+    ])
+    def test_every_model_rule_rejects_before_a_weight_is_drawn(self, monkeypatch,
+                                                                field, value):
+        # The config owns the model-shape rules; init_model runs them before
+        # it makes the generator that draws the weights.
+        def no_weights(*args, **kwargs):
+            raise AssertionError("init_model drew weights for a rejected config")
+
+        monkeypatch.setattr(np.random, "default_rng", no_weights)
+        cfg = dataclasses.replace(ModelConfig(), **{field: value})
+        with pytest.raises(ConfigError, match=r"^model\."):
+            model_mod.init_model(0, cfg)
 
 
 class TestRecover:
@@ -144,9 +165,9 @@ class TestRecover:
             sa = EncodedSequence(frames=a, orig_index=np.array([1, 3]))
             sb = EncodedSequence(frames=b, orig_index=np.array([0, 2, 4]))
             frames = model_mod.recover(sa, sb).frames
-            return ad.sum_all(ad.mul(frames, frames))
+            return sum_all(ad.mul(frames, frames))
 
-        assert ad.grad_check(loss, [a, b]) <= 1e-5
+        assert grad_check(loss, [a, b]) <= 1e-5
 
 
 class TestForwardStructure:
@@ -227,7 +248,7 @@ class TestIdentitySecondStage:
         rng = np.random.default_rng(10)
         params = model_mod.init_model(6, TOY)
         for block in params.e2:
-            enc_mod.zero_residual_branches(block)
+            zero_residual_branches(block)
         feats = toy_feats(rng, 35)
         beta = median_threshold(params, feats, TOY)
         for mode in (1, 2, 5):
@@ -242,7 +263,7 @@ class TestIdentitySecondStage:
         rng = np.random.default_rng(11)
         params = model_mod.init_model(7, TOY)
         for block in params.e2:
-            enc_mod.zero_residual_branches(block)
+            zero_residual_branches(block)
         feats = toy_feats(rng, 27)
         beta = median_threshold(params, feats, TOY)
         trace = model_mod.forward_utterance(
@@ -687,4 +708,4 @@ class TestEndToEndGradient:
         targets = [params.frontend.conv1_w.value, params.inter_head.w.value,
                    params.final_head.b.value, params.decoder.embed.value,
                    params.e2[0].attn.wv.value]
-        assert ad.grad_check(loss, targets) <= 1e-4
+        assert grad_check(loss, targets) <= 1e-4

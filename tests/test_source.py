@@ -9,6 +9,7 @@ from skiprec.config import LossConfig, ModelConfig, OptimizerConfig, TrainConfig
 from skiprec.synth import SynthSpec
 
 PACKAGE = Path(skiprec.__file__).parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def test_no_nonlocal_and_no_global_but_the_tape():
@@ -24,14 +25,10 @@ def test_no_nonlocal_and_no_global_but_the_tape():
 
 
 # Public functions that no code of the package need call, each with its reason.
+# The benchmark calls each of them.
 NO_CALLER_NEEDED = {
-    "autodiff.tensor": "test tool: wraps an array as a tape input",
-    "autodiff.sum_all": "test tool: reduces an op's output to a scalar to differentiate",
-    "autodiff.grad_check": "test tool: the finite-difference gradient checker",
-    "encoder.zero_residual_branches": "test tool: makes a block the identity",
     "synth.prototypes": "the generator's prototypes, read by the synth tests, criterion 09 "
                         "and perfbench's inputs",
-    "config.save_run_config": "used by the CLI round-trip tests",
     "config.full_scale_presets": "used by perfbench's long-encode workload",
 }
 
@@ -73,15 +70,12 @@ def names_loaded_outside_their_definition(tree: ast.Module) -> set[str]:
 
 
 def test_every_public_autodiff_function_has_a_caller_in_the_package():
-    # Test tools are the only functions the package itself need not call.
     trees = modules()
-    test_tools = {name.split(".")[1] for name in NO_CALLER_NEEDED
-                  if name.startswith("autodiff.")}
     used = set()
     for name, tree in trees.items():
         if name != "autodiff":
             used |= names_used_by(tree, "autodiff")
-    assert public_functions(trees["autodiff"]) - used - test_tools == set()
+    assert public_functions(trees["autodiff"]) - used == set()
 
 
 def test_every_public_function_has_a_caller_in_the_package():
@@ -103,11 +97,17 @@ def test_every_name_on_the_allow_list_is_a_public_function():
         assert name in public_functions(trees[module]), entry
 
 
+def test_every_name_on_the_allow_list_has_a_caller_in_perfbench():
+    # An exemption stays only for a function that the benchmark calls.
+    benchmark = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+                 for path in sorted(PERFBENCH.glob("*.py"))]
+    for entry in NO_CALLER_NEEDED:
+        module, name = entry.split(".")
+        assert any(name in names_used_by(tree, module) for tree in benchmark), entry
+
+
 # Defaulted parameters that no call in the package need set, each with its reason.
 NO_SETTER_NEEDED = {
-    "autodiff.tensor(dtype)": "test tool: the float32 tests build float32 inputs",
-    "autodiff.grad_check(h)": "test tool: the finite-difference step",
-    "autodiff.grad_check(scale_floor)": "test tool: the relative-error floor",
     "cli.main(argv)": "entry point: the console script passes none, the CLI tests a list",
 }
 

@@ -9,6 +9,8 @@ from skiprec.encoder import EncodedSequence
 from skiprec.errors import ContractError, ParameterError
 from skiprec.splitter import SplitMode
 
+from support import sum_all, tensor
+
 
 def brute_sets(flags):
     """Nearest-blank bookkeeping by direct per-frame scan."""
@@ -221,7 +223,7 @@ class TestIndexArrays:
 class TestSplitFrames:
     def _seq(self, n, d=4, seed=0):
         rng = np.random.default_rng(seed)
-        return EncodedSequence(frames=ad.tensor(rng.normal(size=(n, d))),
+        return EncodedSequence(frames=tensor(rng.normal(size=(n, d))),
                                orig_index=np.arange(n, dtype=np.int64))
 
     def test_gather_semantics(self):
@@ -245,7 +247,7 @@ class TestSplitFrames:
         g = splitter.assign_groups(splitter.compute_sets(WORKED_FLAGS), SplitMode.CARRY_RIGHT)
         with ad.tape() as tp:
             crucial, _ = splitter.split_frames(seq, g)
-            tp.backward(ad.sum_all(crucial.frames))
+            tp.backward(sum_all(crucial.frames))
         grad = seq.frames.grad
         expect = np.zeros_like(grad)
         expect[[1, 2, 5]] = 1.0
@@ -255,7 +257,7 @@ class TestSplitFrames:
         rng = np.random.default_rng(3)
         flags = [WORKED_FLAGS, [True] * 4, [False, True, True]]
         lengths = tuple(len(f) for f in flags)
-        seq = EncodedSequence(frames=ad.tensor(rng.normal(size=(sum(lengths), 4))),
+        seq = EncodedSequence(frames=tensor(rng.normal(size=(sum(lengths), 4))),
                               orig_index=np.concatenate([np.arange(n) for n in lengths]),
                               lengths=lengths)
         groups = splitter.assign_groups(splitter.compute_sets(np.concatenate(flags), lengths),
